@@ -1,14 +1,14 @@
 """One workload process: set up, then run ops in a closed loop and check each.
 
     python3 perfbench/worker.py --workload NAME --seed N --mode MODE \
-        --seconds S --workdir DIR
+        --seconds S --first-op K --workdir DIR
 
-Modes:
-  setup  import, generate inputs and run one warm-up op, then stop;
-  run    as setup, then time ops untraced in segments whose lengths
-         arrive one per line on stdin (S is then unused);
-  trace  as setup, then time ops untraced for a third of S and traced
-         (spans, and tracemalloc peaks in a few of them) for the rest.
+The worker imports the package, generates its inputs and runs one untimed
+warm-up op (its set-up), then, by mode:
+  run    times ops untraced for S seconds;
+  trace  times ops untraced for a third of S and traced (spans, and
+         tracemalloc peaks in a few of them) for the rest.
+Its ops take the inputs of ops K, K+1, ... of the workload seed.
 
 The package is imported from ``src/`` of the current directory, with no
 install step. The result goes to DIR/result.json; the parent process
@@ -34,8 +34,9 @@ def main() -> int:
     p = argparse.ArgumentParser()
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", choices=("setup", "run", "trace"), required=True)
+    p.add_argument("--mode", choices=("run", "trace"), required=True)
     p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--first-op", type=int, default=0)
     p.add_argument("--workdir", type=Path, required=True)
     args = p.parse_args()
 
@@ -47,37 +48,26 @@ def main() -> int:
 
     workload = WORKLOADS[args.workload](args.seed, args.workdir, dpresidual)
     ops: list[dict] = []
-    warm_inp = workload.make_input(0)
-    warm_out, warm_err = run_op(workload, warm_inp, ops)
-    setup_end = time.monotonic()
-    result = {"setup_end": setup_end}
-    if args.mode == "setup":
-        workload.cleanup(warm_inp)
-        return write_result(args.workdir, result)
-
+    warm_inp = workload.make_input(args.first_op)
+    warm_out, warm_err = run_op(workload, warm_inp, ops, args.first_op)
+    result = {"setup_end": time.monotonic()}
     record_check(workload, warm_inp, warm_out, warm_err, ops[-1])
     result["self_check"] = self_check(workload, warm_inp, warm_out)
     workload.cleanup(warm_inp)
 
     if args.mode == "run":
-        # The parent sends one line per timed segment and runs a set-up-only
-        # worker between segments, so the timed ops sample a longer stretch
-        # of the host's speed drift than one block of --seconds would.
-        timed = []
-        print("ready", flush=True)
-        while (line := sys.stdin.readline().strip()) not in ("", "end"):
-            timed += closed_loop(workload, ops, float(line), 1)
-            print("done", flush=True)
+        timed = closed_loop(workload, ops, args.seconds, 1, args.first_op)
         result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     else:
         from tracing import Tracer
 
-        untraced = closed_loop(workload, ops, args.seconds / 3.0, MIN_TRACE_OPS)
+        untraced = closed_loop(workload, ops, args.seconds / 3.0, MIN_TRACE_OPS,
+                               args.first_op)
         tracer = Tracer()
         tracer.install()
         workload.span = tracer.span
         timed = closed_loop(workload, ops, args.seconds * 2.0 / 3.0, MIN_TRACE_OPS,
-                            tracer=tracer)
+                            args.first_op, tracer=tracer)
         tracer.uninstall()
         traced = [ops[i] for i in timed]
         overhead = (statistics.median(o["s"] for o in traced)
@@ -97,10 +87,9 @@ def main() -> int:
     return write_result(args.workdir, result)
 
 
-def run_op(workload, inp, ops, tracer=None):
-    """Run one op, timed; returns (output, error text or None)."""
+def run_op(workload, inp, ops, op, tracer=None):
+    """Run op number ``op``, timed; returns (output, error text or None)."""
     err = out = None
-    op = len(ops)
     if tracer is not None:
         tracer.op = op
     t0 = time.perf_counter()
@@ -128,13 +117,14 @@ def record_check(workload, inp, out, err, rec) -> None:
 
 
 def self_check(workload, inp, out) -> bool:
-    """The oracle must reject a deliberately corrupted output."""
+    """The oracle must reject a deliberately corrupted output, and not as chance."""
     if out is None:
         return False
-    return bool(workload.check(inp, workload.corrupt(out)))
+    bad = workload.corrupt(out)
+    return bool(workload.check(inp, bad)) and not workload.chance_failure(inp, bad)
 
 
-def closed_loop(workload, ops, seconds, min_ops, tracer=None) -> list[int]:
+def closed_loop(workload, ops, seconds, min_ops, first_op, tracer=None) -> list[int]:
     """Ops back to back (one client) for about ``seconds``.
 
     An op starts only if, at the median op time so far, it would end less
@@ -145,8 +135,9 @@ def closed_loop(workload, ops, seconds, min_ops, tracer=None) -> list[int]:
     start = time.monotonic()
     typical = statistics.median(o["s"] for o in ops)
     while len(done) < min_ops or time.monotonic() - start + typical / 2 < seconds:
-        inp = workload.make_input(len(ops))
-        out, err = run_op(workload, inp, ops, tracer)
+        op = first_op + len(ops)
+        inp = workload.make_input(op)
+        out, err = run_op(workload, inp, ops, op, tracer)
         record_check(workload, inp, out, err, ops[-1])
         workload.cleanup(inp)
         done.append(len(ops) - 1)

@@ -55,6 +55,7 @@ DP_CURVE = {  # the demo config's dp block
     },
 }
 MC_TRIALS = 100_000
+CHANCE_MAX_SE = 4.5  # past this a gate failure is a defect, not chance
 
 
 def op_rng(seed: int, workload: int, op: int | None = None) -> np.random.Generator:
@@ -414,12 +415,31 @@ class RidgeValidate(CliWorkload):
 
     def chance_failure(self, inp, out):
         # Exit 4 is the command's own 3-standard-error gate, which a correct
-        # op fails with probability about 0.5%; it is a chance failure when
-        # nothing else about the output is wrong.
-        return out.codes == [4] and not self.check(inp, CliOutput([0], out.files))
+        # op fails with probability about 0.5%. Such a failure is counted as
+        # chance only when nothing else about the output is wrong and the
+        # worst deviation, recomputed from validation.csv, is just past the
+        # gate; a wrong law misses by many standard errors on every op.
+        if out.codes != [4] or self.check(inp, CliOutput([0], out.files)):
+            return False
+        return 3.0 < self.worst_deviation(out) <= CHANCE_MAX_SE
+
+    @staticmethod
+    def worst_deviation(out) -> float:
+        """Largest |empirical - analytic| / se over the rows of validation.csv."""
+        cols, rows = out.files["validation.csv"]
+        analytic, empirical, se = (_floats(rows, cols.index(c))
+                                   for c in ("analytic", "empirical", "se"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dev = np.abs(empirical - analytic) / se
+        return float(np.max(np.where(np.isnan(dev), np.inf, dev)))
 
     def corrupt(self, out):
-        return CliOutput(codes=[4], files=out.files)
+        # A law off by ten standard errors, as a wrong chi_mixture would give.
+        cols, rows = out.files["validation.csv"]
+        k, se = cols.index("empirical"), cols.index("se")
+        bad = [list(r) for r in rows]
+        bad[1][k] = repr(float(bad[1][k]) + 10 * float(bad[1][se]))
+        return CliOutput(codes=[4], files={"validation.csv": (cols, bad)})
 
     def units(self, out):
         # validation.csv is written before the gate, so an op that fails the
