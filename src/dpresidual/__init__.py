@@ -33,7 +33,6 @@ from .dp_mechanism import (
     gaussian_output_release,
     input_perturbation_release,
     leakage,
-    write_delta_curve_csv,
 )
 from .estimation import (
     ChiMixture,

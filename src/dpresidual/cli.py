@@ -38,10 +38,10 @@ from .config import (
 from .csvio import read_csv, write_csv
 from .detection import (
     DEFAULT_ALPHA_GRID,
+    RocCurve,
     TestSpec,
     monte_carlo_validate,
     pfa_pd,
-    roc,
     write_auroc_csv,
     write_roc_csv,
 )
@@ -246,56 +246,46 @@ def _laws_for_roc(config: ExperimentConfig, model, x_true, attack):
     the original model, except under input perturbation where the added
     measurement noise is equivalent to inflating the noise scale by
     sqrt(1 + k). Ridge-regularized residuals are weighted chi-square
-    mixtures rather than plain chi-squares, so their analytics route
-    through the moment-matched Gaussian laws; the chi-square release
+    mixtures rather than plain chi-squares, so they, like the gaussian
+    output release, use the moment-matched Gaussian laws. Only the output
+    releases carry privacy params into the test. The chi-square release
     analytics (and the guarantee scan behind them) assume the
     unregularized model.
     """
     dp = config.dp
-    ridge = model.lam > 0
-    if ridge and dp is not None and dp.mechanism is Mechanism.CHI_SQUARE:
+    mechanism = dp.mechanism if dp is not None else None
+    if model.lam > 0 and mechanism is Mechanism.CHI_SQUARE:
         raise SchemaError(
             "dp.mechanism chi_square assumes an unregularized model "
             "(model.lambda = 0); use gaussian_output for ridge models"
         )
-    if dp is not None and dp.mechanism is Mechanism.GAUSSIAN_OUTPUT:
-        law0 = gaussian_law(chi_mixture(model, x_true, None)).law
-        law1 = gaussian_law(chi_mixture(model, x_true, attack)).law
-        return law0, law1, build_privacy_params(dp), "gaussian_output", model
-    if dp is not None and dp.mechanism is Mechanism.GAUSSIAN_INPUT:
+    sim_model = model
+    if mechanism is Mechanism.GAUSSIAN_INPUT:
         # Perturbing every entry inflates the noise variance by (1+k) and
         # shrinks the noncentrality accordingly; the test itself stays clean.
         sigma_w = gaussian_mechanism_sigma(1.0, dp.epsilon / model.m, dp.delta)
         k = sigma_w**2 / model.sigma**2
-        inflated = MeasurementModel(H=model.H, sigma=model.sigma * (1 + k) ** 0.5,
-                                    lam=model.lam)
-        if ridge:
-            law0 = gaussian_law(chi_mixture(inflated, x_true, None)).law
-            law1 = gaussian_law(chi_mixture(inflated, x_true, attack)).law
-        else:
-            law0 = residual_law(inflated, x_true, None)
-            law1 = residual_law(inflated, x_true, attack)
-        return law0, law1, None, "gaussian_input", inflated
-    if ridge:
-        law0 = gaussian_law(chi_mixture(model, x_true, None)).law
-        law1 = gaussian_law(chi_mixture(model, x_true, attack)).law
-        return law0, law1, None, "none", model
-    law0 = residual_law(model, x_true, None)
-    law1 = residual_law(model, x_true, attack)
-    params = build_privacy_params(dp) if dp is not None else None
-    label = "chi_square" if dp is not None else "none"
-    return law0, law1, params, label, model
+        sim_model = MeasurementModel(H=model.H, sigma=model.sigma * (1 + k) ** 0.5,
+                                     lam=model.lam)
+    if model.lam > 0 or mechanism is Mechanism.GAUSSIAN_OUTPUT:
+        law0, law1 = (gaussian_law(chi_mixture(sim_model, x_true, a)).law
+                      for a in (None, attack))
+    else:
+        law0, law1 = (residual_law(sim_model, x_true, a) for a in (None, attack))
+    params = build_privacy_params(dp) \
+        if mechanism in (Mechanism.CHI_SQUARE, Mechanism.GAUSSIAN_OUTPUT) else None
+    label = mechanism.value if mechanism is not None else "none"
+    return law0, law1, params, label, sim_model
 
 
 def cmd_roc(config: ExperimentConfig, out: Path, seed: int) -> int:
     _require(config, "model")
     streams, model, x_true, attack = _build_instance(config, seed)
     law0, law1, params, label, _ = _laws_for_roc(config, model, x_true, attack)
-    grid = np.array(config.test.alpha_grid) if config.test.alpha_grid is not None else None
-    spec = TestSpec(alpha=config.test.alpha, law0=law0, law1=law1, dp=params)
-    alphas = grid if grid is not None else DEFAULT_ALPHA_GRID
-    points = [pfa_pd(replace(spec, alpha=float(a))) for a in alphas]
-    curve = roc(spec, alphas)
+    alphas = np.array(config.test.alpha_grid) if config.test.alpha_grid is not None \
+        else DEFAULT_ALPHA_GRID
+    points = list(zip(*pfa_pd(TestSpec(alpha=alphas, law0=law0, law1=law1, dp=params))))
+    curve = RocCurve.from_points(points)
     params_str = "" if params is None else ";".join(
         f"{k}={getattr(params, k)}"
         for k in ("epsilon", "delta", "r_prime", "nu_mean", "nu_sigma", "input_k")

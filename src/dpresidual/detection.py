@@ -42,6 +42,8 @@ DEFAULT_ALPHA_GRID = np.logspace(-4.0, math.log10(0.999), 512)
 class TestSpec:
     """A threshold test: target alpha, null/alternative laws, optional noise.
 
+    ``alpha`` is a scalar or a 1-D array of targets; with an array,
+    ``threshold`` and ``pfa_pd`` evaluate every target in one call.
     ``law0`` and ``law1`` must share a regime. With ``dp`` set, the
     analytics account for the release noise; ``recalibrate_threshold``
     moves the threshold onto the noisy null law instead of the clean one.
@@ -49,14 +51,15 @@ class TestSpec:
 
     __test__ = False  # not a pytest case, despite the name
 
-    alpha: float
+    alpha: float | np.ndarray
     law0: ResidualLaw
     law1: ResidualLaw
     dp: PrivacyParams | None = None
     recalibrate_threshold: bool = False
 
     def __post_init__(self):
-        if not 0 < self.alpha < 1:
+        alpha = np.asarray(self.alpha, dtype=float)
+        if not np.all((alpha > 0) & (alpha < 1)):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.law0.regime is not self.law1.regime:
             raise ValueError("law0 and law1 must share a regime")
@@ -112,12 +115,14 @@ def _dp_noise(spec: TestSpec) -> tuple[float, float, float]:
     return 0.0, spec.dp.nu_mean, spec.dp.nu_sigma**2
 
 
-def threshold(spec: TestSpec) -> float:
+def threshold(spec: TestSpec):
     """Test threshold at the target false-alarm rate.
 
     Chi-square regime: tau = 2 * Qinv(alpha, r/2) on the clean degrees of
     freedom (or r + r' when recalibrating on the noisy null). Gaussian
     regime: mean + std * Qinv(alpha) of the corresponding null law.
+    A scalar alpha gives a float; an alpha array gives one threshold per
+    target.
     """
     extra_dof, nu_mean, nu_var = _dp_noise(spec)
     if spec.law0.regime is Regime.CHI_SQUARE:
@@ -133,19 +138,20 @@ def threshold(spec: TestSpec) -> float:
     return mean + math.sqrt(var) * gaussian_q_inverse(spec.alpha)
 
 
-def pfa_pd(spec: TestSpec) -> tuple[float, float]:
+def pfa_pd(spec: TestSpec):
     """Analytic (false alarm, detection) probabilities of the test.
 
     With noise configured, the chi-square regime gains r' degrees of
     freedom at an unchanged threshold; the gaussian regime shifts by the
-    noise mean and inflates both variances.
+    noise mean and inflates both variances. A scalar alpha gives a pair
+    of floats; an alpha array gives a pair of arrays aligned with it.
     """
     tau = threshold(spec)
     extra_dof, nu_mean, nu_var = _dp_noise(spec)
     if spec.law0.regime is Regime.CHI_SQUARE:
         dof = spec.law0.dof + extra_dof
         order = 0.5 * dof
-        sqrt_tau = math.sqrt(tau)
+        sqrt_tau = np.sqrt(tau)
         pfa = marcum_q(order, math.sqrt(spec.law0.noncentrality), sqrt_tau)
         pd = marcum_q(order, math.sqrt(spec.law1.noncentrality), sqrt_tau)
         return pfa, pd
@@ -153,7 +159,7 @@ def pfa_pd(spec: TestSpec) -> tuple[float, float]:
     s1 = math.sqrt(spec.law1.variance + nu_var)
     pfa = gaussian_q((tau - (spec.law0.mean + nu_mean)) / s0)
     pd = gaussian_q((tau - (spec.law1.mean + nu_mean)) / s1)
-    return float(pfa), float(pd)
+    return pfa, pd
 
 
 def roc(spec: TestSpec, grid=None) -> RocCurve:
@@ -165,12 +171,10 @@ def roc(spec: TestSpec, grid=None) -> RocCurve:
     alphas = DEFAULT_ALPHA_GRID if grid is None else np.asarray(grid, dtype=float)
     if alphas.ndim != 1 or alphas.size < 1:
         raise ValueError("alpha grid must be a nonempty 1-D sequence")
-    if np.any(alphas <= 0) or np.any(alphas >= 1):
-        raise ValueError("alpha grid values must lie in (0, 1)")
     if np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be strictly increasing")
-    points = [pfa_pd(replace(spec, alpha=float(a))) for a in alphas]
-    return RocCurve.from_points(points)
+    # TestSpec rejects grid values outside (0, 1).
+    return RocCurve.from_points(zip(*pfa_pd(replace(spec, alpha=alphas))))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +244,8 @@ def monte_carlo_validate(model: MeasurementModel, attack, spec: TestSpec,
     """
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
+    if np.ndim(spec.alpha) != 0:
+        raise ValueError("Monte Carlo validation needs a scalar alpha (one threshold)")
     tau = threshold(spec)
     pfa_ref, pd_ref = pfa_pd(spec)
     x_true = np.zeros(model.n) if x_true is None else x_true

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .csvio import write_csv
 from .estimation import Regime, ResidualLaw
 from .exceptions import ConvergenceError, SingularUpdateError
 from .measurement_model import (
@@ -562,16 +561,3 @@ def input_perturbation_release(model: MeasurementModel, z, epsilon: float,
         seed=seed_record_of(rng),
     )
 
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-DELTA_CURVE_SCHEMA = "dpresidual-delta-curve/1"
-
-
-def write_delta_curve_csv(path, rows, meta: dict | None = None) -> None:
-    """Write (epsilon, delta, theta, theta_prime, r_tilde) rows as CSV."""
-    write_csv(path, DELTA_CURVE_SCHEMA,
-              ["epsilon", "delta", "theta", "theta_prime", "r_tilde"],
-              rows, meta=meta)

@@ -48,10 +48,9 @@ def attack_strength_roc(config: ExperimentConfig | None = None):
     for gap in gaps:
         law0 = ResidualLaw.gaussian(THETA_Z0, SIGMA_Z0**2)
         law1 = ResidualLaw.gaussian(THETA_Z0 + gap, SIGMA_Z1_ATTACK_SWEEP**2)
-        points = [pfa_pd(TestSpec(alpha=float(a), law0=law0, law1=law1)) for a in grid]
-        for alpha, (pfa, pd) in zip(grid, points):
-            roc_rows.append([gap, float(alpha), pfa, pd])
-        auroc_rows.append([gap, RocCurve.from_points(points).auroc])
+        pfa, pd = pfa_pd(TestSpec(alpha=grid, law0=law0, law1=law1))
+        roc_rows.extend([gap, a, p, d] for a, p, d in zip(grid, pfa, pd))
+        auroc_rows.append([gap, RocCurve.from_points(zip(pfa, pd)).auroc])
     return (
         (["delta_theta", "alpha", "pfa", "pd"], roc_rows),
         (["delta_theta", "auroc"], auroc_rows),

@@ -88,16 +88,19 @@ def regularized_gamma_p(s: float, x: float) -> float:
     return float(sp.gammainc(s, x))
 
 
-def regularized_gamma_q_inverse(alpha: float, s: float) -> float:
+def regularized_gamma_q_inverse(alpha, s: float):
     """Solve Q(s, x) = alpha for x.
 
-    Monotone decreasing in ``alpha``; alpha must lie strictly in (0, 1).
+    Monotone decreasing in ``alpha``; alpha (scalar or array) must lie
+    strictly in (0, 1). Arrays are inverted elementwise.
     """
-    if not 0.0 < alpha < 1.0:
+    alpha_arr = np.asarray(alpha, dtype=float)
+    if not np.all((alpha_arr > 0.0) & (alpha_arr < 1.0)):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not s > 0:
         raise ValueError(f"s must be > 0, got {s}")
-    return float(sp.gammainccinv(s, alpha))
+    out = sp.gammainccinv(s, alpha_arr)
+    return float(out) if alpha_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +263,13 @@ def gaussian_q(x):
     return float(out) if x_arr.ndim == 0 else out
 
 
-def gaussian_q_inverse(p: float) -> float:
-    """Inverse of ``gaussian_q``; p must lie strictly in (0, 1)."""
-    if not 0.0 < p < 1.0:
+def gaussian_q_inverse(p):
+    """Inverse of ``gaussian_q``; p (scalar or array) must lie strictly in (0, 1)."""
+    p_arr = np.asarray(p, dtype=float)
+    if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
         raise ValueError(f"p must be in (0, 1), got {p}")
-    return float(math.sqrt(2.0) * sp.erfcinv(2.0 * p))
+    out = math.sqrt(2.0) * sp.erfcinv(2.0 * p_arr)
+    return float(out) if p_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes, artifacts."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 import yaml
 
-from dpresidual import NeighborhoodSpec, delta_max_over_neighborhood, wssr
-from dpresidual.cli import main
+from dpresidual import (
+    NeighborhoodSpec,
+    Regime,
+    delta_max_over_neighborhood,
+    gaussian_mechanism_sigma,
+    wssr,
+)
+from dpresidual.cli import _build_instance, _laws_for_roc, main
 from dpresidual.config import (
     STREAM_SCAN,
     build_attack,
@@ -325,3 +332,52 @@ class TestCliMisc:
         assert main(["roc", "--config", str(path), "--out", str(out)]) == 0
         _, _, rows = read_csv(out / "auroc.csv")
         assert 0.5 <= float(rows[0][2]) <= 1.0
+
+
+DP_BY_MECHANISM = {
+    "none": None,
+    "chi_square": {"mechanism": "chi_square", "epsilon": 2.0, "delta": 0.1,
+                   "r_prime": 1},
+    "gaussian_output": {"mechanism": "gaussian_output", "epsilon": 2.0,
+                        "delta": 0.1, "nu_mean": 0.0, "nu_sigma": 1.0},
+    "gaussian_input": {"mechanism": "gaussian_input", "epsilon": 12.0,
+                       "delta": 0.1},
+}
+# Unit noise inflated by sqrt(1 + k), k = sigma_w^2 at per-element budget eps / m.
+INFLATED_SIGMA = math.sqrt(
+    1.0 + gaussian_mechanism_sigma(1.0, 12.0 / BASE_CONFIG["model"]["m"], 0.1) ** 2)
+
+
+class TestLawSelection:
+    """One law-selection rule over every (lambda, mechanism) pair."""
+
+    @pytest.mark.parametrize("lam,mechanism,regime,has_params,sim_sigma", [
+        (0.0, "none", Regime.CHI_SQUARE, False, 1.0),
+        (0.0, "chi_square", Regime.CHI_SQUARE, True, 1.0),
+        (0.0, "gaussian_output", Regime.GAUSSIAN, True, 1.0),
+        (0.0, "gaussian_input", Regime.CHI_SQUARE, False, INFLATED_SIGMA),
+        (1.0, "none", Regime.GAUSSIAN, False, 1.0),
+        (1.0, "chi_square", None, None, None),
+        (1.0, "gaussian_output", Regime.GAUSSIAN, True, 1.0),
+        (1.0, "gaussian_input", Regime.GAUSSIAN, False, INFLATED_SIGMA),
+    ])
+    def test_rule(self, tmp_path, capsys, lam, mechanism, regime, has_params,
+                  sim_sigma):
+        doc = {**BASE_CONFIG, "model": {**BASE_CONFIG["model"], "lambda": lam}}
+        doc.pop("dp")
+        if DP_BY_MECHANISM[mechanism] is not None:
+            doc["dp"] = DP_BY_MECHANISM[mechanism]
+        path = write_config(tmp_path, doc)
+        if regime is None:
+            code = main(["roc", "--config", str(path), "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert "gaussian_output" in capsys.readouterr().err
+            return
+        config = load_config(path)
+        _, model, x_true, attack = _build_instance(config, config.mc.seed)
+        law0, law1, params, label, sim_model = _laws_for_roc(config, model, x_true, attack)
+        assert law0.regime is regime and law1.regime is regime
+        assert label == mechanism
+        assert (params is not None) == has_params
+        assert sim_model.sigma == pytest.approx(sim_sigma, rel=1e-12)
+        assert sim_model.lam == lam

@@ -1,6 +1,7 @@
 """Threshold-test analytics, ROC curves, and Monte Carlo validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dpresidual import (
     sample_law,
     threshold,
 )
+from dpresidual.special_functions import gaussian_q_inverse, regularized_gamma_q_inverse
 from dpresidual.detection import write_auroc_csv, write_roc_csv
 from dpresidual.csvio import read_csv
 from conftest import random_model
@@ -184,6 +186,51 @@ class TestRoc:
         curve = roc(gaussian_spec(10.0, 1.0, 10.0, 16.0))
         assert curve.auroc == pytest.approx(0.5, abs=0.005)
         assert any(pd < pfa for pfa, pd in curve.points[1:-1])
+
+
+class TestAlphaArray:
+    """An alpha array is one call that equals the per-alpha scalar calls."""
+
+    ALPHAS = np.array([1e-4, 0.003, 0.05, 0.2, 0.5, 0.9, 0.999])
+
+    @pytest.mark.parametrize("spec", [
+        chi_spec(6.0, nc0=0.0, nc1=5.0),
+        chi_spec(6.0, nc0=0.7, nc1=5.0, dp=PrivacyParams.chi_square(r_prime=2)),
+        chi_spec(6.0, nc1=5.0, dp=PrivacyParams.chi_square(r_prime=2), recalibrate=True),
+        gaussian_spec(10.0, 1.0, 13.0, 16.0),
+        gaussian_spec(10.0, 1.0, 13.0, 16.0,
+                      dp=PrivacyParams.gaussian_output(nu_mean=0.5, nu_sigma=2.0)),
+        gaussian_spec(10.0, 1.0, 13.0, 16.0, recalibrate=True,
+                      dp=PrivacyParams.gaussian_output(nu_mean=0.5, nu_sigma=2.0)),
+    ], ids=["chi", "chi-dp", "chi-dp-recal", "gauss", "gauss-dp", "gauss-dp-recal"])
+    def test_matches_scalar_loop_exactly(self, spec):
+        array_spec = replace(spec, alpha=self.ALPHAS)
+        taus = threshold(array_spec)
+        pfas, pds = pfa_pd(array_spec)
+        for i, a in enumerate(self.ALPHAS):
+            scalar_spec = replace(spec, alpha=float(a))
+            tau = threshold(scalar_spec)
+            pfa, pd = pfa_pd(scalar_spec)
+            assert isinstance(tau, float) and isinstance(pfa, float)
+            assert taus[i] == tau
+            assert pfas[i] == pfa and pds[i] == pd
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda a: chi_spec(4.0, alpha=a),
+        lambda a: regularized_gamma_q_inverse(a, 2.0),
+        gaussian_q_inverse,
+    ], ids=["TestSpec", "regularized_gamma_q_inverse", "gaussian_q_inverse"])
+    def test_out_of_range_entry_rejected(self, call, bad):
+        with pytest.raises(ValueError):
+            call(np.array([0.05, bad, 0.5]))
+
+    def test_monte_carlo_validate_needs_scalar_alpha(self, rng):
+        model = random_model(rng, 10, 3)
+        law = residual_law(model, np.zeros(3), None)
+        spec = TestSpec(alpha=np.array([0.05, 0.1]), law0=law, law1=law)
+        with pytest.raises(ValueError, match="scalar alpha"):
+            monte_carlo_validate(model, None, spec, 2000, SeedStream(0))
 
 
 class TestMonteCarloValidate:

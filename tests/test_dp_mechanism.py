@@ -31,9 +31,7 @@ from dpresidual import (
     noncentral_chisq_sample,
     projection_matrix,
     roc,
-    write_delta_curve_csv,
 )
-from dpresidual.csvio import read_csv
 from conftest import random_model
 
 
@@ -473,13 +471,3 @@ class TestInputPerturbation:
         with pytest.raises(ValueError):
             input_perturbation_release(model, np.zeros(4), eps, delta, stream)
 
-
-class TestDeltaCurveCsv:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        rows = [[1.0, 0.5, 0.2, 0.9, 7.0], [2.0, 0.3, 0.2, 0.9, 7.0]]
-        write_delta_curve_csv(path, rows, meta={"seed": 1})
-        meta, columns, parsed = read_csv(path)
-        assert columns == ["epsilon", "delta", "theta", "theta_prime", "r_tilde"]
-        assert meta["schema"] == "dpresidual-delta-curve/1"
-        assert float(parsed[1][1]) == 0.3
