@@ -33,6 +33,7 @@ from .dp_mechanism import (
     gaussian_output_release,
     input_perturbation_release,
     leakage,
+    neighbor_roots,
 )
 from .estimation import (
     ChiMixture,
@@ -45,7 +46,6 @@ from .estimation import (
     normal_approx_bound,
     preferred_regime,
     residual_law,
-    svd_projection,
     wls_estimate,
     wssr,
 )
@@ -82,8 +82,6 @@ from .special_functions import (
     marcum_q,
     noncentral_chisq_cdf,
     noncentral_chisq_sample,
-    regularized_gamma_p,
-    regularized_gamma_q,
     regularized_gamma_q_inverse,
 )
 from .streams import SeedStream, production_mode

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,6 +57,8 @@ from .dp_mechanism import (
 from .estimation import chi_mixture, gaussian_law, residual_law, wls_estimate, wssr
 from .exceptions import NumericError, SchemaError, ValidationFailure
 from .measurement_model import MeasurementModel
+
+logger = logging.getLogger(__name__)
 
 MEASUREMENTS_SCHEMA = "dpresidual-measurements/1"
 DELTA_CURVE_CLI_SCHEMA = "dpresidual-delta-curve-cli/1"
@@ -216,8 +219,7 @@ def cmd_privatize(config: ExperimentConfig, out: Path, seed: int,
     return 0
 
 
-def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int,
-                    workers: int = 1) -> int:
+def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int) -> int:
     _require(config, "model", "dp")
     dp = config.dp
     if dp.epsilon_grid is None or dp.neighborhood is None:
@@ -229,8 +231,7 @@ def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int,
     rows = []
     for eps, child in zip(dp.epsilon_grid, scan_children):
         result = delta_max_over_neighborhood(eps, model, attack, dp.r_prime,
-                                             dp.neighborhood, child,
-                                             workers=workers)
+                                             dp.neighborhood, child)
         rows.append([float(eps), result.delta, result.argmax_theta,
                      result.argmax_theta_prime])
     write_csv(out / "delta_curve.csv", DELTA_CURVE_CLI_SCHEMA,
@@ -247,7 +248,8 @@ def _laws_for_roc(config: ExperimentConfig, model, x_true, attack):
     measurement noise is equivalent to inflating the noise scale by
     sqrt(1 + k). Ridge-regularized residuals are weighted chi-square
     mixtures rather than plain chi-squares, so they, like the gaussian
-    output release, use the moment-matched Gaussian laws. Only the output
+    output release, use the moment-matched Gaussian laws; a warning names
+    rho whenever such a law has no sup-density bound. Only the output
     releases carry privacy params into the test. The chi-square release
     analytics (and the guarantee scan behind them) assume the
     unregularized model.
@@ -268,8 +270,13 @@ def _laws_for_roc(config: ExperimentConfig, model, x_true, attack):
         sim_model = MeasurementModel(H=model.H, sigma=model.sigma * (1 + k) ** 0.5,
                                      lam=model.lam)
     if model.lam > 0 or mechanism is Mechanism.GAUSSIAN_OUTPUT:
-        law0, law1 = (gaussian_law(chi_mixture(sim_model, x_true, a)).law
-                      for a in (None, attack))
+        approx = [gaussian_law(chi_mixture(sim_model, x_true, a)) for a in (None, attack)]
+        if not all(g.bound_available for g in approx):
+            logger.warning(
+                "moment-matched Gaussian law applied without a sup-density bound: "
+                "rho=%.3g (the bound needs rho < 1/8); pfa/pd are unbounded "
+                "approximations", max(g.rho for g in approx))
+        law0, law1 = (g.law for g in approx)
     else:
         law0, law1 = (residual_law(sim_model, x_true, a) for a in (None, attack))
     params = build_privacy_params(dp) \
@@ -399,7 +406,7 @@ def main(argv=None) -> int:
         if args.command == "privatize":
             return cmd_privatize(config, out, seed, args.measurements)
         if args.command == "delta-curve":
-            return cmd_delta_curve(config, out, seed, workers)
+            return cmd_delta_curve(config, out, seed)
         if args.command == "roc":
             return cmd_roc(config, out, seed)
         if args.command == "validate":

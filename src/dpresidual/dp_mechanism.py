@@ -30,20 +30,18 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 
-from .estimation import Regime, ResidualLaw
-from .exceptions import ConvergenceError, SingularUpdateError
+from .estimation import Regime, ResidualLaw, residual_law
+from .exceptions import ConvergenceError
 from .measurement_model import (
+    _PIVOT_TOL,
     MeasurementModel,
     NeighborPerturbation,
     _attack_dense,
-    projection_matrix,
-    neighbor_projection_update,
 )
 from .special_functions import (
     DEFAULT_TOLERANCE,
@@ -53,7 +51,7 @@ from .special_functions import (
     marcum_q,
     noncentral_chisq_sample,
 )
-from .streams import SeedStream, as_generator, seed_record_of
+from .streams import as_generator, seed_record_of
 
 logger = logging.getLogger(__name__)
 
@@ -234,88 +232,104 @@ class DeltaScanResult:
     skipped: int
 
 
-def _scan_chunk(model: MeasurementModel, a: np.ndarray, epsilon: float,
-                r_tilde: float, theta: float, bound: float, count: int, rng):
-    """One worker's share of the perturbation scan.
+def neighbor_roots(model: MeasurementModel, attack, rows, delta_h) -> np.ndarray:
+    """Noncentrality roots theta' = ||P' a|| / sigma of distance-one neighbours.
 
-    Returns (best delta, best theta', best perturbation, skipped count).
+    Neighbour k shifts row i = ``rows[k]`` of H by dh = ``delta_h[k]``, so
+    its Gram is G' = G + A B^T with A = [h_i + dh, dh], B = [dh, h_i]. The
+    rank-two Woodbury identity gives x' = G'^{-1} H'^T a through the 2 x 2
+    capacitance matrix K = I + B^T G^{-1} A. With D = x' - x_hat and
+    s = dh^T x',
+
+        ||P' a||^2 = ||P a||^2 + D^T G D + s^2 - 2 s ((P a)_i - h_i^T D),
+
+    evaluated as ||E + s U_i||^2 + ||P a - s q_i||^2 with E = S V^T D,
+    q_i = (I - U U^T) e_i and (P a)^T q_i = (P a)_i, so that the part of
+    P' a in col(H) is one row-wise norm rather than a difference of large
+    terms. Everything is written in the model's factor through
+    W = dh V / s_H (G^{-1} is never formed), at O(len(rows) n) work and
+    memory. Requires lam = 0. Returns NaN for neighbours whose K,
+    equivalently whose Gram, is numerically singular.
     """
-    gen = as_generator(rng)
-    m, n = model.m, model.n
-    best = (-1.0, theta, None)
-    skipped = 0
-    for _ in range(count):
-        row = int(gen.integers(m))
-        direction = gen.standard_normal(n)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:
-            skipped += 1
-            continue
-        pert = NeighborPerturbation(row_index=row, delta_h=direction * (bound / norm))
-        try:
-            P_prime = neighbor_projection_update(model, pert, fallback=False)
-        except SingularUpdateError as exc:
-            logger.warning("skipping singular neighbor update: %s", exc)
-            skipped += 1
-            continue
-        theta_prime = float(np.linalg.norm(P_prime @ a)) / model.sigma
-        d = delta_for_epsilon(epsilon, r_tilde, theta, theta_prime) \
-            if theta_prime != theta else 0.0
-        if d > best[0]:
-            best = (d, theta_prime, pert)
-    return best[0], best[1], best[2], skipped
+    if model.lam != 0:
+        raise ValueError("the neighbour-root update requires lambda = 0")
+    rows = np.asarray(rows, dtype=np.intp)
+    delta_h = np.asarray(delta_h, dtype=float)
+    if rows.ndim != 1 or np.any((rows < 0) | (rows >= model.m)):
+        raise ValueError(f"rows must be a 1-D array of indices in [0, {model.m})")
+    if delta_h.shape != (rows.size, model.n):
+        raise ValueError(f"delta_h has shape {delta_h.shape}, "
+                         f"expected ({rows.size}, {model.n})")
+    f = model.factor
+    a = _attack_dense(attack, model.m)
+    c = f.u.T @ a                            # H x_hat = U c
+    pa = a - f.u @ c
+    a_i, U_i = a[rows], f.u[rows]
+    W = (delta_h @ f.vt.T) / f.s
+    beta = np.einsum("ij,ij->i", W, W)       # dh^T G^{-1} dh
+    gamma = np.einsum("ij,ij->i", U_i, W)    # h_i^T G^{-1} dh
+    lev = np.einsum("ij,ij->i", U_i, U_i)    # h_i^T G^{-1} h_i
+    dh_x = W @ c                             # dh^T x_hat
+    k11, k12, k21, k22 = 1.0 + gamma + beta, beta, lev + gamma, 1.0 + gamma
+    det = k11 * k22 - k12 * k21
+    singular = ~(np.abs(det) > _PIVOT_TOL * (np.abs(k11 * k22) + np.abs(k12 * k21)))
+    det[singular] = 1.0
+    r1, r2 = dh_x + a_i * beta, U_i @ c + a_i * gamma
+    u1 = (k22 * r1 - k12 * r2) / det
+    u2 = (k11 * r2 - k21 * r1) / det
+    # D = c_y G^{-1} dh - u1 G^{-1} h_i, so E = S V^T D = c_y W - u1 U_i.
+    c_y = a_i - u1 - u2
+    s_dot = dh_x + c_y * beta - u1 * gamma
+    F = c_y[:, None] * W + (s_dot - u1)[:, None] * U_i   # E + s U_i
+    norm_sq = np.einsum("ij,ij->i", F, F)
+    if model.m > model.n:  # P a and q_i vanish when U is square
+        norm_sq += float(pa @ pa) - 2.0 * s_dot * pa[rows] + s_dot**2 * (1.0 - lev)
+    theta_prime = np.sqrt(np.maximum(norm_sq, 0.0)) / model.sigma
+    theta_prime[singular] = np.nan
+    return theta_prime
 
 
 def delta_max_over_neighborhood(epsilon: float, model: MeasurementModel,
                                 attack, r_prime: int, spec: NeighborhoodSpec,
-                                rng, workers: int = 1) -> DeltaScanResult:
+                                rng) -> DeltaScanResult:
     """Maximize delta over row perturbations and the configured grid.
 
-    Scans ``spec.scan_count`` random unit directions scaled to the
-    perturbation bound, propagating each through the rank-one projector
-    update to get the neighbor's noncentrality root, and additionally
-    sweeps all ordered pairs from a deterministic grid over
+    Scans ``spec.scan_count`` random rows and unit directions scaled to the
+    perturbation bound, drawn row then direction per probe, gets every
+    neighbour's noncentrality root in one ``neighbor_roots`` call, and
+    additionally sweeps all ordered pairs from a deterministic grid over
     ``spec.theta_domain``. Requires lam = 0 (the update path is
-    unregularized). Singular updates are logged and skipped.
-
-    ``workers > 1`` splits the scan over processes, each with its own
-    derived stream (requires a SeedStream); partial maxima are reduced in
-    worker order.
+    unregularized). Probes whose neighbour Gram is numerically singular
+    are skipped and counted, with one logged warning per scan.
     """
     if model.lam != 0:
         raise ValueError("the sensitivity scan requires lambda = 0")
     a = _attack_dense(attack, model.m)
-    P = projection_matrix(model).matrix
-    theta = float(np.linalg.norm(P @ a)) / model.sigma
+    theta = math.sqrt(residual_law(model, None, a).noncentrality)
     r_tilde = float(model.m - model.n + r_prime)
 
-    if workers <= 1:
-        chunk_results = [_scan_chunk(model, a, epsilon, r_tilde, theta,
-                                     spec.delta_h_bound, spec.scan_count, rng)]
-    else:
-        if not isinstance(rng, SeedStream):
-            raise TypeError("parallel scans need a SeedStream to derive worker streams")
-        counts = [spec.scan_count // workers] * workers
-        counts[-1] += spec.scan_count - sum(counts)
-        streams = rng.spawn(workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(
-                _scan_chunk,
-                [model] * workers, [a] * workers, [epsilon] * workers,
-                [r_tilde] * workers, [theta] * workers,
-                [spec.delta_h_bound] * workers, counts, streams,
-            ))
+    gen = as_generator(rng)
+    rows = np.empty(spec.scan_count, dtype=np.intp)
+    deltas = np.empty((spec.scan_count, model.n))
+    for k in range(spec.scan_count):
+        rows[k] = gen.integers(model.m)
+        deltas[k] = gen.standard_normal(model.n)
+    deltas *= (spec.delta_h_bound / np.linalg.norm(deltas, axis=1))[:, None]
+    roots = neighbor_roots(model, a, rows, deltas)
+    skipped = int(np.count_nonzero(np.isnan(roots)))
+    if skipped:
+        logger.warning("skipped %d of %d neighbour probes with a numerically "
+                       "singular Gram", skipped, spec.scan_count)
 
     best = (-1.0, theta, theta, None)
-    scan_max = 0.0
-    skipped = 0
-    for d, theta_prime, pert, chunk_skipped in chunk_results:
-        skipped += chunk_skipped
-        if d < 0.0:
-            continue
-        scan_max = max(scan_max, d)
+    for k in np.flatnonzero(~np.isnan(roots)):
+        theta_prime = float(roots[k])
+        d = delta_for_epsilon(epsilon, r_tilde, theta, theta_prime) \
+            if theta_prime != theta else 0.0
         if d > best[0]:
-            best = (d, theta, theta_prime, pert)
+            best = (d, theta, theta_prime,
+                    NeighborPerturbation(row_index=int(rows[k]), delta_h=deltas[k]))
+    scan_max = max(best[0], 0.0)
 
     grid = np.linspace(spec.theta_domain[0], spec.theta_domain[1], spec.grid_points)
     grid_max = 0.0

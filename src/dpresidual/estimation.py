@@ -17,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import RankDeficiencyError
 from .measurement_model import (
     MeasurementModel,
     StateVector,
     _attack_dense,
     _readonly,
     _state_dense,
-    projection_matrix,
 )
 from .streams import as_generator
 
@@ -84,12 +82,9 @@ class ChiMixture:
 
     d: np.ndarray
     theta: np.ndarray
-    u: np.ndarray
-    singular_values: np.ndarray
-    vt: np.ndarray
 
     def __post_init__(self):
-        for name in ("d", "theta", "u", "singular_values", "vt"):
+        for name in ("d", "theta"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         if np.any(self.d < -1e-12) or np.any(self.d > 1 + 1e-12):
             raise ValueError("mixture weights must lie in [0, 1]")
@@ -114,23 +109,34 @@ class ChiMixture:
 def wls_estimate(model: MeasurementModel, z) -> StateVector:
     """Least-squares state estimate; ridge-regularized when lam > 0.
 
-    Solves min_x sigma^{-2} ||z - H x||^2 + lam ||x||^2 through an
-    augmented least-squares factorization (no normal equations formed).
-    With lam = 0 this is the ordinary least-squares solution.
+    Solves min_x sigma^{-2} ||z - H x||^2 + lam ||x||^2 from the model's
+    factor: x = V (s / (s^2 + lam sigma^2) * U^T z). With lam = 0 this is
+    the ordinary least-squares solution.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (model.m,):
         raise ValueError(f"z has shape {z.shape}, expected ({model.m},)")
-    if model.lam == 0:
-        x, _, rank, _ = np.linalg.lstsq(model.H, z, rcond=None)
-        if rank < model.n:
-            raise RankDeficiencyError("H lacks full column rank with lambda = 0")
-    else:
-        ridge = math.sqrt(model.lam) * model.sigma
-        A = np.vstack([model.H, ridge * np.eye(model.n)])
-        b = np.concatenate([z, np.zeros(model.n)])
-        x, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    return StateVector(x)
+    f = model.factor
+    gain = f.s / (f.s**2 + model.lam * model.sigma**2)
+    return StateVector(f.vt.T @ (gain * (f.u.T @ z)))
+
+
+def _residual_sq(model: MeasurementModel, Z: np.ndarray) -> np.ndarray:
+    """Row-wise ||P z||^2 of a (trials, m) batch, without forming P.
+
+    ||P z||^2 = ||(1 - w) * c||^2 + ||z - U c||^2 with c = U^T z; the
+    second term vanishes when U is square (m <= n), and there the weights
+    scale U (m x m) rather than the (trials, m) batch.
+    """
+    f = model.factor
+    if model.m <= model.n:
+        C = Z @ (f.u * (1.0 - f.w))
+        return np.einsum("ij,ij->i", C, C)
+    C = Z @ f.u
+    R = C @ f.u.T
+    np.subtract(Z, R, out=R)
+    C *= 1.0 - f.w
+    return np.einsum("ij,ij->i", C, C) + np.einsum("ij,ij->i", R, R)
 
 
 def wssr(model: MeasurementModel, z) -> float | np.ndarray:
@@ -144,9 +150,7 @@ def wssr(model: MeasurementModel, z) -> float | np.ndarray:
     Z = np.atleast_2d(z)
     if Z.shape[1] != model.m:
         raise ValueError(f"z has {Z.shape[1]} entries, expected m={model.m}")
-    P = projection_matrix(model).matrix
-    R = Z @ P.T
-    out = np.einsum("ij,ij->i", R, R) / model.sigma**2
+    out = _residual_sq(model, Z) / model.sigma**2
     return out if batch else float(out[0])
 
 
@@ -157,31 +161,11 @@ def residual_law(model: MeasurementModel, x, attack=None) -> ResidualLaw:
     noncentrality is sigma^{-2} ||P a||^2, independent of the state; for
     lam > 0 it is sigma^{-2} (H x + a)^T P^2 (H x + a) and state-dependent.
     """
-    proj = projection_matrix(model)
-    a = _attack_dense(attack, model.m)
-    if model.lam == 0:
-        v = proj.matrix @ a
-    else:
-        v = proj.matrix @ (model.H @ _state_dense(x, model.n) + a)
-    nc = float(v @ v) / model.sigma**2
-    return ResidualLaw.chi_square(dof=float(proj.rank), noncentrality=nc)
-
-
-def svd_projection(model: MeasurementModel) -> np.ndarray:
-    """Residual projector rebuilt from the SVD of H.
-
-    P = U (I - S (S^T S + lam sigma^2 I)^{-1} S^T) U^T. Serves as an
-    independent construction against the factorization in
-    ``projection_matrix``.
-    """
-    u, s, vt = np.linalg.svd(model.H, full_matrices=True)
-    m, n = model.H.shape
-    core = np.eye(m)
-    shrink = s**2 / (s**2 + model.lam * model.sigma**2) if model.lam > 0 else np.ones_like(s)
-    if model.lam == 0 and s.size and np.any(s <= max(m, n) * np.finfo(float).eps * s[0]):
-        raise RankDeficiencyError("H^T H is numerically singular with lambda = 0")
-    core[: s.size, : s.size] -= np.diag(shrink)
-    return u @ core @ u.T
+    v = _attack_dense(attack, model.m)
+    if model.lam > 0:
+        v = model.H @ _state_dense(x, model.n) + v
+    nc = float(_residual_sq(model, v[None, :])[0]) / model.sigma**2
+    return ResidualLaw.chi_square(dof=float(model.factor.residual_rank), noncentrality=nc)
 
 
 def chi_mixture(model: MeasurementModel, x, attack=None) -> ChiMixture:
@@ -204,7 +188,7 @@ def chi_mixture(model: MeasurementModel, x, attack=None) -> ChiMixture:
     s_full = np.zeros((m, n))
     s_full[: s.size, : s.size] = np.diag(s)
     theta = (s_full @ (vt @ xv) + u.T @ a) / model.sigma
-    return ChiMixture(d=dvec, theta=theta, u=u, singular_values=s, vt=vt)
+    return ChiMixture(d=dvec, theta=theta)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,30 +36,46 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def numerical_rank(a: np.ndarray, scale: float = 0.0) -> int:
-    """Rank by singular values above max(shape) * eps * max(sigma_max, scale).
-
-    ``scale`` anchors the cutoff for matrices with a known natural scale
-    (e.g. projectors, whose nonzero singular values are near 1), so a
-    numerically-zero matrix reports rank 0.
-    """
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0:
-        return 0
-    cutoff = max(a.shape) * np.finfo(float).eps * max(s[0], scale)
-    return int(np.count_nonzero(s > cutoff))
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Factor:
+    """Thin SVD H = U diag(s) V^T with the ridge shrink weights.
+
+    ``w = s^2 / (s^2 + lam sigma^2)``, all ones when lam = 0, are the
+    eigenvalues of the hat matrix H (H^T H + lam sigma^2 I)^{-1} H^T on
+    col(U), so the residual projector is P = I - U diag(w) U^T: it
+    scales U^T z by 1 - w and keeps the part of z off col(U).
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+    w: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        """Numerical rank of H: singular values above max(m, n) eps s_max."""
+        cutoff = max(self.u.shape[0], self.vt.shape[1]) * np.finfo(float).eps * self.s[0]
+        return int(np.count_nonzero(self.s > cutoff))
+
+    @property
+    def residual_rank(self) -> int:
+        """Rank of P: the m - k directions off col(U), plus each 1 - w_i above m eps."""
+        m, k = self.u.shape
+        return (m - k) + int(np.count_nonzero(1.0 - self.w > m * np.finfo(float).eps))
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """System matrix H (m x n), noise scale sigma > 0, ridge weight lam >= 0.
 
     With lam = 0 the matrix must have full column rank (checked at
-    construction); the ridge path lifts that requirement.
+    construction); the ridge path lifts that requirement. ``factor`` is
+    the thin SVD of H, computed once per model (at construction when
+    lam = 0, since the rank check needs it).
     """
 
     H: np.ndarray
@@ -75,12 +92,19 @@ class MeasurementModel:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.lam == 0 and numerical_rank(H) < H.shape[1]:
+        object.__setattr__(self, "H", _readonly(H))
+        if self.lam == 0 and self.factor.rank < H.shape[1]:
             raise RankDeficiencyError(
                 f"H ({H.shape[0]}x{H.shape[1]}) lacks full column rank; "
                 "set lambda > 0 or reduce the state space"
             )
-        object.__setattr__(self, "H", _readonly(H))
+
+    @cached_property
+    def factor(self) -> Factor:
+        u, s, vt = np.linalg.svd(self.H, full_matrices=False)
+        w = np.ones_like(s) if self.lam == 0 \
+            else s**2 / (s**2 + self.lam * self.sigma**2)
+        return Factor(u=_readonly(u), s=_readonly(s), vt=_readonly(vt), w=_readonly(w))
 
     @property
     def m(self) -> int:
@@ -200,25 +224,17 @@ def _state_dense(x, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def projection_matrix(model: MeasurementModel) -> Projection:
-    """Residual projector of the model, with its numerical rank.
+    """Residual projector of the model as a dense m x m matrix, with its rank.
 
-    lam = 0: P = I - H (H^T H)^{-1} H^T, the orthogonal projector onto the
-    complement of col(H), computed from a thin QR factorization.
-    lam > 0: P = I - H (H^T H + lam sigma^2 I)^{-1} H^T.
+    P = I - H (H^T H + lam sigma^2 I)^{-1} H^T = I - U diag(w) U^T from the
+    model's factor; with lam = 0 it is the orthogonal projector onto the
+    complement of col(H). The estimation layer never forms this matrix;
+    it is here for callers that want P itself.
     """
-    H = model.H
-    m, n = H.shape
-    if model.lam == 0:
-        q, r = np.linalg.qr(H)
-        diag = np.abs(np.diag(r))
-        if np.any(diag <= max(m, n) * np.finfo(float).eps * diag.max(initial=0.0)):
-            raise RankDeficiencyError("H^T H is numerically singular with lambda = 0")
-        P = np.eye(m) - q @ q.T
-    else:
-        gram = H.T @ H + model.lam * model.sigma**2 * np.eye(n)
-        P = np.eye(m) - H @ np.linalg.solve(gram, H.T)
+    f = model.factor
+    P = np.eye(model.m) - (f.u * f.w) @ f.u.T
     P = 0.5 * (P + P.T)
-    return Projection(matrix=_readonly(P), rank=numerical_rank(P, scale=1.0))
+    return Projection(matrix=_readonly(P), rank=f.residual_rank)
 
 
 def simulate_measurements(model: MeasurementModel, x_true, attack=None, rng=None,

@@ -1,8 +1,8 @@
 """Scalar special functions and distribution primitives.
 
-Provides the regularized gamma tails, the (generalized, real-order) Marcum
-Q-function, noncentral chi-square CDF and sampling, Gaussian tail
-functions, and modified Bessel functions of the first kind. These are the
+Provides the inverse regularized gamma tail, the (generalized,
+real-order) Marcum Q-function, noncentral chi-square CDF and sampling,
+Gaussian tail functions, and modified Bessel functions of the first kind. These are the
 numerical bedrock for the residual laws, the privacy guarantee, and the
 detection analytics built on top.
 
@@ -59,34 +59,8 @@ DEFAULT_TOLERANCE = Tolerance()
 
 
 # ---------------------------------------------------------------------------
-# Regularized gamma tails
+# Regularized gamma tail inverse
 # ---------------------------------------------------------------------------
-
-def regularized_gamma_q(s: float, x: float) -> float:
-    """Upper regularized gamma function Q(s, x) = Gamma(s, x) / Gamma(s).
-
-    Parameters
-    ----------
-    s : float
-        Shape, s > 0.
-    x : float
-        Lower integration limit, x >= 0.
-    """
-    if not s > 0:
-        raise ValueError(f"s must be > 0, got {s}")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    return float(sp.gammaincc(s, x))
-
-
-def regularized_gamma_p(s: float, x: float) -> float:
-    """Lower regularized gamma function P(s, x) = 1 - Q(s, x)."""
-    if not s > 0:
-        raise ValueError(f"s must be > 0, got {s}")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    return float(sp.gammainc(s, x))
-
 
 def regularized_gamma_q_inverse(alpha, s: float):
     """Solve Q(s, x) = alpha for x.

@@ -381,3 +381,22 @@ class TestLawSelection:
         assert (params is not None) == has_params
         assert sim_model.sigma == pytest.approx(sim_sigma, rel=1e-12)
         assert sim_model.lam == lam
+
+    def test_unbounded_gaussian_law_warns(self, tmp_path, caplog):
+        """A 20x30 ridge model has rho far above 1/8: the Gaussian law it
+        gets carries no sup-density bound, and roc says so once."""
+        doc = {**BASE_CONFIG, "model": {"m": 20, "n": 30, "sigma": 1.0, "lambda": 1.0}}
+        doc.pop("dp")
+        path = write_config(tmp_path, doc)
+        with caplog.at_level("WARNING", logger="dpresidual.cli"):
+            assert main(["roc", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        records = [r for r in caplog.records if r.name == "dpresidual.cli"]
+        assert len(records) == 1 and records[0].levelname == "WARNING"
+        message = records[0].getMessage()
+        assert "rho=" in message and "sup-density bound" in message
+
+    def test_chi_square_law_does_not_warn(self, tmp_path, caplog, config_path):
+        with caplog.at_level("WARNING", logger="dpresidual.cli"):
+            assert main(["roc", "--config", str(config_path),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert not [r for r in caplog.records if r.name == "dpresidual.cli"]

@@ -13,7 +13,9 @@ from scipy import integrate, stats
 
 from dpresidual import (
     AttackVector,
+    MeasurementModel,
     Mechanism,
+    NeighborPerturbation,
     NeighborhoodSpec,
     PrivacyParams,
     ResidualLaw,
@@ -28,6 +30,8 @@ from dpresidual import (
     gaussian_output_release,
     input_perturbation_release,
     leakage,
+    neighbor_projection_update,
+    neighbor_roots,
     noncentral_chisq_sample,
     projection_matrix,
     roc,
@@ -297,23 +301,30 @@ class TestDeltaScan:
         with pytest.raises(ValueError):
             delta_max_over_neighborhood(1.0, model, None, 1, spec, SeedStream(0))
 
-    def test_parallel_scan_is_deterministic(self, instance):
-        model, attack = instance
-        spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=400,
-                                theta_domain=(0.5, 0.51), grid_points=2)
-        a = delta_max_over_neighborhood(8.0, model, attack, 1, spec,
-                                        SeedStream(44), workers=2)
-        b = delta_max_over_neighborhood(8.0, model, attack, 1, spec,
-                                        SeedStream(44), workers=2)
-        assert a.delta == b.delta
-        assert a.scan_max == b.scan_max
+    def test_singular_probe_skipped_and_never_argmax(self, caplog):
+        """H = [[1], [0]] with |dh| = 1: row 0 shifted by -1 zeroes H'.
 
-    def test_parallel_scan_requires_stream(self, instance, rng):
-        model, attack = instance
-        spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=10,
-                                theta_domain=(0.5, 0.51), grid_points=2)
-        with pytest.raises(TypeError):
-            delta_max_over_neighborhood(1.0, model, attack, 1, spec, rng, workers=2)
+        Those probes are exactly the ones drawn as row 0 with a negative
+        direction; each is skipped and counted, the winner is a probe with
+        a nonsingular neighbour, and the scan logs one warning.
+        """
+        model = MeasurementModel(H=np.array([[1.0], [0.0]]), sigma=1.0)
+        attack = AttackVector(np.array([3.0, 2.0]))
+        spec = NeighborhoodSpec(delta_h_bound=1.0, scan_count=64,
+                                theta_domain=(0.0, 1e-3), grid_points=2)
+        replay = SeedStream(5).generator
+        draws = [(int(replay.integers(2)), float(replay.standard_normal(1)[0]))
+                 for _ in range(spec.scan_count)]
+        singular = sum(1 for row, d in draws if row == 0 and d < 0)
+        assert singular > 0
+        with caplog.at_level("WARNING", logger="dpresidual.dp_mechanism"):
+            result = delta_max_over_neighborhood(2.0, model, attack, 1, spec,
+                                                 SeedStream(5))
+        assert result.skipped == singular
+        assert [r.name for r in caplog.records] == ["dpresidual.dp_mechanism"]
+        pert = result.argmax_perturbation
+        assert pert is not None
+        assert not (pert.row_index == 0 and pert.delta_h[0] < 0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -322,6 +333,55 @@ class TestDeltaScan:
             NeighborhoodSpec(delta_h_bound=1.0, scan_count=0, theta_domain=(0.0, 1.0))
         with pytest.raises(ValueError):
             NeighborhoodSpec(delta_h_bound=1.0, scan_count=10, theta_domain=(1.0, 0.5))
+
+
+class TestNeighborRoots:
+    """The batched Woodbury roots against the rank-one projector update."""
+
+    @staticmethod
+    def probes(rng, model, count, bound):
+        rows = rng.integers(model.m, size=count)
+        deltas = rng.normal(size=(count, model.n))
+        deltas *= (bound / np.linalg.norm(deltas, axis=1))[:, None]
+        return rows, deltas
+
+    @staticmethod
+    def oracle(model, a, rows, deltas):
+        return np.array([
+            np.linalg.norm(neighbor_projection_update(
+                model, NeighborPerturbation(int(i), dh), fallback=False) @ a)
+            for i, dh in zip(rows, deltas)]) / model.sigma
+
+    @pytest.mark.parametrize("in_col_h", [False, True])
+    @pytest.mark.parametrize("m,n,bound", [(40, 6, 0.1), (12, 4, 1.5), (7, 6, 0.5)])
+    def test_matches_projector_update(self, rng, m, n, bound, in_col_h):
+        model = random_model(rng, m, n, sigma=0.8)
+        if in_col_h:  # mostly in col(H): ||P a|| is small against ||a||
+            a = model.H @ rng.normal(size=n) + 1e-3 * rng.normal(size=m)
+        else:
+            a = AttackVector.sparse(m, [1, m - 2], [2.0, -1.5]).a
+        rows, deltas = self.probes(rng, model, 60, bound)
+        roots = neighbor_roots(model, a, rows, deltas)
+        np.testing.assert_allclose(roots, self.oracle(model, a, rows, deltas),
+                                   rtol=1e-9, atol=0)
+
+    def test_square_model_roots_vanish(self, rng):
+        model = random_model(rng, 5, 5)
+        rows, deltas = self.probes(rng, model, 40, 0.3)
+        roots = neighbor_roots(model, rng.normal(size=5), rows, deltas)
+        assert np.all(roots <= 1e-12)
+
+    def test_requires_unregularized_model(self, rng):
+        model = random_model(rng, 6, 3, lam=0.2)
+        with pytest.raises(ValueError):
+            neighbor_roots(model, None, [0], np.ones((1, 3)))
+
+    @pytest.mark.parametrize("rows,shape", [([-1], (1, 3)), ([6], (1, 3)),
+                                            ([0, 1], (1, 3)), ([0], (1, 2))])
+    def test_rejects_bad_probes(self, rng, rows, shape):
+        model = random_model(rng, 6, 3)
+        with pytest.raises(ValueError):
+            neighbor_roots(model, None, rows, np.ones(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import linalg, stats
 
 from dpresidual import (
     AttackVector,
@@ -96,6 +98,59 @@ class TestWssr:
     def test_nonnegative(self, rng):
         model = random_model(rng, 8, 3, lam=0.5)
         assert np.all(wssr(model, rng.normal(size=(50, 8))) >= 0.0)
+
+
+@st.composite
+def factor_instances(draw):
+    """(m, n, lam, sigma, seed): lam = 0 needs m >= n; ridge allows m <= n."""
+    m = draw(st.integers(1, 12))
+    ridge = draw(st.booleans())
+    n = draw(st.integers(1, 12 if ridge else m))
+    lam = draw(st.floats(0.05, 5.0)) if ridge else 0.0
+    return m, n, lam, draw(st.floats(0.3, 3.0)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestFactorAgainstReference:
+    """The SVD factor against QR (lam = 0) and Gram-solve (lam > 0) references."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(factor_instances())
+    @example((4, 4, 0.0, 1.0, 0))     # square, unregularized: no residual
+    @example((3, 7, 0.5, 0.8, 1))     # underdetermined ridge: U is square
+    @example((9, 9, 1.0, 1.3, 2))     # square ridge
+    def test_estimate_wssr_and_law(self, inst):
+        m, n, lam, sigma, seed = inst
+        gen = np.random.default_rng(seed)
+        H = gen.normal(size=(m, n))
+        model = MeasurementModel(H=H, sigma=sigma, lam=lam)
+        x, a = gen.normal(size=n), gen.normal(size=m)
+        Z = H @ x + sigma * gen.normal(size=(5, m))
+
+        if lam == 0:
+            q, r = np.linalg.qr(H)
+            x_ref = linalg.solve_triangular(r, q.T @ Z[0])
+            P_ref = np.eye(m) - q @ q.T
+        else:
+            gram = H.T @ H + lam * sigma**2 * np.eye(n)
+            x_ref = np.linalg.solve(gram, H.T @ Z[0])
+            P_ref = np.eye(m) - H @ np.linalg.solve(gram, H.T)
+        R = Z @ P_ref.T
+        q_ref = np.einsum("ij,ij->i", R, R) / sigma**2
+        v = a if lam == 0 else H @ x + a
+        nc_ref = float(np.sum((P_ref @ v) ** 2)) / sigma**2
+
+        np.testing.assert_allclose(wls_estimate(model, Z[0]).x, x_ref,
+                                   rtol=1e-10, atol=1e-10 * np.abs(x_ref).max())
+        q_scale = 1e-10 * np.sum(Z**2, axis=1) / sigma**2
+        np.testing.assert_allclose(wssr(model, Z), q_ref, rtol=1e-10, atol=q_scale.max())
+        assert wssr(model, Z[0]) == pytest.approx(q_ref[0], rel=1e-10, abs=q_scale[0])
+        law = residual_law(model, x, a)
+        assert law.noncentrality == pytest.approx(
+            nc_ref, rel=1e-10, abs=1e-10 * float(v @ v) / sigma**2)
+        assert law.dof == np.linalg.matrix_rank(P_ref, tol=1e-8)
+        proj = projection_matrix(model)
+        assert proj.rank == law.dof
+        np.testing.assert_allclose(proj.matrix, P_ref, rtol=0, atol=1e-10)
 
 
 class TestResidualLaw:

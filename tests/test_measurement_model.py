@@ -18,7 +18,6 @@ from dpresidual import (
     save_model_csv,
     simulate_measurements,
     stealth_attack,
-    svd_projection,
     wssr,
 )
 from conftest import random_model
@@ -93,9 +92,12 @@ class TestProjectionMatrix:
             assert np.trace(P) == pytest.approx(m - n, abs=1e-8)
 
     def test_ridge_matches_svd_construction(self, rng):
+        """The SVD-built projector equals I - H (H^T H + lam sigma^2 I)^{-1} H^T."""
         model = random_model(rng, 8, 3, sigma=1.0, lam=0.5)
-        P = projection_matrix(model).matrix
-        np.testing.assert_allclose(P, svd_projection(model), atol=1e-10)
+        H = model.H
+        gram = H.T @ H + model.lam * model.sigma**2 * np.eye(model.n)
+        P_ref = np.eye(model.m) - H @ np.linalg.solve(gram, H.T)
+        np.testing.assert_allclose(projection_matrix(model).matrix, P_ref, atol=1e-10)
 
     def test_ridge_rank_full(self, rng):
         model = random_model(rng, 6, 4, lam=0.3)
