@@ -120,7 +120,7 @@ def _load_measurements(path, config: ExperimentConfig, seed: int) -> np.ndarray:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config: ExperimentConfig, out: Path, seed: int, workers: int) -> int:
+def cmd_simulate(config: ExperimentConfig, out: Path, seed: int) -> int:
     _require(config, "model")
     streams, model, x_true, attack = _build_instance(config, seed)
     z = model.H @ x_true + attack.a \
@@ -400,7 +400,7 @@ def main(argv=None) -> int:
             seed = args.seed if args.seed is not None else 0
             workers = args.workers if args.workers is not None else 1
         if args.command == "simulate":
-            return cmd_simulate(config, out, seed, workers)
+            return cmd_simulate(config, out, seed)
         if args.command == "estimate":
             return cmd_estimate(config, out, seed, args.measurements)
         if args.command == "privatize":

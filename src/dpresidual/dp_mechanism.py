@@ -188,35 +188,37 @@ def chi_square_release(law: ResidualLaw, q: float, r_prime: int, rng,
                         seed=seed_record_of(rng))
 
 
-def delta_for_epsilon(epsilon: float, r_tilde: float, theta: float,
-                      theta_prime: float,
-                      tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """The delta guarantee at budget epsilon for one neighbor pair.
+def delta_for_epsilon(epsilon: float, r_tilde: float, theta, theta_prime,
+                      tol: Tolerance = DEFAULT_TOLERANCE):
+    """The delta guarantee at budget epsilon for neighbor pairs.
 
     ``theta`` and ``theta_prime`` are the noncentrality roots of the
     released statistic under the two neighboring models (order
-    irrelevant; the pair is symmetrized). Identical roots give delta = 0.
-    When the lower boundary eps/(theta'-theta) - (theta'+theta)/2 is
-    negative, its tail term saturates at 1: the event that bounds the
-    leakage from below is empty there.
+    irrelevant; each pair is symmetrized). They broadcast against each
+    other, scalars giving a float, and every pair's two tails come from
+    one ``marcum_q`` call. Identical roots give delta = 0. When the lower
+    boundary eps/(theta'-theta) - (theta'+theta)/2 is negative, its tail
+    term saturates at 1: the event that bounds the leakage from below is
+    empty there.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if not r_tilde > 0:
         raise ValueError(f"r_tilde must be > 0, got {r_tilde}")
-    if theta < 0 or theta_prime < 0:
+    theta = np.asarray(theta, dtype=float)
+    theta_prime = np.asarray(theta_prime, dtype=float)
+    if np.any(theta < 0) or np.any(theta_prime < 0):
         raise ValueError("noncentrality roots must be >= 0")
-    if theta > theta_prime:
-        theta, theta_prime = theta_prime, theta
-    gap = theta_prime - theta
-    if gap == 0.0:
-        return 0.0
-    b_lo = epsilon / gap - 0.5 * (theta_prime + theta)
-    b_hi = epsilon / gap + 0.5 * (theta_prime + theta)
-    order = 0.5 * r_tilde
-    term_lo = 1.0 if b_lo < 0 else marcum_q(order, theta, b_lo, tol=tol)
-    term_hi = marcum_q(order, theta, b_hi, tol=tol)
-    return min(1.0, term_lo + term_hi)
+    lo, hi = np.minimum(theta, theta_prime), np.maximum(theta, theta_prime)
+    gap = hi - lo
+    ratio = epsilon / np.where(gap > 0.0, gap, np.inf)   # gap 0 is masked below
+    b_lo = ratio - 0.5 * (hi + lo)
+    b_hi = ratio + 0.5 * (hi + lo)
+    q_lo, q_hi = marcum_q(0.5 * r_tilde, lo, np.stack([np.maximum(b_lo, 0.0), b_hi]),
+                          tol=tol)
+    term_lo = np.where(b_lo < 0, 1.0, q_lo)
+    out = np.where(gap == 0.0, 0.0, np.minimum(1.0, term_lo + q_hi))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -297,16 +299,24 @@ def delta_max_over_neighborhood(epsilon: float, model: MeasurementModel,
     Scans ``spec.scan_count`` random rows and unit directions scaled to the
     perturbation bound, drawn row then direction per probe, gets every
     neighbour's noncentrality root in one ``neighbor_roots`` call, and
-    additionally sweeps all ordered pairs from a deterministic grid over
-    ``spec.theta_domain``. Requires lam = 0 (the update path is
-    unregularized). Probes whose neighbour Gram is numerically singular
-    are skipped and counted, with one logged warning per scan.
+    additionally sweeps all pairs i < j of a deterministic grid over
+    ``spec.theta_domain``; one array ``delta_for_epsilon`` call covers the
+    probes and one the pairs. The first maximum wins, probes before grid
+    pairs; a delta of zero names no neighbour (both argmax roots are theta,
+    no perturbation). Requires lam = 0 (the update path is unregularized).
+    Probes whose neighbour Gram is numerically singular are skipped and
+    counted, and a theta outside ``spec.theta_domain`` is named, each with
+    one logged warning per call.
     """
     if model.lam != 0:
         raise ValueError("the sensitivity scan requires lambda = 0")
     a = _attack_dense(attack, model.m)
     theta = math.sqrt(residual_law(model, None, a).noncentrality)
     r_tilde = float(model.m - model.n + r_prime)
+    lo, hi = spec.theta_domain
+    if not lo <= theta <= hi:
+        logger.warning("model root theta=%.6g lies outside theta_domain [%g, %g]: "
+                       "the grid sweeps roots this model does not have", theta, lo, hi)
 
     gen = as_generator(rng)
     rows = np.empty(spec.scan_count, dtype=np.intp)
@@ -321,29 +331,26 @@ def delta_max_over_neighborhood(epsilon: float, model: MeasurementModel,
         logger.warning("skipped %d of %d neighbour probes with a numerically "
                        "singular Gram", skipped, spec.scan_count)
 
-    best = (-1.0, theta, theta, None)
-    for k in np.flatnonzero(~np.isnan(roots)):
-        theta_prime = float(roots[k])
-        d = delta_for_epsilon(epsilon, r_tilde, theta, theta_prime) \
-            if theta_prime != theta else 0.0
-        if d > best[0]:
-            best = (d, theta, theta_prime,
-                    NeighborPerturbation(row_index=int(rows[k]), delta_h=deltas[k]))
-    scan_max = max(best[0], 0.0)
+    probes = np.flatnonzero(~np.isnan(roots))
+    scan = delta_for_epsilon(epsilon, r_tilde, theta, roots[probes])
+    grid = np.linspace(lo, hi, spec.grid_points)
+    i, j = np.triu_indices(spec.grid_points, 1)
+    pairs = delta_for_epsilon(epsilon, r_tilde, grid[i], grid[j])
+    scan_max = float(scan.max(initial=0.0))
+    grid_max = float(pairs.max(initial=0.0))
 
-    grid = np.linspace(spec.theta_domain[0], spec.theta_domain[1], spec.grid_points)
-    grid_max = 0.0
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            d = delta_for_epsilon(epsilon, r_tilde, float(grid[i]), float(grid[j]))
-            grid_max = max(grid_max, d)
-            if d > best[0]:
-                best = (d, float(grid[i]), float(grid[j]), None)
-
-    delta, th, thp, pert = best
-    return DeltaScanResult(delta=max(delta, 0.0), argmax_theta=th,
-                           argmax_theta_prime=thp, argmax_perturbation=pert,
-                           scan_max=scan_max, grid_max=grid_max, skipped=skipped)
+    # A zero delta is maximized by no neighbour in particular: report theta.
+    delta, th, thp, pert = scan_max, theta, theta, None
+    if grid_max > scan_max:
+        g = int(np.argmax(pairs))
+        delta, th, thp = grid_max, float(grid[i[g]]), float(grid[j[g]])
+    elif scan_max > 0.0:
+        k = probes[int(np.argmax(scan))]
+        thp = float(roots[k])
+        pert = NeighborPerturbation(row_index=int(rows[k]), delta_h=deltas[k])
+    return DeltaScanResult(delta=delta, argmax_theta=th, argmax_theta_prime=thp,
+                           argmax_perturbation=pert, scan_max=scan_max,
+                           grid_max=grid_max, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Scalar special functions and distribution primitives.
+"""Special functions and distribution primitives.
 
 Provides the inverse regularized gamma tail, the (generalized,
 real-order) Marcum Q-function, noncentral chi-square CDF and sampling,
@@ -7,13 +7,17 @@ numerical bedrock for the residual laws, the privacy guarantee, and the
 detection analytics built on top.
 
 The Marcum Q-function is evaluated by the Poisson-weighted series of
-regularized upper-gamma tails,
+regularized upper-gamma tails (Gil, Segura & Temme, "Computation of the
+Marcum Q-function", ACM TOMS 2014),
 
     Q_s(a, b) = sum_k  Poisson(k; a^2/2) * Q(s + k, b^2/2),
 
-summed outward from the bulk of the Poisson weights with a certified
-geometric bound on the truncated mass. With all gamma tails in [0, 1], the
-remaining Poisson mass bounds the truncation error directly.
+over a window of k fixed per element by the Poisson quantiles of its mean:
+the mass left out below the window and the mass left out above it are
+each at most half the absolute tolerance. With all gamma tails in [0, 1],
+the left-out mass bounds the truncation error directly. ``a`` and ``b``
+broadcast; a call loops over the terms of the union of its elements'
+windows, never over the elements.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ def regularized_gamma_q_inverse(alpha, s: float):
 # Marcum Q-function and the noncentral chi-square law
 # ---------------------------------------------------------------------------
 
-def marcum_q(order: float, a: float, b, tol: Tolerance = DEFAULT_TOLERANCE):
+def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
     """Generalized Marcum Q-function Q_order(a, b) of real order > 0.
 
     Equals the upper tail of the noncentral chi-square law under the
@@ -92,85 +96,70 @@ def marcum_q(order: float, a: float, b, tol: Tolerance = DEFAULT_TOLERANCE):
     ----------
     order : float
         Order s > 0.
-    a : float
-        Noncentrality root, a >= 0. At a = 0 the series degenerates and
-        the value is the central gamma tail Q(s, b^2 / 2).
+    a : float or ndarray
+        Noncentrality root, a >= 0. At a = 0 the Poisson weights sit on
+        k = 0 and the value is the central gamma tail Q(s, b^2 / 2).
     b : float or ndarray
-        Boundary, b >= 0. Arrays are evaluated elementwise against a
-        shared, certified term budget.
+        Boundary, b >= 0. ``a`` and ``b`` broadcast against each other;
+        scalars in give a float out.
     tol : Tolerance
-        Truncation control; the truncated Poisson mass is kept below
-        ``tol.abs_tol``.
+        Truncation control; the Poisson mass each element drops is at
+        most ``tol.abs_tol / 2`` on either side of its window.
+
+    Each element sums the Poisson terms k_lo <= k <= k_hi of its own
+    mean mu = a^2 / 2: k_lo = floor(pdtrik(abs_tol/2, mu)), a whole term
+    below the point where the lower Poisson mass reaches abs_tol/2, and
+    k_hi the smallest k whose upper mass pdtrc(k, mu) is at most
+    abs_tol/2 (from gdtrib, checked with pdtrc). The call sums the union
+    of the windows in ascending k, each element's terms outside its own
+    window weighing exactly zero, so every element of an array call
+    equals the scalar call bit for bit.
 
     Raises
     ------
     ConvergenceError
-        If the series needs more than ``tol.max_terms`` terms.
+        If the union window holds more than ``tol.max_terms`` terms.
     """
     if not order > 0:
         raise ValueError(f"order must be > 0, got {order}")
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
+    a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
-    scalar = b_arr.ndim == 0
-    if np.any(b_arr < 0):
+    if not ((a_arr >= 0).all() and np.isfinite(a_arr).all()):
+        raise ValueError(f"a must be finite and >= 0, got {a}")
+    if (b_arr < 0).any():
         raise ValueError("b must be >= 0")
+    shape = np.broadcast(a_arr, b_arr).shape
+    if 0 in shape:
+        return np.zeros(shape)
+    mu = 0.5 * a_arr * a_arr
     x = 0.5 * b_arr * b_arr
 
-    if a == 0.0:
-        out = sp.gammaincc(order, x)
-        return float(out) if scalar else out
-
-    mu = 0.5 * a * a
-    k0 = int(mu)
-    logw0 = k0 * math.log(mu) - mu - sp.gammaln(k0 + 1)
-
-    total = np.zeros_like(x)
-    nterms = 0
-
-    # Upward sweep from the modal weight; Poisson weights decay once k >= mu,
-    # and the tail mass beyond k is bounded by w_k * r / (1 - r), r = mu/(k+1).
-    k, logw = k0, logw0
-    while True:
-        w = math.exp(logw)
-        total += w * sp.gammaincc(order + k, x)
-        nterms += 1
-        if nterms > tol.max_terms:
+    total = np.zeros(shape)
+    if not mu.any():  # every Poisson weight sits on k = 0
+        total += sp.gammaincc(order, x)
+    else:
+        p = 0.5 * tol.abs_tol
+        # gdtrib solves gammainc(k + 1, mu) = pdtrc(k, mu) = p directly, where
+        # pdtrik(1 - p, mu) would lose most of p to rounding in 1 - p.
+        k_lo = np.floor(sp.pdtrik(p, mu))
+        k_hi = np.maximum(np.ceil(sp.gdtrib(1.0, p, mu)) - 1.0, k_lo)
+        k_hi += sp.pdtrc(k_hi, mu) > p
+        k = np.arange(k_lo.min(), k_hi.max() + 1.0)
+        if k.size > tol.max_terms:
             raise ConvergenceError(
-                f"marcum_q series exceeded max_terms={tol.max_terms} "
-                f"(order={order}, a={a})"
+                f"marcum_q window of {k.size} terms exceeds max_terms={tol.max_terms} "
+                f"(order={order}, a up to {a_arr.max()})"
             )
-        r = mu / (k + 1)
-        if r < 1.0 and w * r / (1.0 - r) < 0.5 * tol.abs_tol:
-            break
-        logw += math.log(mu) - math.log(k + 1)
-        k += 1
-
-    # Downward sweep below the mode, with the mirrored geometric bound.
-    if k0 > 0:
-        k = k0 - 1
-        logw = logw0 + math.log(k0) - math.log(mu)
-        while True:
-            w = math.exp(logw)
-            total += w * sp.gammaincc(order + k, x)
-            nterms += 1
-            if nterms > tol.max_terms:
-                raise ConvergenceError(
-                    f"marcum_q series exceeded max_terms={tol.max_terms} "
-                    f"(order={order}, a={a})"
-                )
-            if k == 0:
-                break
-            r = k / mu
-            if r < 1.0 and w * r / (1.0 - r) < 0.5 * tol.abs_tol:
-                break
-            logw += math.log(k) - math.log(mu)
-            k -= 1
+        kk = k.reshape((-1,) + (1,) * mu.ndim)
+        w = np.exp(sp.xlogy(kk, mu) - mu - sp.gammaln(kk + 1.0))
+        w[(kk < k_lo) | (kk > k_hi)] = 0.0
+        for k_i, w_i in zip(k, w):
+            total += w_i * sp.gammaincc(order + k_i, x)
 
     # Truncated Poisson mass never reaches 1 exactly; the b = 0 boundary
     # carries full mass by definition.
     out = np.where(x == 0.0, 1.0, np.minimum(total, 1.0))
-    return float(out) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 def noncentral_chisq_cdf(x, dof: float, noncentrality: float,

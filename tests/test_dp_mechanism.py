@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from dpresidual import (
@@ -34,6 +36,7 @@ from dpresidual import (
     neighbor_roots,
     noncentral_chisq_sample,
     projection_matrix,
+    residual_law,
     roc,
 )
 from conftest import random_model
@@ -209,8 +212,28 @@ class TestDeltaForEpsilon:
                         hockey_stick(eps, r_tilde, thp**2, th**2))
             assert formula >= exact - 1e-9, (eps, r_tilde, th, thp)
 
+    def test_array_elements_equal_scalar_calls(self):
+        """Equal roots, swapped pairs and saturated lower tails included."""
+        theta = np.array([0.5, 1.5, 2.0, 0.0, 0.3, 1.2, 4.0, 0.7])
+        theta_prime = np.array([1.5, 0.5, 2.0, 0.9, 3.5, 1.25, 3.0, 0.0])
+        for eps in (0.2, 1.5, 9.0):
+            out = delta_for_epsilon(eps, 5.0, theta, theta_prime)
+            assert out.shape == theta.shape
+            for k, d in enumerate(out):
+                assert d == delta_for_epsilon(eps, 5.0, float(theta[k]),
+                                              float(theta_prime[k]))
+        assert out[2] == 0.0
+        assert delta_for_epsilon(0.2, 5.0, 0.5, 1.5) == 1.0
+
+    def test_scalar_theta_broadcasts(self):
+        theta_prime = np.array([0.4, 1.1, 2.6])
+        out = delta_for_epsilon(2.0, 4.0, 1.0, theta_prime)
+        assert [float(d) for d in out] == [delta_for_epsilon(2.0, 4.0, 1.0, float(t))
+                                           for t in theta_prime]
+
     @pytest.mark.parametrize("kwargs", [
         {"epsilon": 0.0}, {"r_tilde": 0.0}, {"theta": -0.1}, {"theta_prime": -1.0},
+        {"theta_prime": np.array([1.0, -1.0])},
     ])
     def test_domain_errors(self, kwargs):
         base = {"epsilon": 1.0, "r_tilde": 3.0, "theta": 0.5, "theta_prime": 1.0}
@@ -275,6 +298,99 @@ class TestDeltaScan:
         result = delta_max_over_neighborhood(4.0, model, attack, 1, spec, SeedStream(1))
         assert result.delta < 1e-6
 
+    def test_zero_delta_names_no_neighbour(self, instance):
+        """Every neighbour and grid pair ties at delta = 0: the argmax is theta."""
+        model, attack = instance
+        theta = math.sqrt(residual_law(model, None, attack.a).noncentrality)
+        spec = NeighborhoodSpec(delta_h_bound=1e-6, scan_count=200,
+                                theta_domain=(0.2, 0.21), grid_points=5)
+        result = delta_max_over_neighborhood(4.0, model, attack, 1, spec, SeedStream(1))
+        assert (result.delta, result.scan_max, result.grid_max) == (0.0, 0.0, 0.0)
+        assert result.argmax_theta == result.argmax_theta_prime == theta
+        assert result.argmax_perturbation is None
+
+    def test_theta_outside_domain_warns_once(self, instance, caplog):
+        model, attack = instance
+        theta = math.sqrt(residual_law(model, None, attack.a).noncentrality)
+        outside = NeighborhoodSpec(delta_h_bound=0.1, scan_count=50,
+                                   theta_domain=(0.2, 0.3), grid_points=5)
+        inside = NeighborhoodSpec(delta_h_bound=0.1, scan_count=50,
+                                  theta_domain=(0.5 * theta, 2.0 * theta), grid_points=5)
+        with caplog.at_level("WARNING", logger="dpresidual.dp_mechanism"):
+            delta_max_over_neighborhood(2.0, model, attack, 1, outside, SeedStream(3))
+            assert len(caplog.records) == 1
+            message = caplog.records[0].getMessage()
+            assert f"theta={theta:.6g}" in message and "[0.2, 0.3]" in message
+            caplog.clear()
+            delta_max_over_neighborhood(2.0, model, attack, 1, inside, SeedStream(3))
+            assert not caplog.records
+
+    @staticmethod
+    def scalar_loop_oracle(epsilon, model, attack, r_prime, spec, seed):
+        """The per-probe and per-pair scalar loop: first strict maximum wins,
+        probes before grid pairs, and a zero delta names theta itself."""
+        theta = math.sqrt(residual_law(model, None, attack.a).noncentrality)
+        r_tilde = float(model.m - model.n + r_prime)
+        gen = SeedStream(seed).generator
+        rows = np.empty(spec.scan_count, dtype=np.intp)
+        deltas = np.empty((spec.scan_count, model.n))
+        for k in range(spec.scan_count):
+            rows[k] = gen.integers(model.m)
+            deltas[k] = gen.standard_normal(model.n)
+        deltas *= (spec.delta_h_bound / np.linalg.norm(deltas, axis=1))[:, None]
+        best = (-1.0, theta, theta)
+        for theta_prime in neighbor_roots(model, attack.a, rows, deltas):
+            if not math.isnan(theta_prime):
+                d = delta_for_epsilon(epsilon, r_tilde, theta, float(theta_prime))
+                if d > best[0]:
+                    best = (d, theta, float(theta_prime))
+        scan_max = max(best[0], 0.0)
+        grid = np.linspace(spec.theta_domain[0], spec.theta_domain[1], spec.grid_points)
+        grid_max = 0.0
+        for i in range(len(grid)):
+            for j in range(i + 1, len(grid)):
+                d = delta_for_epsilon(epsilon, r_tilde, float(grid[i]), float(grid[j]))
+                grid_max = max(grid_max, d)
+                if d > best[0]:
+                    best = (d, float(grid[i]), float(grid[j]))
+        if best[0] <= 0.0:
+            best = (0.0, theta, theta)
+        return best + (scan_max, grid_max)
+
+    @pytest.mark.parametrize("bound,domain,grid_points", [
+        (0.1, (0.2, 1.5), 17),       # theta outside the domain: the grid wins
+        (1.0, (0.98, 1.0), 3),       # domain about theta, wide probes: the scan wins
+        (1e-6, (0.2, 0.21), 4),      # all ties at zero
+    ])
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0, 8.0])
+    def test_matches_scalar_loop_oracle(self, instance, bound, domain, grid_points,
+                                        epsilon):
+        model, attack = instance
+        theta = math.sqrt(residual_law(model, None, attack.a).noncentrality)
+        if domain[1] == 1.0:
+            domain = (domain[0] * theta, domain[1] * theta)
+        spec = NeighborhoodSpec(delta_h_bound=bound, scan_count=300,
+                                theta_domain=domain, grid_points=grid_points)
+        result = delta_max_over_neighborhood(epsilon, model, attack, 1, spec,
+                                             SeedStream(11))
+        expected = self.scalar_loop_oracle(epsilon, model, attack, 1, spec, 11)
+        assert (result.delta, result.argmax_theta, result.argmax_theta_prime,
+                result.scan_max, result.grid_max) == expected
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_nonincreasing_in_epsilon(self, seed):
+        """One seed fixes the neighbour set, over which delta only falls as
+        the budget grows."""
+        model = random_model(np.random.default_rng(seed), 8, 3)
+        attack = AttackVector.sparse(8, [1, 6], [2.0, -1.5])
+        spec = NeighborhoodSpec(delta_h_bound=0.5, scan_count=200,
+                                theta_domain=(0.2, 1.5), grid_points=9)
+        deltas = [delta_max_over_neighborhood(eps, model, attack, 1, spec,
+                                              SeedStream(seed)).delta
+                  for eps in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
+        assert all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))
+
     def test_max_dominates_argmax_pair(self, instance):
         model, attack = instance
         spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=300,
@@ -306,7 +422,8 @@ class TestDeltaScan:
 
         Those probes are exactly the ones drawn as row 0 with a negative
         direction; each is skipped and counted, the winner is a probe with
-        a nonsingular neighbour, and the scan logs one warning.
+        a nonsingular neighbour, and the scan logs one skip warning, after
+        the warning that theta = 2 lies outside the grid's domain.
         """
         model = MeasurementModel(H=np.array([[1.0], [0.0]]), sigma=1.0)
         attack = AttackVector(np.array([3.0, 2.0]))
@@ -321,7 +438,10 @@ class TestDeltaScan:
             result = delta_max_over_neighborhood(2.0, model, attack, 1, spec,
                                                  SeedStream(5))
         assert result.skipped == singular
-        assert [r.name for r in caplog.records] == ["dpresidual.dp_mechanism"]
+        assert [r.name for r in caplog.records] == ["dpresidual.dp_mechanism"] * 2
+        domain, skip = (r.getMessage() for r in caplog.records)
+        assert "theta=2 lies outside theta_domain [0, 0.001]" in domain
+        assert skip.startswith(f"skipped {singular} of {spec.scan_count} ")
         pert = result.argmax_perturbation
         assert pert is not None
         assert not (pert.row_index == 0 and pert.delta_h[0] < 0)

@@ -154,6 +154,28 @@ class TestMarcumQ:
         for b, v in zip(bs, out):
             assert v == pytest.approx(marcum_q(1.5, 2.0, float(b)), abs=1e-14)
 
+    @pytest.mark.parametrize("order", [0.5, 1.0, 3.5, 10.0])
+    def test_broadcast_against_scipy_noncentral_tail(self, order):
+        """A column of a (a = 0 included) against a row of b (b = 0 included)."""
+        a = np.array([0.0, 0.05, 0.7, 2.0, 5.5, 11.0])[:, None]
+        b = np.array([0.0, 0.3, 1.0, 2.5, 4.0, 7.0, 12.0, 16.0])
+        out = marcum_q(order, a, b)
+        assert out.shape == (6, 8)
+        ref = stats.ncx2.sf(b * b, 2.0 * order, a * a)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+    def test_broadcast_elements_equal_scalar_calls(self, rng):
+        """Each element sums its own window: bit-equal to the scalar call."""
+        a = np.concatenate([[0.0], rng.uniform(0.0, 9.0, 15)])
+        b = np.concatenate([[0.0], rng.uniform(0.0, 14.0, 11)])
+        out = marcum_q(2.5, a[:, None], b[None, :])
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                assert out[i, j] == marcum_q(2.5, float(ai), float(bj))
+
+    def test_empty_broadcast(self):
+        assert marcum_q(1.0, np.array([1.0, 2.0]), np.empty((0, 1))).shape == (0, 2)
+
     def test_central_delegation(self):
         assert marcum_q(2.5, 0.0, 3.0) == pytest.approx(
             special.gammaincc(2.5, 4.5), abs=1e-14)
@@ -163,7 +185,10 @@ class TestMarcumQ:
             marcum_q(1.0, 12.0, 1.0, tol=Tolerance(max_terms=3))
 
     @pytest.mark.parametrize("order,a,b", [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
-                                           (1.0, -0.5, 1.0), (1.0, 1.0, -2.0)])
+                                           (1.0, -0.5, 1.0), (1.0, 1.0, -2.0),
+                                           (1.0, [0.5, -0.5], 1.0),
+                                           (1.0, [0.5, 1.0], [1.0, -2.0]),
+                                           (1.0, math.nan, 1.0), (1.0, math.inf, 1.0)])
     def test_domain_errors(self, order, a, b):
         with pytest.raises(ValueError):
             marcum_q(order, a, b)
