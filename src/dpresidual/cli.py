@@ -391,6 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.workers is not None and args.workers < 1:
+            raise SchemaError(f"--workers must be >= 1, got {args.workers}")
         config = load_config(args.config) if args.config is not None else None
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -36,6 +36,7 @@ from .streams import SeedStream, as_generator
 
 
 DEFAULT_ALPHA_GRID = np.logspace(-4.0, math.log10(0.999), 512)
+MC_BLOCK_ELEMS = 1 << 19  # trials x m entries per simulated block (4 MB of float64)
 
 
 @dataclass(frozen=True)
@@ -210,21 +211,38 @@ class McValidation:
         return name, devs[name]
 
 
+def _released_wssr(model: MeasurementModel, attack, x_true, spec: TestSpec,
+                   trials: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Released statistics (H0, H1) of ``trials`` simulated measurement pairs.
+
+    Each hypothesis is simulated in blocks of ``MC_BLOCK_ELEMS // m``
+    trials drawn into one reused buffer, all H0 blocks before all H1
+    blocks and the release noise last, so memory does not grow with
+    ``trials``. The normal draws do not depend on how they are chunked,
+    so the block size does not change the result.
+    """
+    rows = max(1, MC_BLOCK_ELEMS // model.m)
+    block = np.empty((min(rows, trials), model.m))
+    q0, q1 = np.empty(trials), np.empty(trials)
+    for a, q in ((None, q0), (attack, q1)):
+        for start in range(0, trials, rows):
+            z = block[:min(rows, trials - start)]
+            simulate_measurements(model, x_true, a, gen, trials=len(z), out=z)
+            q[start:start + len(z)] = wssr(model, z)
+    if spec.dp is not None:
+        if spec.dp.mechanism is Mechanism.CHI_SQUARE:
+            q0 += noncentral_chisq_sample(float(spec.dp.r_prime), 0.0, gen, size=trials)
+            q1 += noncentral_chisq_sample(float(spec.dp.r_prime), 0.0, gen, size=trials)
+        else:
+            q0 += gen.normal(spec.dp.nu_mean, spec.dp.nu_sigma, size=trials)
+            q1 += gen.normal(spec.dp.nu_mean, spec.dp.nu_sigma, size=trials)
+    return q0, q1
+
+
 def _exceed_counts(model: MeasurementModel, attack, x_true, spec: TestSpec,
                    tau: float, trials: int, rng) -> tuple[int, int]:
     """(H0 exceedances, H1 exceedances) over ``trials`` simulated pairs."""
-    gen = as_generator(rng)
-    z0 = simulate_measurements(model, x_true, None, gen, trials=trials)
-    z1 = simulate_measurements(model, x_true, attack, gen, trials=trials)
-    q0 = wssr(model, z0)
-    q1 = wssr(model, z1)
-    if spec.dp is not None:
-        if spec.dp.mechanism is Mechanism.CHI_SQUARE:
-            q0 = q0 + noncentral_chisq_sample(float(spec.dp.r_prime), 0.0, gen, size=trials)
-            q1 = q1 + noncentral_chisq_sample(float(spec.dp.r_prime), 0.0, gen, size=trials)
-        else:
-            q0 = q0 + gen.normal(spec.dp.nu_mean, spec.dp.nu_sigma, size=trials)
-            q1 = q1 + gen.normal(spec.dp.nu_mean, spec.dp.nu_sigma, size=trials)
+    q0, q1 = _released_wssr(model, attack, x_true, spec, trials, as_generator(rng))
     return int(np.count_nonzero(q0 > tau)), int(np.count_nonzero(q1 > tau))
 
 
@@ -238,19 +256,22 @@ def monte_carlo_validate(model: MeasurementModel, attack, spec: TestSpec,
     laws when lam > 0), applies the configured release noise, thresholds,
     and compares against ``pfa_pd``. With ``check`` set, a deviation
     beyond three standard errors raises ValidationFailure naming the
-    worst-offending quantity. ``workers > 1`` splits trials over
-    processes with per-worker child streams (requires a SeedStream) and
-    a deterministic reduction order.
+    worst-offending quantity. Trials are simulated in fixed-size blocks,
+    so memory is bounded independently of ``trials``. ``workers > 1``
+    splits trials over processes with per-worker child streams (requires
+    a SeedStream) and a deterministic reduction order.
     """
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if np.ndim(spec.alpha) != 0:
         raise ValueError("Monte Carlo validation needs a scalar alpha (one threshold)")
     tau = threshold(spec)
     pfa_ref, pd_ref = pfa_pd(spec)
     x_true = np.zeros(model.n) if x_true is None else x_true
 
-    if workers <= 1:
+    if workers == 1:
         n0, n1 = _exceed_counts(model, attack, x_true, spec, tau, trials, rng)
     else:
         if not isinstance(rng, SeedStream):

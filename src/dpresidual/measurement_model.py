@@ -238,19 +238,30 @@ def projection_matrix(model: MeasurementModel) -> Projection:
 
 
 def simulate_measurements(model: MeasurementModel, x_true, attack=None, rng=None,
-                          trials: int | None = None) -> np.ndarray:
+                          trials: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Draw z = H x_true + a + eta with eta ~ N(0, sigma^2 I).
 
     Returns a length-m vector, or a (trials, m) array when ``trials`` is
-    given. Reproducible under a fixed seed.
+    given. Reproducible under a fixed seed. With ``out`` (a C-contiguous
+    float64 array of that shape) the draw is written into it in place and
+    ``out`` is returned; the values are the same as without it.
     """
     gen = as_generator(rng)
     x = _state_dense(x_true, model.n)
     a = _attack_dense(attack, model.m)
     mean = model.H @ x + a
-    if trials is None:
-        return mean + model.sigma * gen.standard_normal(model.m)
-    return mean[None, :] + model.sigma * gen.standard_normal((int(trials), model.m))
+    shape = (model.m,) if trials is None else (int(trials), model.m)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous float64 array of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    gen.standard_normal(out=out)
+    out *= model.sigma
+    out += mean
+    return out
 
 
 def apply_neighbor(model: MeasurementModel, pert: NeighborPerturbation) -> MeasurementModel:

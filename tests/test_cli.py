@@ -317,6 +317,14 @@ class TestCliMisc:
         assert main(["validate", "--config", str(config_path), "--out", str(out),
                      "--workers", "2"]) == 0
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, config_path, capsys, workers):
+        code = main(["validate", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                     "--workers", workers])
+        assert code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "validation.csv").exists()
+
     def test_chi_mechanism_rejected_on_ridge_model(self, tmp_path, capsys):
         doc = {**BASE_CONFIG, "model": {**BASE_CONFIG["model"], "lambda": 0.5}}
         path = write_config(tmp_path, doc)

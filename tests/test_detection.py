@@ -1,6 +1,7 @@
 """Threshold-test analytics, ROC curves, and Monte Carlo validation."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +23,15 @@ from dpresidual import (
     sample_law,
     threshold,
 )
-from dpresidual.special_functions import gaussian_q_inverse, regularized_gamma_q_inverse
+from dpresidual import detection
+from dpresidual.special_functions import (
+    gaussian_q_inverse,
+    noncentral_chisq_sample,
+    regularized_gamma_q_inverse,
+)
 from dpresidual.detection import write_auroc_csv, write_roc_csv
+from dpresidual.dp_mechanism import Mechanism
+from dpresidual.estimation import wssr
 from dpresidual.csvio import read_csv
 from conftest import random_model
 
@@ -297,6 +305,77 @@ class TestMonteCarloValidate:
         spec = TestSpec(alpha=0.1, law0=law, law1=law)
         with pytest.raises(TypeError):
             monte_carlo_validate(model, None, spec, 2000, rng, workers=2)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, rng, workers):
+        model = random_model(rng, 10, 3)
+        law = residual_law(model, np.zeros(3), None)
+        spec = TestSpec(alpha=0.1, law0=law, law1=law)
+        with pytest.raises(ValueError, match="workers"):
+            monte_carlo_validate(model, None, spec, 2000, SeedStream(0), workers=workers)
+
+
+def two_array_wssr(model, attack, x, spec, trials, gen):
+    """Released statistics with both trials x m batches drawn at once."""
+    mean = model.H @ x
+    z0 = mean[None, :] + model.sigma * gen.standard_normal((trials, model.m))
+    z1 = (mean + attack.a)[None, :] + model.sigma * gen.standard_normal((trials, model.m))
+    q0, q1 = wssr(model, z0), wssr(model, z1)
+    if spec.dp is None:
+        return q0, q1
+    if spec.dp.mechanism is Mechanism.CHI_SQUARE:
+        r = float(spec.dp.r_prime)
+        return (q0 + noncentral_chisq_sample(r, 0.0, gen, size=trials),
+                q1 + noncentral_chisq_sample(r, 0.0, gen, size=trials))
+    return (q0 + gen.normal(spec.dp.nu_mean, spec.dp.nu_sigma, size=trials),
+            q1 + gen.normal(spec.dp.nu_mean, spec.dp.nu_sigma, size=trials))
+
+
+class TestStreamedSimulation:
+    @pytest.mark.parametrize("m, n, lam", [(12, 18, 1.0), (30, 4, 0.0)],
+                             ids=["ridge-m<=n", "lam0-m>n"])
+    @pytest.mark.parametrize("dp", [
+        None,
+        PrivacyParams.chi_square(r_prime=2),
+        PrivacyParams.gaussian_output(nu_mean=0.3, nu_sigma=1.5),
+    ], ids=["none", "chi_square", "gaussian_output"])
+    def test_matches_two_array_path(self, rng, monkeypatch, m, n, lam, dp):
+        """Many small blocks give the statistics and counts of one big batch."""
+        model = random_model(rng, m, n, lam=lam)
+        x = rng.normal(size=n)
+        attack = AttackVector.sparse(m, [1, m - 2], [2.0, -1.5])
+        if dp is not None and dp.mechanism is Mechanism.GAUSSIAN_OUTPUT:
+            spec = gaussian_spec(float(m), 2.0 * m, float(m) + 4.0, 2.0 * m, dp=dp)
+        else:
+            spec = TestSpec(alpha=0.05, law0=residual_law(model, x, None),
+                            law1=residual_law(model, x, attack), dp=dp)
+        trials = 2003  # 286 blocks of 7 rows and one of 1
+        monkeypatch.setattr(detection, "MC_BLOCK_ELEMS", 7 * m + 3)
+
+        q0, q1 = detection._released_wssr(model, attack, x, spec, trials,
+                                          SeedStream(5).generator)
+        r0, r1 = two_array_wssr(model, attack, x, spec, trials, SeedStream(5).generator)
+        np.testing.assert_allclose(q0, r0, rtol=1e-12)
+        np.testing.assert_allclose(q1, r1, rtol=1e-12)
+        tau = float(np.quantile(r0, 0.8))  # a threshold both hypotheses straddle
+        counts = detection._exceed_counts(model, attack, x, spec, tau, trials, SeedStream(5))
+        assert counts == (np.count_nonzero(r0 > tau), np.count_nonzero(r1 > tau))
+        assert 0 < counts[0] < trials and 0 < counts[1] < trials
+
+    def test_memory_bounded_by_block(self, rng):
+        """Peak traced memory stays far below one trials x m batch."""
+        trials, m, n = 50_000, 200, 20
+        model = random_model(rng, m, n)
+        law = residual_law(model, np.zeros(n), None)
+        spec = TestSpec(alpha=0.05, law0=law, law1=law,
+                        dp=PrivacyParams.chi_square(r_prime=1))
+        tracemalloc.start()
+        try:
+            monte_carlo_validate(model, None, spec, trials, SeedStream(9), check=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < trials * m * 8 / 4
 
 
 class TestSampleLaw:

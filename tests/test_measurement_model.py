@@ -145,6 +145,33 @@ class TestSimulateMeasurements:
         off = diff[~np.eye(6, dtype=bool)]
         assert np.max(np.abs(off)) <= 3.5 * se_off
 
+    @pytest.mark.parametrize("trials", [None, 37])
+    def test_out_fill_matches_allocating_draw(self, rng, trials):
+        model = random_model(rng, 6, 2, sigma=0.8)
+        x = rng.normal(size=2)
+        attack = AttackVector.sparse(6, [4], [3.0])
+        shape = (6,) if trials is None else (trials, 6)
+        out = np.full(shape, np.nan)
+        got = simulate_measurements(model, x, attack, SeedStream(8), trials=trials, out=out)
+        assert got is out
+        ref = simulate_measurements(model, x, attack, SeedStream(8), trials=trials)
+        np.testing.assert_array_equal(out, ref)
+        formula = model.H @ x + attack.a + 0.8 * SeedStream(8).generator.standard_normal(shape)
+        np.testing.assert_array_equal(out, formula)
+
+    @pytest.mark.parametrize("trials, out", [
+        (None, np.empty(5)),
+        (4, np.empty((5, 6))),
+        (4, np.empty((4, 5))),
+        (4, np.empty((4, 6), dtype=np.float32)),
+        (4, np.empty((4, 12))[:, ::2]),
+    ], ids=["vector", "rows", "cols", "dtype", "strided"])
+    def test_out_wrong_shape_rejected(self, rng, trials, out):
+        model = random_model(rng, 6, 2)
+        with pytest.raises(ValueError, match="out must be"):
+            simulate_measurements(model, np.ones(2), None, SeedStream(0),
+                                  trials=trials, out=out)
+
     def test_dimension_mismatch(self, rng, stream):
         model = random_model(rng, 5, 2)
         with pytest.raises(ValueError):
