@@ -56,7 +56,7 @@ from .dp_mechanism import (
 )
 from .estimation import chi_mixture, gaussian_law, residual_law, wls_estimate, wssr
 from .exceptions import NumericError, SchemaError, ValidationFailure
-from .measurement_model import MeasurementModel
+from .measurement_model import MeasurementModel, simulate_measurements
 
 logger = logging.getLogger(__name__)
 
@@ -76,15 +76,11 @@ def _meta(config: ExperimentConfig, seed: int) -> dict:
     return {"config_hash": config.config_hash, "seed": seed}
 
 
-def _effective(config: ExperimentConfig, args) -> tuple[ExperimentConfig, int, int]:
-    """Apply --seed/--workers overrides; returns (config, seed, workers)."""
-    mc = config.mc
+def _effective(config: ExperimentConfig, args) -> tuple[ExperimentConfig, int]:
+    """Apply the --seed override; returns (config, seed)."""
     if args.seed is not None:
-        mc = replace(mc, seed=args.seed)
-    if args.workers is not None:
-        mc = replace(mc, workers=args.workers)
-    config = replace(config, mc=mc)
-    return config, config.mc.seed, config.mc.workers
+        config = replace(config, mc=replace(config.mc, seed=args.seed))
+    return config, config.mc.seed
 
 
 def _require(config: ExperimentConfig, *sections: str) -> None:
@@ -123,8 +119,7 @@ def _load_measurements(path, config: ExperimentConfig, seed: int) -> np.ndarray:
 def cmd_simulate(config: ExperimentConfig, out: Path, seed: int) -> int:
     _require(config, "model")
     streams, model, x_true, attack = _build_instance(config, seed)
-    z = model.H @ x_true + attack.a \
-        + model.sigma * streams[STREAM_NOISE].generator.standard_normal(model.m)
+    z = simulate_measurements(model, x_true, attack, streams[STREAM_NOISE])
     write_csv(out / "measurements.csv", MEASUREMENTS_SCHEMA,
               ["index", "z"], [[i, float(v)] for i, v in enumerate(z)],
               meta=_meta(config, seed))
@@ -305,14 +300,13 @@ def cmd_roc(config: ExperimentConfig, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_validate(config: ExperimentConfig, out: Path, seed: int, workers: int) -> int:
+def cmd_validate(config: ExperimentConfig, out: Path, seed: int) -> int:
     _require(config, "model")
     streams, model, x_true, attack = _build_instance(config, seed)
     law0, law1, params, label, sim_model = _laws_for_roc(config, model, x_true, attack)
     spec = TestSpec(alpha=config.test.alpha, law0=law0, law1=law1, dp=params)
     result = monte_carlo_validate(sim_model, attack, spec, config.mc.trials,
-                                  streams[STREAM_MC], x_true=x_true,
-                                  workers=workers, check=False)
+                                  streams[STREAM_MC], x_true=x_true, check=False)
     rows = [
         ["pfa", result.pfa_analytic, result.pfa_hat, result.pfa_se],
         ["pd", result.pd_analytic, result.pd_hat, result.pd_se],
@@ -368,7 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="YAML experiment configuration")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override mc.seed")
-        p.add_argument("--workers", type=int, default=None, help="override mc.workers")
+        p.add_argument("--workers", type=int, default=None,
+                       help="override mc.workers (>= 1; validate runs in one process)")
 
     common(sub.add_parser("simulate", help="draw measurements and a truth sidecar"))
     p_est = sub.add_parser("estimate", help="state estimate and residual statistic")
@@ -397,10 +392,9 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if config is not None:
-            config, seed, workers = _effective(config, args)
+            config, seed = _effective(config, args)
         else:
             seed = args.seed if args.seed is not None else 0
-            workers = args.workers if args.workers is not None else 1
         if args.command == "simulate":
             return cmd_simulate(config, out, seed)
         if args.command == "estimate":
@@ -412,7 +406,11 @@ def main(argv=None) -> int:
         if args.command == "roc":
             return cmd_roc(config, out, seed)
         if args.command == "validate":
-            return cmd_validate(config, out, seed, workers)
+            workers = args.workers if args.workers is not None else config.mc.workers
+            if workers > 1:
+                logger.warning("workers=%d ignored: the Monte Carlo trials run in one "
+                               "process", workers)
+            return cmd_validate(config, out, seed)
         if args.command == "figures":
             return cmd_figures(args.which, config, out, seed)
         raise SchemaError(f"unknown command {args.command!r}")

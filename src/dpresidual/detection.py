@@ -15,7 +15,6 @@ the noisy null law instead, for comparison.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +31,7 @@ from .special_functions import (
     noncentral_chisq_sample,
     regularized_gamma_q_inverse,
 )
-from .streams import SeedStream, as_generator
+from .streams import as_generator
 
 
 DEFAULT_ALPHA_GRID = np.logspace(-4.0, math.log10(0.999), 512)
@@ -239,15 +238,8 @@ def _released_wssr(model: MeasurementModel, attack, x_true, spec: TestSpec,
     return q0, q1
 
 
-def _exceed_counts(model: MeasurementModel, attack, x_true, spec: TestSpec,
-                   tau: float, trials: int, rng) -> tuple[int, int]:
-    """(H0 exceedances, H1 exceedances) over ``trials`` simulated pairs."""
-    q0, q1 = _released_wssr(model, attack, x_true, spec, trials, as_generator(rng))
-    return int(np.count_nonzero(q0 > tau)), int(np.count_nonzero(q1 > tau))
-
-
 def monte_carlo_validate(model: MeasurementModel, attack, spec: TestSpec,
-                         trials: int, rng, x_true=None, workers: int = 1,
+                         trials: int, rng, x_true=None,
                          check: bool = True) -> McValidation:
     """Simulate the full pipeline and compare empirical rates to analytics.
 
@@ -257,36 +249,17 @@ def monte_carlo_validate(model: MeasurementModel, attack, spec: TestSpec,
     and compares against ``pfa_pd``. With ``check`` set, a deviation
     beyond three standard errors raises ValidationFailure naming the
     worst-offending quantity. Trials are simulated in fixed-size blocks,
-    so memory is bounded independently of ``trials``. ``workers > 1``
-    splits trials over processes with per-worker child streams (requires
-    a SeedStream) and a deterministic reduction order.
+    so memory is bounded independently of ``trials``.
     """
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if np.ndim(spec.alpha) != 0:
         raise ValueError("Monte Carlo validation needs a scalar alpha (one threshold)")
     tau = threshold(spec)
     pfa_ref, pd_ref = pfa_pd(spec)
     x_true = np.zeros(model.n) if x_true is None else x_true
-
-    if workers == 1:
-        n0, n1 = _exceed_counts(model, attack, x_true, spec, tau, trials, rng)
-    else:
-        if not isinstance(rng, SeedStream):
-            raise TypeError("parallel validation needs a SeedStream to derive worker streams")
-        chunks = [trials // workers] * workers
-        chunks[-1] += trials - sum(chunks)
-        streams = rng.spawn(workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _exceed_counts,
-                [model] * workers, [attack] * workers, [x_true] * workers,
-                [spec] * workers, [tau] * workers, chunks, streams,
-            ))
-        n0 = sum(r[0] for r in results)
-        n1 = sum(r[1] for r in results)
+    q0, q1 = _released_wssr(model, attack, x_true, spec, trials, as_generator(rng))
+    n0, n1 = int(np.count_nonzero(q0 > tau)), int(np.count_nonzero(q1 > tau))
 
     def se(p: float) -> float:
         return math.sqrt(max(p * (1.0 - p), 0.0) / trials)

@@ -4,9 +4,13 @@ The weighted sum of squared residuals (WSSR) of the least-squares state
 estimate is the detection query everything downstream consumes. For the
 unregularized model it follows a noncentral chi-square law whose degrees
 of freedom equal the projector rank; the ridge variant is exactly a
-weighted mixture of unit chi-squares exposed here through an SVD
-decomposition, together with its cumulants and the moment-matched
-Gaussian approximation with a computable sup-density error bound.
+weighted mixture of unit chi-squares, read off the model's cached thin
+SVD factor, together with its cumulants and the moment-matched Gaussian
+approximation with a computable sup-density error bound. The m - k
+directions off col(U), k = min(m, n), form one weight-1 block whose basis
+is arbitrary; its noncentrality is spread evenly over the block, the
+representation with the smallest largest term, so ``rho`` does not
+depend on a basis.
 """
 
 from __future__ import annotations
@@ -75,9 +79,12 @@ class ChiMixture:
 
     The query equals sum_i d_i * y_i with y_i ~ chi2_1(theta_i^2),
     obtained by rotating the measurements into the left singular basis of
-    H. Weights d are the diagonal of
-    D = (I - S (lam sigma^2 I + S^T S)^{-1} S^T)^2; for lam = 0 they are
-    0/1 with exactly m - n ones.
+    H. The first k = min(m, n) weights are (1 - w)^2 from the model's
+    factor (0 when lam = 0); the last m - k are ones, the directions off
+    col(U). That weight-1 block carries its noncentrality evenly, one
+    equal theta per term: any basis of the block gives the same law and
+    cumulants, and the even split minimizes the largest term behind
+    ``rho``.
     """
 
     d: np.ndarray
@@ -169,26 +176,21 @@ def residual_law(model: MeasurementModel, x, attack=None) -> ResidualLaw:
 
 
 def chi_mixture(model: MeasurementModel, x, attack=None) -> ChiMixture:
-    """SVD decomposition of the WSSR into weighted unit chi-squares.
+    """Decomposition of the WSSR into weighted unit chi-squares.
 
-    Centers are theta = (S V^T x + U^T a) / sigma, so that the rotated,
-    noise-normalized measurements are unit-variance Gaussians around
-    theta.
+    With v = H x + a and c = U^T v from the model's factor, the centers
+    are c / sigma on col(U), and the off-column part ||v - U c||^2 / sigma^2
+    spread evenly over the m - k weight-1 terms.
     """
-    u, s, vt = np.linalg.svd(model.H, full_matrices=True)
-    m, n = model.H.shape
-    a = _attack_dense(attack, model.m)
-    xv = _state_dense(x, model.n)
-
-    dvec = np.ones(m)
-    shrink = model.lam * model.sigma**2 / (s**2 + model.lam * model.sigma**2) \
-        if model.lam > 0 else np.zeros_like(s)
-    dvec[: s.size] = shrink**2 if model.lam > 0 else 0.0
-
-    s_full = np.zeros((m, n))
-    s_full[: s.size, : s.size] = np.diag(s)
-    theta = (s_full @ (vt @ xv) + u.T @ a) / model.sigma
-    return ChiMixture(d=dvec, theta=theta)
+    f = model.factor
+    v = model.H @ _state_dense(x, model.n) + _attack_dense(attack, model.m)
+    c = f.u.T @ v
+    off = model.m - c.size
+    t = math.sqrt(float(np.sum((v - f.u @ c) ** 2)) / off) if off else 0.0
+    return ChiMixture(
+        d=np.concatenate([(1.0 - f.w) ** 2, np.ones(off)]),
+        theta=np.concatenate([c, np.full(off, t)]) / model.sigma,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,11 @@ class NeighborPerturbation:
 
 @dataclass(frozen=True, eq=False)
 class Projection:
-    """Residual projector and its numerical rank."""
+    """Residual projector and its numerical rank.
+
+    A reference for checking the factor-based path (acceptance criteria 1
+    and 4), not part of it: ``rank`` equals ``Factor.residual_rank``.
+    """
 
     matrix: np.ndarray
     rank: int
@@ -228,8 +232,9 @@ def projection_matrix(model: MeasurementModel) -> Projection:
 
     P = I - H (H^T H + lam sigma^2 I)^{-1} H^T = I - U diag(w) U^T from the
     model's factor; with lam = 0 it is the orthogonal projector onto the
-    complement of col(H). The estimation layer never forms this matrix;
-    it is here for callers that want P itself.
+    complement of col(H). This is a reference, not a path: no package
+    computation forms this matrix, which stays public for acceptance
+    criteria 1 and 4 and for callers that want P itself.
     """
     f = model.factor
     P = np.eye(model.m) - (f.u * f.w) @ f.u.T

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes, artifacts."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -316,6 +317,29 @@ class TestCliMisc:
         out = tmp_path / "o"
         assert main(["validate", "--config", str(config_path), "--out", str(out),
                      "--workers", "2"]) == 0
+
+    def test_workers_above_one_runs_in_one_process(self, tmp_path, config_path, caplog):
+        """--workers 2 warns once and writes what --workers 1 writes."""
+        outputs, warnings = {}, {}
+        for workers in ("1", "2"):
+            caplog.clear()
+            out = tmp_path / workers
+            with caplog.at_level(logging.WARNING):
+                assert main(["validate", "--config", str(config_path), "--out", str(out),
+                             "--workers", workers]) == 0
+            outputs[workers] = (out / "validation.csv").read_bytes()
+            warnings[workers] = [r.getMessage() for r in caplog.records
+                                 if r.levelno >= logging.WARNING]
+        assert outputs["2"] == outputs["1"]
+        assert warnings["1"] == []
+        assert len(warnings["2"]) == 1 and "one process" in warnings["2"][0]
+
+    def test_config_workers_above_one_warns(self, tmp_path, caplog):
+        path = write_config(tmp_path, {**BASE_CONFIG,
+                                       "mc": {**BASE_CONFIG["mc"], "workers": 3}})
+        with caplog.at_level(logging.WARNING):
+            assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, config_path, capsys, workers):

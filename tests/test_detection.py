@@ -12,6 +12,7 @@ from dpresidual import (
     AttackVector,
     NoResidualError,
     PrivacyParams,
+    Regime,
     ResidualLaw,
     SeedStream,
     TestSpec,
@@ -291,29 +292,6 @@ class TestMonteCarloValidate:
         with pytest.raises(ValueError):
             monte_carlo_validate(model, None, spec, 999, SeedStream(0))
 
-    def test_parallel_matches_reruns(self, rng):
-        model = random_model(rng, 10, 3)
-        law = residual_law(model, np.zeros(3), None)
-        spec = TestSpec(alpha=0.1, law0=law, law1=law)
-        a = monte_carlo_validate(model, None, spec, 4000, SeedStream(7), workers=2)
-        b = monte_carlo_validate(model, None, spec, 4000, SeedStream(7), workers=2)
-        assert a.pfa_hat == b.pfa_hat and a.pd_hat == b.pd_hat
-
-    def test_parallel_requires_stream(self, rng):
-        model = random_model(rng, 10, 3)
-        law = residual_law(model, np.zeros(3), None)
-        spec = TestSpec(alpha=0.1, law0=law, law1=law)
-        with pytest.raises(TypeError):
-            monte_carlo_validate(model, None, spec, 2000, rng, workers=2)
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, rng, workers):
-        model = random_model(rng, 10, 3)
-        law = residual_law(model, np.zeros(3), None)
-        spec = TestSpec(alpha=0.1, law0=law, law1=law)
-        with pytest.raises(ValueError, match="workers"):
-            monte_carlo_validate(model, None, spec, 2000, SeedStream(0), workers=workers)
-
 
 def two_array_wssr(model, attack, x, spec, trials, gen):
     """Released statistics with both trials x m batches drawn at once."""
@@ -357,8 +335,14 @@ class TestStreamedSimulation:
         r0, r1 = two_array_wssr(model, attack, x, spec, trials, SeedStream(5).generator)
         np.testing.assert_allclose(q0, r0, rtol=1e-12)
         np.testing.assert_allclose(q1, r1, rtol=1e-12)
-        tau = float(np.quantile(r0, 0.8))  # a threshold both hypotheses straddle
-        counts = detection._exceed_counts(model, attack, x, spec, tau, trials, SeedStream(5))
+        target = float(np.quantile(r0, 0.8))  # a threshold both hypotheses straddle
+        law0 = spec.law0
+        alpha = stats.chi2.sf(target, law0.dof) if law0.regime is Regime.CHI_SQUARE \
+            else stats.norm.sf((target - law0.mean) / math.sqrt(law0.variance))
+        result = monte_carlo_validate(model, attack, replace(spec, alpha=float(alpha)),
+                                      trials, SeedStream(5), x_true=x, check=False)
+        counts = (round(result.pfa_hat * trials), round(result.pd_hat * trials))
+        tau = result.threshold
         assert counts == (np.count_nonzero(r0 > tau), np.count_nonzero(r1 > tau))
         assert 0 < counts[0] < trials and 0 < counts[1] < trials
 

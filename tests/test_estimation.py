@@ -10,6 +10,7 @@ from scipy import linalg, stats
 
 from dpresidual import (
     AttackVector,
+    ChiMixture,
     MeasurementModel,
     Regime,
     ResidualLaw,
@@ -243,6 +244,78 @@ class TestChiMixture:
         P = projection_matrix(model).matrix
         expected = np.linalg.norm(P @ attack.a) ** 2 / model.sigma**2
         assert float(np.sum(mix.d * mix.theta**2)) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("m, n, lam", [(30, 6, 0.0), (30, 6, 0.4), (8, 12, 0.5)])
+    def test_reads_the_cached_factor(self, rng, monkeypatch, m, n, lam):
+        """Once the factor exists, the mixture and its law make no SVD."""
+        model = random_model(rng, m, n, lam=lam)
+        model.factor
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("H was factored again")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        mix = chi_mixture(model, rng.normal(size=n), AttackVector.sparse(m, [3], [2.0]))
+        assert mix.m == m
+        assert gaussian_law(mix).law.variance > 0
+
+
+def full_svd_mixture(model, x, a):
+    """Mixture weights and centers from a full SVD: an m x m U, a padded S."""
+    u, s, vt = np.linalg.svd(model.H, full_matrices=True)
+    m, n = model.H.shape
+    ridge = model.lam * model.sigma**2
+    d = np.ones(m)
+    d[: s.size] = (ridge / (s**2 + ridge)) ** 2 if ridge > 0 else 0.0
+    s_full = np.zeros((m, n))
+    s_full[: s.size, : s.size] = np.diag(s)
+    theta = (s_full @ (vt @ x) + u.T @ a) / model.sigma
+    return ChiMixture(d=d, theta=theta)
+
+
+@st.composite
+def mixture_instances(draw):
+    """(m, n, lam, sigma, seed) over m < n, m = n and m > n; lam = 0 needs m >= n."""
+    shape = draw(st.sampled_from(["m<n", "m=n", "m>n"]))
+    m = draw(st.integers(2 if shape == "m>n" else 1, 12))
+    if shape == "m<n":
+        n = draw(st.integers(m + 1, 14))
+    elif shape == "m=n":
+        n = m
+    else:
+        n = draw(st.integers(1, m - 1))
+    lams = [0.1, 1.0, 4.0] if shape == "m<n" else [0.0, 0.1, 1.0, 4.0]
+    lam = draw(st.sampled_from(lams))
+    return m, n, lam, draw(st.floats(0.3, 3.0)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestChiMixtureAgainstFullSvd:
+    """The factor-based mixture against the full-SVD construction."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(mixture_instances())
+    @example((3, 7, 0.5, 0.8, 1))     # m < n ridge: no weight-1 block
+    @example((5, 5, 0.0, 1.0, 2))     # square, unregularized: zero variance
+    @example((40, 3, 0.0, 1.3, 3))    # large weight-1 block
+    def test_same_law_and_no_larger_rho(self, inst):
+        m, n, lam, sigma, seed = inst
+        gen = np.random.default_rng(seed)
+        model = MeasurementModel(H=gen.normal(size=(m, n)), sigma=sigma, lam=lam)
+        x, a = gen.normal(scale=2.0, size=n), gen.normal(scale=2.0, size=m)
+        mix, ref = chi_mixture(model, x, a), full_svd_mixture(model, x, a)
+
+        assert mix.m == ref.m == m
+        np.testing.assert_allclose(np.sort(mix.d), np.sort(ref.d), rtol=0, atol=1e-12)
+        for order in (1, 2, 3, 4):
+            assert cumulant(mix, order) == pytest.approx(cumulant(ref, order), rel=1e-10)
+        if lam == 0 and m == n:
+            with pytest.raises(ValueError, match="zero variance"):
+                gaussian_law(mix)
+            return
+        rho, rho_ref = gaussian_law(mix).rho, gaussian_law(ref).rho
+        assert rho <= rho_ref * (1 + 1e-12)
+        if m <= n:
+            assert rho == pytest.approx(rho_ref, rel=1e-10)
 
 
 class TestCumulants:
