@@ -6,10 +6,14 @@ naive Poisson-mixture summation and scipy's noncentral chi-square for
 the Marcum function, and Monte Carlo for distribution checks.
 """
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, optimize, special, stats
 
 from dpresidual import (
@@ -25,6 +29,7 @@ from dpresidual import (
     noncentral_chisq_sample,
     regularized_gamma_q_inverse,
 )
+from dpresidual.special_functions import _last_true, _poisson_window
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +189,92 @@ class TestMarcumQ:
         with pytest.raises(ConvergenceError):
             marcum_q(1.0, 12.0, 1.0, tol=Tolerance(max_terms=3))
 
+    def test_overflowing_mean_reported(self):
+        """a^2/2 overflows past a ~ 1.3e154: a ConvergenceError naming a."""
+        with pytest.raises(ConvergenceError, match=r"a = 1e\+155"):
+            marcum_q(2.0, 1e155, 1e155)
+
+    def test_window_search_capped(self):
+        """Past 2^53 consecutive integers are one float: the search gives up."""
+        with pytest.raises(ConvergenceError, match="still open"):
+            marcum_q(2.0, 1e9, 1e9)
+
+    def test_infinite_boundary(self):
+        assert marcum_q(2.0, 1.0, math.inf) == 0.0
+        np.testing.assert_array_equal(marcum_q(2.0, np.array([0.0, 3.0]), math.inf), [0.0, 0.0])
+
+    def test_debug_log_reports_window(self, caplog):
+        """Term count, element count and search rounds go to the DEBUG log."""
+        a = np.array([0.5, 3.0, 9.0])
+        with caplog.at_level(logging.DEBUG, logger="dpresidual.special_functions"):
+            marcum_q(2.0, a, 4.0)
+        k_lo, k_hi, rounds = _poisson_window(0.5 * a * a, 0.5 * Tolerance().abs_tol)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"marcum_q: {int(k_hi.max() - k_lo.min()) + 1} terms over 3 elements, "
+            f"{rounds} search rounds"]
+
     @pytest.mark.parametrize("order,a,b", [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
                                            (1.0, -0.5, 1.0), (1.0, 1.0, -2.0),
                                            (1.0, [0.5, -0.5], 1.0),
                                            (1.0, [0.5, 1.0], [1.0, -2.0]),
-                                           (1.0, math.nan, 1.0), (1.0, math.inf, 1.0)])
+                                           (1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
+                                           (2.0, 1.0, math.nan), (2.0, [1.0, 2.0], [1.0, math.nan])])
     def test_domain_errors(self, order, a, b):
         with pytest.raises(ValueError):
             marcum_q(order, a, b)
+
+
+def pdtrik_window(mu, p):
+    """The window as continuous root-finding gave it: floor of pdtrik's root
+    for k_lo, and for k_hi gdtrib's root of pdtrc(k, mu) = p, rounded up and
+    corrected by one pdtrc step."""
+    k_lo = np.floor(special.pdtrik(p, mu))
+    k_hi = np.maximum(np.ceil(special.gdtrib(1.0, p, mu)) - 1.0, k_lo)
+    k_hi += special.pdtrc(k_hi, mu) > p
+    return k_lo, k_hi
+
+
+class TestPoissonWindow:
+    """The Marcum-Q window meets its definition and drops at most p per side."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(hnp.arrays(float, 1000, elements=st.floats(-10.0, 6.0)),
+           st.sampled_from([1e-6, 1e-12, 1e-15]))
+    def test_definition_certificate_and_root_oracle(self, log10_mu, abs_tol):
+        mu = np.concatenate([[0.0], 10.0**log10_mu])
+        p = 0.5 * abs_tol
+        k_lo, k_hi, _ = _poisson_window(mu, p)
+        assert np.all(k_lo >= 0) and np.all(k_hi >= k_lo)
+        assert np.all(k_lo == np.round(k_lo)) and np.all(k_hi == np.round(k_hi))
+        # Certificate: the mass left out on each side is at most p.
+        assert np.all(special.pdtr(k_lo - 1.0, mu)[k_lo >= 1] <= p)
+        assert np.all(special.pdtrc(k_hi, mu) <= p)
+        # Extremes: k_lo is the largest j >= 0 with pdtr(j) <= p (0 if none),
+        # k_hi the smallest j >= k_lo with pdtrc(j) <= p.
+        assert np.all(special.pdtr(k_lo + 1.0, mu) > p)
+        assert np.all((special.pdtr(k_lo, mu) <= p) | ((k_lo == 0) & (special.pdtr(0.0, mu) > p)))
+        assert np.all((k_hi == k_lo) | (special.pdtrc(k_hi - 1.0, mu) > p))
+        # The root-finding window agrees, except where a root lies within
+        # the root finder's own tolerance of an integer.
+        o_lo, o_hi = pdtrik_window(mu, p)
+        differ = (k_lo != o_lo) | (k_hi != o_hi)
+        roots = np.stack([special.pdtrik(p, mu), special.gdtrib(1.0, p, mu)])
+        near_integer = np.any(np.abs(roots - np.round(roots)) <= 1e-8 * np.maximum(roots, 1.0),
+                              axis=0)
+        assert np.all(near_integer[differ]), mu[differ & ~near_integer]
+
+    @pytest.mark.parametrize("offset", [-300.0, -9.0, -2.0, 2.0, 3.0, 40.0, 5000.0, math.nan])
+    def test_search_from_a_poor_guess(self, offset):
+        """Galloping and bisection reach the window the first round settles."""
+        mu = np.array([0.0, 0.02, 0.8, 3.0, 45.0, 700.0, 2.5e5])
+        p = 5e-13
+        k_lo, k_hi, _ = _poisson_window(mu, p)
+        assert np.all(k_lo[4:] > 0)  # the lower search has work on these
+        found, rounds = _last_true(lambda j, m: special.pdtr(j, m) <= p, mu, k_lo + offset, 0.0)
+        np.testing.assert_array_equal(np.maximum(found, 0.0), k_lo)
+        assert rounds > 1  # the first round alone settles none of these offsets
+        found, _ = _last_true(lambda j, m: special.pdtrc(j, m) > p, mu, k_hi - 1.0 + offset, k_lo)
+        np.testing.assert_array_equal(found + 1.0, k_hi)
 
 
 class TestNoncentralChisqCdf:
@@ -328,6 +411,7 @@ class TestTolerance:
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0}, {"abs_tol": -1e-3}, {"rel_tol": 0.0}, {"max_terms": 0},
+        {"abs_tol": 1.0}, {"abs_tol": 5.0},
     ])
     def test_invariants(self, kwargs):
         with pytest.raises(ValueError):
