@@ -222,13 +222,11 @@ def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int) -> int:
     if dp.r_prime is None:
         raise SchemaError("delta-curve requires dp.r_prime")
     streams, model, x_true, attack = _build_instance(config, seed)
-    scan_children = streams[STREAM_SCAN].spawn(len(dp.epsilon_grid))
-    rows = []
-    for eps, child in zip(dp.epsilon_grid, scan_children):
-        result = delta_max_over_neighborhood(eps, model, attack, dp.r_prime,
-                                             dp.neighborhood, child)
-        rows.append([float(eps), result.delta, result.argmax_theta,
-                     result.argmax_theta_prime])
+    eps = np.asarray(dp.epsilon_grid, dtype=float)
+    result = delta_max_over_neighborhood(eps, model, attack, dp.r_prime,
+                                         dp.neighborhood, streams[STREAM_SCAN])
+    rows = np.column_stack([eps, result.delta, result.argmax_theta,
+                            result.argmax_theta_prime]).tolist()
     write_csv(out / "delta_curve.csv", DELTA_CURVE_CLI_SCHEMA,
               ["epsilon", "delta", "argmax_theta", "argmax_theta_prime"],
               rows, meta=_meta(config, seed))

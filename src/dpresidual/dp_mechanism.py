@@ -140,9 +140,10 @@ class NeighborhoodSpec:
     """Search domain for the guarantee maximization.
 
     ``delta_h_bound`` caps the row-perturbation norm, ``scan_count`` sets
-    how many random perturbations to probe, and ``theta_domain`` is the
-    closed interval of noncentrality roots additionally swept by a
-    deterministic grid.
+    how many random perturbations to probe (one sample per
+    ``delta_max_over_neighborhood`` call, shared by every epsilon it is
+    given), and ``theta_domain`` is the closed interval of noncentrality
+    roots additionally swept by a deterministic grid.
     """
 
     delta_h_bound: float
@@ -188,20 +189,22 @@ def chi_square_release(law: ResidualLaw, q: float, r_prime: int, rng,
                         seed=seed_record_of(rng))
 
 
-def delta_for_epsilon(epsilon: float, r_tilde: float, theta, theta_prime,
+def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime,
                       tol: Tolerance = DEFAULT_TOLERANCE):
     """The delta guarantee at budget epsilon for neighbor pairs.
 
     ``theta`` and ``theta_prime`` are the noncentrality roots of the
     released statistic under the two neighboring models (order
-    irrelevant; each pair is symmetrized). They broadcast against each
-    other, scalars giving a float, and every pair's two tails come from
-    one ``marcum_q`` call. Identical roots give delta = 0. When the lower
-    boundary eps/(theta'-theta) - (theta'+theta)/2 is negative, its tail
-    term saturates at 1: the event that bounds the leakage from below is
-    empty there.
+    irrelevant; each pair is symmetrized). ``epsilon`` and the two roots
+    broadcast against each other, all scalars giving a float, and every
+    element's two tails come from one ``marcum_q`` call, so each element
+    equals the scalar call bit for bit. Identical roots give delta = 0.
+    When the lower boundary eps/(theta'-theta) - (theta'+theta)/2 is
+    negative, its tail term saturates at 1: the event that bounds the
+    leakage from below is empty there.
     """
-    if not epsilon > 0:
+    epsilon = np.asarray(epsilon, dtype=float)
+    if not np.all(epsilon > 0):
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if not r_tilde > 0:
         raise ValueError(f"r_tilde must be > 0, got {r_tilde}")
@@ -223,14 +226,23 @@ def delta_for_epsilon(epsilon: float, r_tilde: float, theta, theta_prime,
 
 @dataclass(frozen=True)
 class DeltaScanResult:
-    """Outcome of the guarantee maximization over a neighborhood."""
+    """Outcome of the guarantee maximization over a neighborhood.
 
-    delta: float
-    argmax_theta: float
-    argmax_theta_prime: float
-    argmax_perturbation: NeighborPerturbation | None
-    scan_max: float
-    grid_max: float
+    For a scalar epsilon the value fields are floats and
+    ``argmax_perturbation`` is one perturbation or None. For an epsilon
+    array, ``delta``, ``argmax_theta``, ``argmax_theta_prime``,
+    ``scan_max`` and ``grid_max`` are arrays aligned with it and
+    ``argmax_perturbation`` is a tuple of the same length. ``skipped``
+    counts the singular probes of the one neighbour sample every epsilon
+    shares.
+    """
+
+    delta: float | np.ndarray
+    argmax_theta: float | np.ndarray
+    argmax_theta_prime: float | np.ndarray
+    argmax_perturbation: NeighborPerturbation | None | tuple[NeighborPerturbation | None, ...]
+    scan_max: float | np.ndarray
+    grid_max: float | np.ndarray
     skipped: int
 
 
@@ -291,7 +303,7 @@ def neighbor_roots(model: MeasurementModel, attack, rows, delta_h) -> np.ndarray
     return theta_prime
 
 
-def delta_max_over_neighborhood(epsilon: float, model: MeasurementModel,
+def delta_max_over_neighborhood(epsilon, model: MeasurementModel,
                                 attack, r_prime: int, spec: NeighborhoodSpec,
                                 rng) -> DeltaScanResult:
     """Maximize delta over row perturbations and the configured grid.
@@ -300,16 +312,23 @@ def delta_max_over_neighborhood(epsilon: float, model: MeasurementModel,
     perturbation bound, drawn row then direction per probe, gets every
     neighbour's noncentrality root in one ``neighbor_roots`` call, and
     additionally sweeps all pairs i < j of a deterministic grid over
-    ``spec.theta_domain``; one array ``delta_for_epsilon`` call covers the
-    probes and one the pairs. The first maximum wins, probes before grid
-    pairs; a delta of zero names no neighbour (both argmax roots are theta,
-    no perturbation). Requires lam = 0 (the update path is unregularized).
-    Probes whose neighbour Gram is numerically singular are skipped and
-    counted, and a theta outside ``spec.theta_domain`` is named, each with
-    one logged warning per call.
+    ``spec.theta_domain``; one array ``delta_for_epsilon`` call covers
+    epsilon x probes and one epsilon x pairs. ``epsilon`` is a scalar or a
+    1-D array; every element is maximized over the same neighbours, so
+    delta is nonincreasing along an increasing epsilon array, and each
+    element equals a scalar call on a fresh stream of the same seed. The
+    first maximum wins, probes before grid pairs; a delta of zero names no
+    neighbour (both argmax roots are theta, no perturbation). Requires
+    lam = 0 (the update path is unregularized). Probes whose neighbour
+    Gram is numerically singular are skipped and counted, and a theta
+    outside ``spec.theta_domain`` is named, each with one logged warning
+    per call.
     """
     if model.lam != 0:
         raise ValueError("the sensitivity scan requires lambda = 0")
+    eps = np.asarray(epsilon, dtype=float)
+    if eps.ndim > 1:
+        raise ValueError(f"epsilon must be a scalar or a 1-D array, got shape {eps.shape}")
     a = _attack_dense(attack, model.m)
     theta = math.sqrt(residual_law(model, None, a).noncentrality)
     r_tilde = float(model.m - model.n + r_prime)
@@ -332,24 +351,30 @@ def delta_max_over_neighborhood(epsilon: float, model: MeasurementModel,
                        "singular Gram", skipped, spec.scan_count)
 
     probes = np.flatnonzero(~np.isnan(roots))
-    scan = delta_for_epsilon(epsilon, r_tilde, theta, roots[probes])
+    e = eps.reshape(-1, 1)                   # one row per epsilon
+    scan = delta_for_epsilon(e, r_tilde, theta, roots[probes])
     grid = np.linspace(lo, hi, spec.grid_points)
     i, j = np.triu_indices(spec.grid_points, 1)
-    pairs = delta_for_epsilon(epsilon, r_tilde, grid[i], grid[j])
-    scan_max = float(scan.max(initial=0.0))
-    grid_max = float(pairs.max(initial=0.0))
+    pairs = delta_for_epsilon(e, r_tilde, grid[i], grid[j])
+    scan_max = scan.max(axis=1, initial=0.0)
+    grid_max = pairs.max(axis=1, initial=0.0)
 
     # A zero delta is maximized by no neighbour in particular: report theta.
-    delta, th, thp, pert = scan_max, theta, theta, None
-    if grid_max > scan_max:
-        g = int(np.argmax(pairs))
-        delta, th, thp = grid_max, float(grid[i[g]]), float(grid[j[g]])
-    elif scan_max > 0.0:
-        k = probes[int(np.argmax(scan))]
-        thp = float(roots[k])
-        pert = NeighborPerturbation(row_index=int(rows[k]), delta_h=deltas[k])
+    grid_wins = grid_max > scan_max
+    scan_wins = ~grid_wins & (scan_max > 0.0)
+    g = pairs.argmax(axis=1)
+    k = probes[scan.argmax(axis=1)] if probes.size else np.zeros(len(e), dtype=np.intp)
+    delta = np.where(grid_wins, grid_max, scan_max)
+    th = np.where(grid_wins, grid[i[g]], theta)
+    thp = np.where(grid_wins, grid[j[g]], np.where(scan_wins, roots[k], theta))
+    perts = tuple(NeighborPerturbation(row_index=int(rows[p]), delta_h=deltas[p])
+                  if won else None for p, won in zip(k, scan_wins))
+    if eps.ndim == 0:
+        delta, th, thp, scan_max, grid_max = (float(v[0]) for v in
+                                              (delta, th, thp, scan_max, grid_max))
+        perts = perts[0]
     return DeltaScanResult(delta=delta, argmax_theta=th, argmax_theta_prime=thp,
-                           argmax_perturbation=pert, scan_max=scan_max,
+                           argmax_perturbation=perts, scan_max=scan_max,
                            grid_max=grid_max, skipped=skipped)
 
 

@@ -50,21 +50,16 @@ class Tolerance:
     ----------
     abs_tol : float
         Absolute truncation target for series tails, in (0, 1).
-    rel_tol : float
-        Relative tolerance for inversions and round trips.
     max_terms : int
         Hard cap on series terms before a ConvergenceError is raised.
     """
 
     abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
     max_terms: int = 10**6
 
     def __post_init__(self):
         if not 0 < self.abs_tol < 1:
             raise ValueError(f"abs_tol must be in (0, 1), got {self.abs_tol}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 

@@ -9,7 +9,6 @@ import pytest
 import yaml
 
 from dpresidual import (
-    NeighborhoodSpec,
     Regime,
     delta_max_over_neighborhood,
     gaussian_mechanism_sigma,
@@ -39,6 +38,21 @@ def write_config(tmp_path, doc, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
     return path
+
+
+# The demo model with a near-point theta_domain far from its root theta =
+# 1.603, so the neighbour scan, not the grid, sets delta on every epsilon.
+SCAN_WINNING_CONFIG = {
+    "model": {"m": 20, "n": 5, "sigma": 1.0, "lambda": 0.0,
+              "matrix_source": "random_seeded"},
+    "attack": {"indices": [3, 11], "values": [2.0, -1.5]},
+    "dp": {"mechanism": "chi_square", "epsilon": 2.0, "delta": 0.1, "r_prime": 1,
+           "epsilon_grid": [0.10, 0.11, 0.12, 0.13, 0.14, 0.15],
+           "neighborhood": {"delta_h_bound": 0.1, "scan_count": 200,
+                            "theta_domain": [0.2, 0.201], "grid_points": 5}},
+    "test": {"alpha": 0.05},
+    "mc": {"trials": 20000, "seed": 0, "workers": 1},
+}
 
 
 @pytest.fixture
@@ -155,33 +169,45 @@ class TestDeltaCurve:
         return write_config(tmp_path, doc)
 
     def test_columns_and_monotone_delta(self, tmp_path, curve_config):
-        out = tmp_path / "o"
-        assert main(["delta-curve", "--config", str(curve_config), "--out", str(out)]) == 0
-        _, columns, rows = read_csv(out / "delta_curve.csv")
-        assert columns == ["epsilon", "delta", "argmax_theta", "argmax_theta_prime"]
-        deltas = [float(r[1]) for r in rows]
-        assert all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))
+        """One neighbour sample serves the whole curve, so delta never rises
+        with epsilon, also where the scan rather than the grid sets it."""
+        scan_winning = write_config(tmp_path, SCAN_WINNING_CONFIG, "scan.yaml")
+        for k, path in enumerate((curve_config, scan_winning)):
+            out = tmp_path / f"o{k}"
+            assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 0
+            _, columns, rows = read_csv(out / "delta_curve.csv")
+            assert columns == ["epsilon", "delta", "argmax_theta", "argmax_theta_prime"]
+            deltas = [float(r[1]) for r in rows]
+            assert all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))
 
     def test_single_point_matches_library_call(self, tmp_path):
-        doc = {**BASE_CONFIG,
-               "dp": {**BASE_CONFIG["dp"],
-                      "epsilon_grid": [3.0],
-                      "neighborhood": {"delta_h_bound": 0.1, "scan_count": 50,
-                                       "theta_domain": [0.2, 1.2], "grid_points": 5}}}
-        path = write_config(tmp_path, doc)
+        """Every row is the library's epsilon-array call on the scan stream,
+        on a curve the scan wins."""
+        path = write_config(tmp_path, SCAN_WINNING_CONFIG)
         out = tmp_path / "o"
-        main(["delta-curve", "--config", str(path), "--out", str(out)])
+        assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 0
         _, _, rows = read_csv(out / "delta_curve.csv")
 
         config = load_config(path)
         streams = derive_streams(config.mc.seed)
         model = build_model(config.model, streams[0])
         attack = build_attack(config.attack, model)
-        child = streams[STREAM_SCAN].spawn(1)[0]
-        spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=50,
-                                theta_domain=(0.2, 1.2), grid_points=5)
-        direct = delta_max_over_neighborhood(3.0, model, attack, 1, spec, child)
-        assert float(rows[0][1]) == pytest.approx(direct.delta, rel=1e-12)
+        eps = np.array(config.dp.epsilon_grid)
+        direct = delta_max_over_neighborhood(eps, model, attack, 1, config.dp.neighborhood,
+                                             streams[STREAM_SCAN])
+        assert np.all(direct.scan_max > direct.grid_max)
+        expected = np.column_stack([eps, direct.delta, direct.argmax_theta,
+                                    direct.argmax_theta_prime])
+        assert [[float(v) for v in row] for row in rows] == expected.tolist()
+
+    def test_theta_domain_warning_logged_once(self, tmp_path, caplog):
+        path = write_config(tmp_path, SCAN_WINNING_CONFIG)
+        with caplog.at_level(logging.WARNING):
+            assert main(["delta-curve", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert "lies outside theta_domain [0.2, 0.201]" in messages[0]
 
 
 class TestRocAndValidate:

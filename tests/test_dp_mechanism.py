@@ -213,15 +213,19 @@ class TestDeltaForEpsilon:
             assert formula >= exact - 1e-9, (eps, r_tilde, th, thp)
 
     def test_array_elements_equal_scalar_calls(self):
-        """Equal roots, swapped pairs and saturated lower tails included."""
+        """Equal roots, swapped pairs and saturated lower tails included,
+        with epsilon as a scalar and as a column broadcast over the pairs."""
         theta = np.array([0.5, 1.5, 2.0, 0.0, 0.3, 1.2, 4.0, 0.7])
         theta_prime = np.array([1.5, 0.5, 2.0, 0.9, 3.5, 1.25, 3.0, 0.0])
-        for eps in (0.2, 1.5, 9.0):
+        eps_grid = (0.2, 1.5, 9.0)
+        table = delta_for_epsilon(np.array(eps_grid)[:, None], 5.0, theta, theta_prime)
+        assert table.shape == (len(eps_grid), theta.size)
+        for eps, row in zip(eps_grid, table):
             out = delta_for_epsilon(eps, 5.0, theta, theta_prime)
             assert out.shape == theta.shape
             for k, d in enumerate(out):
-                assert d == delta_for_epsilon(eps, 5.0, float(theta[k]),
-                                              float(theta_prime[k]))
+                assert d == row[k] == delta_for_epsilon(eps, 5.0, float(theta[k]),
+                                                        float(theta_prime[k]))
         assert out[2] == 0.0
         assert delta_for_epsilon(0.2, 5.0, 0.5, 1.5) == 1.0
 
@@ -234,6 +238,7 @@ class TestDeltaForEpsilon:
     @pytest.mark.parametrize("kwargs", [
         {"epsilon": 0.0}, {"r_tilde": 0.0}, {"theta": -0.1}, {"theta_prime": -1.0},
         {"theta_prime": np.array([1.0, -1.0])},
+        {"epsilon": np.array([1.0, 0.0])}, {"epsilon": np.array([1.0, np.nan])},
     ])
     def test_domain_errors(self, kwargs):
         base = {"epsilon": 1.0, "r_tilde": 3.0, "theta": 0.5, "theta_prime": 1.0}
@@ -283,6 +288,9 @@ class TestLeakage:
             leakage(0.0, 3.0, 1.0, 2.0)
 
 
+ORACLE_EPSILONS = (0.5, 2.0, 8.0)
+
+
 class TestDeltaScan:
     @pytest.fixture
     def instance(self, rng):
@@ -317,10 +325,13 @@ class TestDeltaScan:
         inside = NeighborhoodSpec(delta_h_bound=0.1, scan_count=50,
                                   theta_domain=(0.5 * theta, 2.0 * theta), grid_points=5)
         with caplog.at_level("WARNING", logger="dpresidual.dp_mechanism"):
-            delta_max_over_neighborhood(2.0, model, attack, 1, outside, SeedStream(3))
-            assert len(caplog.records) == 1
-            message = caplog.records[0].getMessage()
-            assert f"theta={theta:.6g}" in message and "[0.2, 0.3]" in message
+            for epsilon in (2.0, np.array([0.5, 2.0, 8.0])):
+                caplog.clear()
+                delta_max_over_neighborhood(epsilon, model, attack, 1, outside,
+                                            SeedStream(3))
+                assert len(caplog.records) == 1
+                message = caplog.records[0].getMessage()
+                assert f"theta={theta:.6g}" in message and "[0.2, 0.3]" in message
             caplog.clear()
             delta_max_over_neighborhood(2.0, model, attack, 1, inside, SeedStream(3))
             assert not caplog.records
@@ -362,9 +373,11 @@ class TestDeltaScan:
         (1.0, (0.98, 1.0), 3),       # domain about theta, wide probes: the scan wins
         (1e-6, (0.2, 0.21), 4),      # all ties at zero
     ])
-    @pytest.mark.parametrize("epsilon", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("epsilon", ORACLE_EPSILONS)
     def test_matches_scalar_loop_oracle(self, instance, bound, domain, grid_points,
                                         epsilon):
+        """The scalar call matches the oracle, and the epsilon-array call's
+        element for this epsilon equals the scalar call in every field."""
         model, attack = instance
         theta = math.sqrt(residual_law(model, None, attack.a).noncentrality)
         if domain[1] == 1.0:
@@ -376,6 +389,22 @@ class TestDeltaScan:
         expected = self.scalar_loop_oracle(epsilon, model, attack, 1, spec, 11)
         assert (result.delta, result.argmax_theta, result.argmax_theta_prime,
                 result.scan_max, result.grid_max) == expected
+
+        batch = delta_max_over_neighborhood(np.array(ORACLE_EPSILONS), model, attack, 1,
+                                            spec, SeedStream(11))
+        k = ORACLE_EPSILONS.index(epsilon)
+        for name in ("delta", "argmax_theta", "argmax_theta_prime", "scan_max",
+                     "grid_max"):
+            column = getattr(batch, name)
+            assert column.shape == (len(ORACLE_EPSILONS),)
+            assert column[k] == getattr(result, name), name
+        assert batch.skipped == result.skipped
+        assert len(batch.argmax_perturbation) == len(ORACLE_EPSILONS)
+        pert, scalar_pert = batch.argmax_perturbation[k], result.argmax_perturbation
+        assert (pert is None) == (scalar_pert is None)
+        if pert is not None:
+            assert pert.row_index == scalar_pert.row_index
+            assert np.array_equal(pert.delta_h, scalar_pert.delta_h)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**32 - 1))
