@@ -13,6 +13,7 @@ from .detection import (
     TestSpec,
     monte_carlo_validate,
     pfa_pd,
+    pfa_pd_family,
     roc,
     sample_law,
     threshold,

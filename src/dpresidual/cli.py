@@ -284,14 +284,14 @@ def cmd_roc(config: ExperimentConfig, out: Path, seed: int) -> int:
     law0, law1, params, label, _ = _laws_for_roc(config, model, x_true, attack)
     alphas = np.array(config.test.alpha_grid) if config.test.alpha_grid is not None \
         else DEFAULT_ALPHA_GRID
-    points = list(zip(*pfa_pd(TestSpec(alpha=alphas, law0=law0, law1=law1, dp=params))))
-    curve = RocCurve.from_points(points)
+    pfa, pd = pfa_pd(TestSpec(alpha=alphas, law0=law0, law1=law1, dp=params))
+    curve = RocCurve.from_arrays(pfa, pd)
     params_str = "" if params is None else ";".join(
         f"{k}={getattr(params, k)}"
         for k in ("epsilon", "delta", "r_prime", "nu_mean", "nu_sigma", "input_k")
         if getattr(params, k) is not None
     )
-    write_roc_csv(out / "roc.csv", [(label, params_str, alphas, points)],
+    write_roc_csv(out / "roc.csv", [(label, params_str, alphas, zip(pfa, pd))],
                   meta=_meta(config, seed))
     write_auroc_csv(out / "auroc.csv", [[label, params_str, curve.auroc]],
                     meta=_meta(config, seed))

@@ -9,6 +9,7 @@ thin.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -263,11 +264,21 @@ def _parse_mc(doc, path="mc") -> McConfig:
 def _parse_figures(doc, path="figures") -> FiguresConfig:
     doc = _require_mapping(doc, path)
     _reject_unknown(doc, {"delta_theta_values", "nu_sigma_values", "epsilon_values"}, path)
-    return FiguresConfig(
+    cfg = FiguresConfig(
         delta_theta_values=_get_list(doc, "delta_theta_values", path, float),
         nu_sigma_values=_get_list(doc, "nu_sigma_values", path, float),
         epsilon_values=_get_list(doc, "epsilon_values", path, float),
     )
+    # fig3 sweeps signed mean gaps; fig4 rejects negative noncentralities.
+    for key, values in vars(cfg).items():
+        for i, v in enumerate(values or ()):
+            if not math.isfinite(v):
+                raise SchemaError(f"{path}.{key}[{i}] must be finite, got {v}")
+    if cfg.nu_sigma_values is not None and any(v < 0 for v in cfg.nu_sigma_values):
+        raise SchemaError(f"{path}.nu_sigma_values must be >= 0")
+    if cfg.epsilon_values is not None and any(v <= 0 for v in cfg.epsilon_values):
+        raise SchemaError(f"{path}.epsilon_values must be > 0")
+    return cfg
 
 
 def validate_config(doc) -> ExperimentConfig:

@@ -84,22 +84,28 @@ class RocCurve:
     auroc: float
 
     @classmethod
-    def from_points(cls, points) -> "RocCurve":
-        pts = [(float(p), float(d)) for p, d in points]
-        pts += [(0.0, 0.0), (1.0, 1.0)]
-        pts.sort()
-        dedup: list[tuple[float, float]] = []
-        for p, d in pts:
-            if dedup and p == dedup[-1][0]:
-                dedup[-1] = (p, max(d, dedup[-1][1]))
-            else:
-                dedup.append((p, d))
-        xs = np.array([p for p, _ in dedup])
-        ys = np.array([d for _, d in dedup])
+    def from_arrays(cls, pfa, pd) -> "RocCurve":
+        """Curve through the points (pfa[i], pd[i]) and the corners (0, 0), (1, 1).
+
+        Points are sorted by pfa, then pd; of a run sharing one pfa only
+        the last (highest pd) is kept.
+        """
+        xs = np.append(np.asarray(pfa, dtype=float), (0.0, 1.0))
+        ys = np.append(np.asarray(pd, dtype=float), (0.0, 1.0))
+        order = np.lexsort((ys, xs))
+        xs, ys = xs[order], ys[order]
+        last = np.append(xs[1:] != xs[:-1], True)
+        xs, ys = xs[last], ys[last]
         auroc = float(np.trapezoid(ys, xs))
         if not 0.0 <= auroc <= 1.0:
             raise ValueError(f"auroc out of range: {auroc}")
-        return cls(points=tuple(dedup), auroc=auroc)
+        return cls(points=tuple(zip(xs.tolist(), ys.tolist())), auroc=auroc)
+
+    @classmethod
+    def from_points(cls, points) -> "RocCurve":
+        """``from_arrays`` on an iterable of (pfa, pd) pairs."""
+        pts = np.asarray([(float(p), float(d)) for p, d in points]).reshape(-1, 2)
+        return cls.from_arrays(pts[:, 0], pts[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +144,43 @@ def threshold(spec: TestSpec):
     return mean + math.sqrt(var) * gaussian_q_inverse(spec.alpha)
 
 
+def _exceedance(spec: TestSpec, tau, laws) -> np.ndarray:
+    """P[released statistic > tau] under each law, one row per law.
+
+    The laws share ``spec``'s regime, degrees of freedom and release
+    noise; each row has the shape of ``tau``. The chi-square regime is one
+    ``marcum_q`` call over a column of noncentrality roots, the gaussian
+    regime one ``gaussian_q`` over columns of means and deviations.
+    """
+    extra_dof, nu_mean, nu_var = _dp_noise(spec)
+    column = (-1,) + (1,) * np.ndim(tau)
+    if spec.law0.regime is Regime.CHI_SQUARE:
+        order = 0.5 * (spec.law0.dof + extra_dof)
+        nc = np.array([law.noncentrality for law in laws])
+        return marcum_q(order, np.sqrt(nc).reshape(column), np.sqrt(tau))
+    mean = np.array([law.mean for law in laws]).reshape(column) + nu_mean
+    std = np.sqrt(np.array([law.variance for law in laws]) + nu_var).reshape(column)
+    return gaussian_q((tau - mean) / std)
+
+
+def pfa_pd_family(spec: TestSpec, alternatives):
+    """False-alarm rate and detection probability under each alternative law.
+
+    The alternatives stand in for ``spec.law1``: they share the regime,
+    degrees of freedom, release noise and threshold of ``spec``, so one
+    threshold inversion and one tail evaluation serve them all. Returns
+    (pfa, pd): pfa as ``pfa_pd`` gives it, and pd of shape
+    ``(len(alternatives),) + alpha.shape``, whose row i equals
+    ``pfa_pd(replace(spec, law1=alternatives[i]))[1]`` bit for bit.
+    """
+    alternatives = tuple(alternatives)
+    if any(law.regime is not spec.law0.regime for law in alternatives):
+        raise ValueError("alternatives must share the regime of law0")
+    p = _exceedance(spec, threshold(spec), (spec.law0, *alternatives))
+    pfa = float(p[0]) if p[0].ndim == 0 else p[0]
+    return pfa, p[1:]
+
+
 def pfa_pd(spec: TestSpec):
     """Analytic (false alarm, detection) probabilities of the test.
 
@@ -146,20 +189,8 @@ def pfa_pd(spec: TestSpec):
     noise mean and inflates both variances. A scalar alpha gives a pair
     of floats; an alpha array gives a pair of arrays aligned with it.
     """
-    tau = threshold(spec)
-    extra_dof, nu_mean, nu_var = _dp_noise(spec)
-    if spec.law0.regime is Regime.CHI_SQUARE:
-        dof = spec.law0.dof + extra_dof
-        order = 0.5 * dof
-        sqrt_tau = np.sqrt(tau)
-        pfa = marcum_q(order, math.sqrt(spec.law0.noncentrality), sqrt_tau)
-        pd = marcum_q(order, math.sqrt(spec.law1.noncentrality), sqrt_tau)
-        return pfa, pd
-    s0 = math.sqrt(spec.law0.variance + nu_var)
-    s1 = math.sqrt(spec.law1.variance + nu_var)
-    pfa = gaussian_q((tau - (spec.law0.mean + nu_mean)) / s0)
-    pd = gaussian_q((tau - (spec.law1.mean + nu_mean)) / s1)
-    return pfa, pd
+    pfa, pd = pfa_pd_family(spec, (spec.law1,))
+    return pfa, (float(pd[0]) if pd[0].ndim == 0 else pd[0])
 
 
 def roc(spec: TestSpec, grid=None) -> RocCurve:
@@ -174,7 +205,7 @@ def roc(spec: TestSpec, grid=None) -> RocCurve:
     if np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be strictly increasing")
     # TestSpec rejects grid values outside (0, 1).
-    return RocCurve.from_points(zip(*pfa_pd(replace(spec, alpha=alphas))))
+    return RocCurve.from_arrays(*pfa_pd(replace(spec, alpha=alphas)))
 
 
 # ---------------------------------------------------------------------------

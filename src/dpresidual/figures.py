@@ -12,9 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig, FiguresConfig, McConfig
-from .detection import DEFAULT_ALPHA_GRID, RocCurve, TestSpec, pfa_pd, roc, sample_law, threshold
+from .detection import (
+    DEFAULT_ALPHA_GRID,
+    RocCurve,
+    TestSpec,
+    pfa_pd,
+    pfa_pd_family,
+    roc,
+    sample_law,
+    threshold,
+)
 from .dp_mechanism import PrivacyParams, gaussian_mechanism_sigma
 from .estimation import ResidualLaw
+from .exceptions import SchemaError
 from .streams import SeedStream
 
 THETA_Z0 = 10.0
@@ -38,19 +48,21 @@ def _figures_cfg(config: ExperimentConfig | None) -> FiguresConfig:
 def attack_strength_roc(config: ExperimentConfig | None = None):
     """ROC degradation as the mean gap between hypotheses shrinks.
 
-    Gaussian-regime laws N(10, 1) vs N(10 + gap, 4) over a gap sweep.
-    Returns (roc_table, auroc_table).
+    Gaussian-regime laws N(10, 1) vs N(10 + gap, 4) over a gap sweep, all
+    gaps in one ``pfa_pd_family`` call. Returns (roc_table, auroc_table).
     """
     fig = _figures_cfg(config)
     gaps = fig.delta_theta_values or DEFAULT_DELTA_THETA
     grid = DEFAULT_ALPHA_GRID
+    law0 = ResidualLaw.gaussian(THETA_Z0, SIGMA_Z0**2)
+    alternatives = [ResidualLaw.gaussian(THETA_Z0 + gap, SIGMA_Z1_ATTACK_SWEEP**2)
+                    for gap in gaps]
+    pfa, pds = pfa_pd_family(TestSpec(alpha=grid, law0=law0, law1=alternatives[0]),
+                             alternatives)
     roc_rows, auroc_rows = [], []
-    for gap in gaps:
-        law0 = ResidualLaw.gaussian(THETA_Z0, SIGMA_Z0**2)
-        law1 = ResidualLaw.gaussian(THETA_Z0 + gap, SIGMA_Z1_ATTACK_SWEEP**2)
-        pfa, pd = pfa_pd(TestSpec(alpha=grid, law0=law0, law1=law1))
+    for gap, pd in zip(gaps, pds):
         roc_rows.extend([gap, a, p, d] for a, p, d in zip(grid, pfa, pd))
-        auroc_rows.append([gap, RocCurve.from_points(zip(pfa, pd)).auroc])
+        auroc_rows.append([gap, RocCurve.from_arrays(pfa, pd).auroc])
     return (
         (["delta_theta", "alpha", "pfa", "pd"], roc_rows),
         (["delta_theta", "auroc"], auroc_rows),
@@ -63,8 +75,10 @@ def input_perturbation_auroc(config: ExperimentConfig | None = None):
     Perturbing every measurement with the standard Gaussian mechanism at
     per-element budget eps/m inflates the effective noise variance by
     (1 + k), shrinking the residual noncentrality to nc / (1 + k); the
-    chi-square analytics then give the AUROC exactly. Reports both the
-    per-element budget and the noise-ratio k columns.
+    chi-square analytics then give the AUROC exactly. Every curve shares
+    the central null law and the alpha grid, so one ``pfa_pd_family``
+    call evaluates them all. Reports both the per-element budget and the
+    noise-ratio k columns.
     """
     fig = _figures_cfg(config)
     if config is not None and config.model is not None:
@@ -72,23 +86,27 @@ def input_perturbation_auroc(config: ExperimentConfig | None = None):
     else:
         m, dof = 20, 15
     if dof < 1:
-        raise ValueError("input perturbation sweep needs m > n")
+        raise SchemaError(f"fig4 needs model.m > model.n, got m={m}, n={m - dof}")
     ncs = fig.delta_theta_values or DEFAULT_INPUT_NONCENTRALITY
+    if any(nc < 0 for nc in ncs):
+        raise SchemaError("figures.delta_theta_values are noncentralities for fig4 "
+                          f"and must be >= 0, got {list(ncs)}")
     epsilons = fig.epsilon_values or tuple(
         float(e) for e in m * np.logspace(np.log10(0.05), np.log10(5.0), 16)
     )
-    rows = []
+    rows, alternatives = [], []
     for nc in ncs:
         for eps in epsilons:
             eps_o = eps / m
             sigma_w = gaussian_mechanism_sigma(INPUT_SENSITIVITY, eps_o, INPUT_DELTA)
             k = sigma_w**2  # relative to unit measurement noise
-            spec = TestSpec(
-                alpha=0.05,
-                law0=ResidualLaw.chi_square(dof, 0.0),
-                law1=ResidualLaw.chi_square(dof, nc / (1.0 + k)),
-            )
-            rows.append([nc, eps, eps_o, k, roc(spec).auroc])
+            rows.append([nc, eps, eps_o, k])
+            alternatives.append(ResidualLaw.chi_square(dof, nc / (1.0 + k)))
+    spec = TestSpec(alpha=DEFAULT_ALPHA_GRID, law0=ResidualLaw.chi_square(dof, 0.0),
+                    law1=alternatives[0])
+    pfa, pds = pfa_pd_family(spec, alternatives)
+    for row, pd in zip(rows, pds):
+        row.append(RocCurve.from_arrays(pfa, pd).auroc)
     return ["delta_theta", "epsilon", "epsilon_per_element", "k_factor", "auroc"], rows
 
 
@@ -96,7 +114,9 @@ def output_noise_auroc(config: ExperimentConfig | None = None):
     """AUROC of the test as the release-noise scale grows.
 
     Gaussian-regime laws N(10, 1) vs N(13, 16) with zero-mean release
-    noise of standard deviation nu_sigma added to both.
+    noise of standard deviation nu_sigma added to both. The noise differs
+    per curve, and with it the laws' shared variance inflation, so each
+    curve is its own ``roc`` call rather than a row of one family call.
     """
     fig = _figures_cfg(config)
     sweep = fig.nu_sigma_values or DEFAULT_NU_SIGMA

@@ -10,10 +10,17 @@ import yaml
 
 from dpresidual import (
     Regime,
+    ResidualLaw,
+    RocCurve,
+    TestSpec,
     delta_max_over_neighborhood,
     gaussian_mechanism_sigma,
+    pfa_pd,
+    roc,
     wssr,
 )
+from dpresidual import figures as figs
+from dpresidual.detection import DEFAULT_ALPHA_GRID
 from dpresidual.cli import _build_instance, _laws_for_roc, main
 from dpresidual.config import (
     STREAM_SCAN,
@@ -303,6 +310,77 @@ class TestFigures:
         pds = [float(r[2]) for r in rows]
         assert all(b > a for a, b in zip(pfas, pfas[1:]))
         assert all(b < a for a, b in zip(pds, pds[1:]))
+
+    @pytest.mark.parametrize("doc", [
+        None,
+        {"model": BASE_CONFIG["model"],
+         "figures": {"delta_theta_values": [0.0, 0.3, 7.0, 40.0],
+                     "epsilon_values": [0.5, 3.0, 60.0]}},
+        {"figures": {"delta_theta_values": [0.1, 1000.0]}},
+    ], ids=["default", "config", "wide"])
+    def test_sweeps_match_per_curve_loops(self, tmp_path, doc):
+        """fig3/fig4 rows equal the per-curve pfa_pd and roc loops."""
+        config = None if doc is None else load_config(write_config(tmp_path, doc))
+        sweeps = (doc or {}).get("figures", {})
+        gaps = sweeps.get("delta_theta_values") or figs.DEFAULT_DELTA_THETA
+        ncs = sweeps.get("delta_theta_values") or figs.DEFAULT_INPUT_NONCENTRALITY
+        m, dof = (12, 8) if "model" in (doc or {}) else (20, 15)
+        epsilons = sweeps.get("epsilon_values") or tuple(
+            float(e) for e in m * np.logspace(np.log10(0.05), np.log10(5.0), 16))
+
+        (_, roc_rows), (_, auroc_rows) = figs.attack_strength_roc(config)
+        want_roc, want_auroc = [], []
+        for gap in gaps:
+            spec = TestSpec(alpha=DEFAULT_ALPHA_GRID,
+                            law0=ResidualLaw.gaussian(figs.THETA_Z0, figs.SIGMA_Z0**2),
+                            law1=ResidualLaw.gaussian(figs.THETA_Z0 + gap,
+                                                      figs.SIGMA_Z1_ATTACK_SWEEP**2))
+            pfa, pd = pfa_pd(spec)
+            want_roc.extend([gap, a, p, d] for a, p, d in zip(DEFAULT_ALPHA_GRID, pfa, pd))
+            want_auroc.append([gap, RocCurve.from_points(zip(pfa, pd)).auroc])
+        assert repr(roc_rows) == repr(want_roc) and repr(auroc_rows) == repr(want_auroc)
+
+        _, rows = figs.input_perturbation_auroc(config)
+        want = []
+        for nc in ncs:
+            for eps in epsilons:
+                k = gaussian_mechanism_sigma(figs.INPUT_SENSITIVITY, eps / m,
+                                             figs.INPUT_DELTA) ** 2
+                spec = TestSpec(alpha=0.05, law0=ResidualLaw.chi_square(dof, 0.0),
+                                law1=ResidualLaw.chi_square(dof, nc / (1.0 + k)))
+                want.append([nc, eps, eps / m, k, roc(spec).auroc])
+        assert repr(rows) == repr(want)
+
+    @pytest.mark.parametrize("which, figures_doc, key", [
+        ("fig5", {"nu_sigma_values": [-1.0, 2.0]}, "figures.nu_sigma_values"),
+        ("fig6", {"nu_sigma_values": [math.inf]}, "figures.nu_sigma_values[0]"),
+        ("fig4", {"epsilon_values": [0.0, 5.0]}, "figures.epsilon_values"),
+        ("fig4", {"epsilon_values": [math.inf]}, "figures.epsilon_values[0]"),
+        ("fig4", {"delta_theta_values": [-1.0, 2.0]}, "figures.delta_theta_values"),
+        ("fig3", {"delta_theta_values": [1.0, math.nan]}, "figures.delta_theta_values[1]"),
+    ])
+    def test_invalid_sweep_rejected(self, tmp_path, capsys, which, figures_doc, key):
+        path = write_config(tmp_path, {"figures": figures_doc})
+        code = main(["figures", "--which", which, "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+    def test_fig4_needs_residual_dof(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"model": {**BASE_CONFIG["model"], "m": 4}})
+        assert main(["figures", "--which", "fig4", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "model.m > model.n" in capsys.readouterr().err
+
+    def test_negative_gaps_allowed_in_fig3(self, tmp_path):
+        path = write_config(tmp_path, {"figures": {"delta_theta_values": [-1.0, 2.0]}})
+        out = tmp_path / "o"
+        assert main(["figures", "--which", "fig3", "--config", str(path),
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(out / "fig3_auroc.csv")
+        assert [float(r[0]) for r in rows] == [-1.0, 2.0]
 
 
 class TestDeterminism:

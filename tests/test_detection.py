@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from dpresidual import (
@@ -18,7 +21,9 @@ from dpresidual import (
     TestSpec,
     ValidationFailure,
     monte_carlo_validate,
+    RocCurve,
     pfa_pd,
+    pfa_pd_family,
     residual_law,
     roc,
     sample_law,
@@ -26,7 +31,9 @@ from dpresidual import (
 )
 from dpresidual import detection
 from dpresidual.special_functions import (
+    gaussian_q,
     gaussian_q_inverse,
+    marcum_q,
     noncentral_chisq_sample,
     regularized_gamma_q_inverse,
 )
@@ -240,6 +247,136 @@ class TestAlphaArray:
         spec = TestSpec(alpha=np.array([0.05, 0.1]), law0=law, law1=law)
         with pytest.raises(ValueError, match="scalar alpha"):
             monte_carlo_validate(model, None, spec, 2000, SeedStream(0))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _two_call_pfa_pd(spec):
+    """pfa_pd as one tail evaluation per law, each law on its own."""
+    tau = threshold(spec)
+    extra_dof, nu_mean, nu_var = detection._dp_noise(spec)
+    if spec.law0.regime is Regime.CHI_SQUARE:
+        order = 0.5 * (spec.law0.dof + extra_dof)
+        return tuple(marcum_q(order, math.sqrt(law.noncentrality), np.sqrt(tau))
+                     for law in (spec.law0, spec.law1))
+    return tuple(gaussian_q((tau - (law.mean + nu_mean)) / math.sqrt(law.variance + nu_var))
+                 for law in (spec.law0, spec.law1))
+
+
+ALPHAS = st.one_of(
+    st.floats(1e-4, 0.999),
+    hnp.arrays(float, st.integers(1, 8), elements=st.floats(1e-4, 0.999)),
+)
+
+
+@st.composite
+def chi_families(draw):
+    """A chi-square spec (clean, noisy, or recalibrated) and its alternatives."""
+    dof = draw(st.sampled_from([1.0, 3.0, 15.0, 180.0, 181.0, 200.5]))
+    r_prime = draw(st.sampled_from([None, 1, 4]))
+    dp = None if r_prime is None else PrivacyParams.chi_square(r_prime=r_prime)
+    law0 = ResidualLaw.chi_square(dof, draw(st.sampled_from([0.0, 0.5, 9.0])))
+    ncs = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+                        min_size=1, max_size=6))
+    alternatives = [ResidualLaw.chi_square(dof, nc) for nc in ncs]
+    spec = TestSpec(alpha=draw(ALPHAS), law0=law0, law1=alternatives[0], dp=dp,
+                    recalibrate_threshold=dp is not None and draw(st.booleans()))
+    return spec, alternatives
+
+
+@st.composite
+def gaussian_families(draw):
+    """A gaussian spec (clean, noisy, or recalibrated) and its alternatives."""
+    noise = draw(st.sampled_from([None, (0.0, 2.0), (0.5, 0.3)]))
+    dp = None if noise is None else PrivacyParams.gaussian_output(*noise)
+    law0 = ResidualLaw.gaussian(draw(st.floats(-5.0, 20.0)), draw(st.floats(0.1, 9.0)))
+    alternatives = [ResidualLaw.gaussian(mean, var) for mean, var in draw(
+        st.lists(st.tuples(st.floats(-5.0, 40.0), st.floats(0.1, 25.0)),
+                 min_size=1, max_size=6))]
+    spec = TestSpec(alpha=draw(ALPHAS), law0=law0, law1=alternatives[0], dp=dp,
+                    recalibrate_threshold=dp is not None and draw(st.booleans()))
+    return spec, alternatives
+
+
+class TestPfaPdFamily:
+    """One family call equals the per-law calls bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(chi_families(), gaussian_families()))
+    def test_rows_equal_per_law_calls(self, case):
+        spec, alternatives = case
+        pfa, pd = pfa_pd_family(spec, alternatives)
+        assert pd.shape == (len(alternatives),) + np.shape(spec.alpha)
+        assert isinstance(pfa, float) == (np.ndim(spec.alpha) == 0)
+        for law, row in zip(alternatives, pd):
+            law_spec = replace(spec, law1=law)
+            want_pfa, want_pd = pfa_pd(law_spec)
+            assert _bits(row) == _bits(want_pd) and _bits(pfa) == _bits(want_pfa)
+            # pfa_pd itself against one tail evaluation per law.
+            ref_pfa, ref_pd = _two_call_pfa_pd(law_spec)
+            assert _bits(want_pfa) == _bits(ref_pfa) and _bits(want_pd) == _bits(ref_pd)
+            if np.ndim(spec.alpha) == 0:
+                assert isinstance(want_pfa, float) and isinstance(want_pd, float)
+
+    def test_no_alternatives(self):
+        pfa, pd = pfa_pd_family(chi_spec(6.0, alpha=np.array([0.01, 0.1])), [])
+        assert pd.shape == (0, 2)
+        assert _bits(pfa) == _bits(pfa_pd(chi_spec(6.0, alpha=np.array([0.01, 0.1])))[0])
+
+    def test_mixed_regime_rejected(self):
+        with pytest.raises(ValueError, match="regime"):
+            pfa_pd_family(chi_spec(6.0), [ResidualLaw.gaussian(1.0, 1.0)])
+
+
+def _python_roc(points):
+    """Sort and dedup the points in Python, keeping the highest pd per pfa."""
+    pts = [(float(p), float(d)) for p, d in points]
+    pts += [(0.0, 0.0), (1.0, 1.0)]
+    pts.sort()
+    dedup: list[tuple[float, float]] = []
+    for p, d in pts:
+        if dedup and p == dedup[-1][0]:
+            dedup[-1] = (p, max(d, dedup[-1][1]))
+        else:
+            dedup.append((p, d))
+    xs = np.array([p for p, _ in dedup])
+    ys = np.array([d for _, d in dedup])
+    return tuple(dedup), float(np.trapezoid(ys, xs))
+
+
+@st.composite
+def roc_point_sets(draw):
+    """(pfa, pd) pairs with forced pfa ties and points at 0 and 1."""
+    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)) + [0.0, 1.0]
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    pfa = draw(st.lists(st.one_of(st.sampled_from(pool), unit), max_size=40))
+    pd = draw(st.lists(unit, min_size=len(pfa), max_size=len(pfa)))
+    return list(zip(pfa, pd))
+
+
+class TestRocCurveFromPoints:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(roc_point_sets())
+    def test_matches_python_dedup(self, points):
+        want_points, want_auroc = _python_roc(points)
+        if not 0.0 <= want_auroc <= 1.0:
+            with pytest.raises(ValueError, match="auroc"):
+                RocCurve.from_points(points)
+            return
+        curve = RocCurve.from_points(points)
+        assert curve.points == want_points
+        assert all(type(v) is float for pt in curve.points for v in pt)
+        assert _bits(curve.auroc) == _bits(want_auroc)
+        arrays = RocCurve.from_arrays(*np.array(points, dtype=float).reshape(-1, 2).T)
+        assert arrays == curve
+
+    def test_roc_matches_python_dedup(self):
+        spec = replace(gaussian_spec(10.0, 1.0, 10.0, 16.0), alpha=detection.DEFAULT_ALPHA_GRID)
+        curve = roc(spec)
+        want_points, want_auroc = _python_roc(zip(*pfa_pd(spec)))
+        assert curve.points == want_points and _bits(curve.auroc) == _bits(want_auroc)
 
 
 class TestMonteCarloValidate:
