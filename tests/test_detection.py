@@ -372,12 +372,6 @@ class TestRocCurveFromPoints:
         arrays = RocCurve.from_arrays(*np.array(points, dtype=float).reshape(-1, 2).T)
         assert arrays == curve
 
-    def test_roc_matches_python_dedup(self):
-        spec = replace(gaussian_spec(10.0, 1.0, 10.0, 16.0), alpha=detection.DEFAULT_ALPHA_GRID)
-        curve = roc(spec)
-        want_points, want_auroc = _python_roc(zip(*pfa_pd(spec)))
-        assert curve.points == want_points and _bits(curve.auroc) == _bits(want_auroc)
-
 
 class TestMonteCarloValidate:
     def test_clean_false_alarm_rate(self, rng):
