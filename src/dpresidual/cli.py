@@ -285,7 +285,7 @@ def cmd_roc(config: ExperimentConfig, out: Path, seed: int) -> int:
     alphas = np.array(config.test.alpha_grid) if config.test.alpha_grid is not None \
         else DEFAULT_ALPHA_GRID
     pfa, pd = pfa_pd(TestSpec(alpha=alphas, law0=law0, law1=law1, dp=params))
-    curve = RocCurve.from_arrays(pfa, pd)
+    curve = RocCurve.from_points(np.column_stack((pfa, pd)))
     params_str = "" if params is None else ";".join(
         f"{k}={getattr(params, k)}"
         for k in ("epsilon", "delta", "r_prime", "nu_mean", "nu_sigma", "input_k")

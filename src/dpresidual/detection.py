@@ -38,15 +38,22 @@ DEFAULT_ALPHA_GRID = np.logspace(-4.0, math.log10(0.999), 512)
 MC_BLOCK_ELEMS = 1 << 19  # trials x m entries per simulated block (4 MB of float64)
 
 
+def _same_family(law0: ResidualLaw, law: ResidualLaw) -> bool:
+    """Whether ``law`` shares the regime and (chi-square) the dof of ``law0``."""
+    return law.regime is law0.regime and (
+        law.regime is not Regime.CHI_SQUARE or law.dof == law0.dof)
+
+
 @dataclass(frozen=True)
 class TestSpec:
     """A threshold test: target alpha, null/alternative laws, optional noise.
 
     ``alpha`` is a scalar or a 1-D array of targets; with an array,
     ``threshold`` and ``pfa_pd`` evaluate every target in one call.
-    ``law0`` and ``law1`` must share a regime. With ``dp`` set, the
-    analytics account for the release noise; ``recalibrate_threshold``
-    moves the threshold onto the noisy null law instead of the clean one.
+    ``law0`` and ``law1`` must share a regime and, in the chi-square
+    regime, the degrees of freedom. With ``dp`` set, the analytics
+    account for the release noise; ``recalibrate_threshold`` moves the
+    threshold onto the noisy null law instead of the clean one.
     """
 
     __test__ = False  # not a pytest case, despite the name
@@ -61,8 +68,9 @@ class TestSpec:
         alpha = np.asarray(self.alpha, dtype=float)
         if not np.all((alpha > 0) & (alpha < 1)):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.law0.regime is not self.law1.regime:
-            raise ValueError("law0 and law1 must share a regime")
+        if not _same_family(self.law0, self.law1):
+            raise ValueError("law0 and law1 must share a regime and, in the "
+                             "chi-square regime, the degrees of freedom")
         if self.dp is not None:
             expected = {
                 Regime.CHI_SQUARE: Mechanism.CHI_SQUARE,
@@ -84,14 +92,17 @@ class RocCurve:
     auroc: float
 
     @classmethod
-    def from_arrays(cls, pfa, pd) -> "RocCurve":
-        """Curve through the points (pfa[i], pd[i]) and the corners (0, 0), (1, 1).
+    def from_points(cls, points) -> "RocCurve":
+        """Curve through (pfa, pd) points and the corners (0, 0), (1, 1).
 
-        Points are sorted by pfa, then pd; of a run sharing one pfa only
-        the last (highest pd) is kept.
+        ``points`` is an (N, 2) array or an iterable of pairs. Points are
+        sorted by pfa, then pd; of a run sharing one pfa only the last
+        (highest pd) is kept.
         """
-        xs = np.append(np.asarray(pfa, dtype=float), (0.0, 1.0))
-        ys = np.append(np.asarray(pd, dtype=float), (0.0, 1.0))
+        pts = np.asarray(points if isinstance(points, np.ndarray) else list(points),
+                         dtype=float).reshape(-1, 2)
+        xs = np.append(pts[:, 0], (0.0, 1.0))
+        ys = np.append(pts[:, 1], (0.0, 1.0))
         order = np.lexsort((ys, xs))
         xs, ys = xs[order], ys[order]
         last = np.append(xs[1:] != xs[:-1], True)
@@ -100,12 +111,6 @@ class RocCurve:
         if not 0.0 <= auroc <= 1.0:
             raise ValueError(f"auroc out of range: {auroc}")
         return cls(points=tuple(zip(xs.tolist(), ys.tolist())), auroc=auroc)
-
-    @classmethod
-    def from_points(cls, points) -> "RocCurve":
-        """``from_arrays`` on an iterable of (pfa, pd) pairs."""
-        pts = np.asarray([(float(p), float(d)) for p, d in points]).reshape(-1, 2)
-        return cls.from_arrays(pts[:, 0], pts[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -144,39 +149,36 @@ def threshold(spec: TestSpec):
     return mean + math.sqrt(var) * gaussian_q_inverse(spec.alpha)
 
 
-def _exceedance(spec: TestSpec, tau, laws) -> np.ndarray:
-    """P[released statistic > tau] under each law, one row per law.
-
-    The laws share ``spec``'s regime, degrees of freedom and release
-    noise; each row has the shape of ``tau``. The chi-square regime is one
-    ``marcum_q`` call over a column of noncentrality roots, the gaussian
-    regime one ``gaussian_q`` over columns of means and deviations.
-    """
-    extra_dof, nu_mean, nu_var = _dp_noise(spec)
-    column = (-1,) + (1,) * np.ndim(tau)
-    if spec.law0.regime is Regime.CHI_SQUARE:
-        order = 0.5 * (spec.law0.dof + extra_dof)
-        nc = np.array([law.noncentrality for law in laws])
-        return marcum_q(order, np.sqrt(nc).reshape(column), np.sqrt(tau))
-    mean = np.array([law.mean for law in laws]).reshape(column) + nu_mean
-    std = np.sqrt(np.array([law.variance for law in laws]) + nu_var).reshape(column)
-    return gaussian_q((tau - mean) / std)
-
-
 def pfa_pd_family(spec: TestSpec, alternatives):
     """False-alarm rate and detection probability under each alternative law.
 
     The alternatives stand in for ``spec.law1``: they share the regime,
     degrees of freedom, release noise and threshold of ``spec``, so one
-    threshold inversion and one tail evaluation serve them all. Returns
-    (pfa, pd): pfa as ``pfa_pd`` gives it, and pd of shape
-    ``(len(alternatives),) + alpha.shape``, whose row i equals
+    threshold inversion and one tail evaluation serve the null law and
+    every alternative: one ``marcum_q`` call over a column of
+    noncentrality roots in the chi-square regime (it sums only the
+    Poisson terms some law's window covers, so a central null beside a
+    far alternative costs one term), one ``gaussian_q`` over columns of
+    means and deviations in the gaussian regime. Returns (pfa, pd): pfa
+    as ``pfa_pd`` gives it, and pd of shape ``(len(alternatives),) +
+    alpha.shape``, whose row i equals
     ``pfa_pd(replace(spec, law1=alternatives[i]))[1]`` bit for bit.
     """
-    alternatives = tuple(alternatives)
-    if any(law.regime is not spec.law0.regime for law in alternatives):
-        raise ValueError("alternatives must share the regime of law0")
-    p = _exceedance(spec, threshold(spec), (spec.law0, *alternatives))
+    laws = (spec.law0, *alternatives)
+    if not all(_same_family(spec.law0, law) for law in laws):
+        raise ValueError("alternatives must share the regime and, in the "
+                         "chi-square regime, the degrees of freedom of law0")
+    tau = threshold(spec)
+    extra_dof, nu_mean, nu_var = _dp_noise(spec)
+    column = (-1,) + (1,) * np.ndim(tau)
+    if spec.law0.regime is Regime.CHI_SQUARE:
+        nc = np.array([law.noncentrality for law in laws])
+        p = marcum_q(0.5 * (spec.law0.dof + extra_dof), np.sqrt(nc).reshape(column),
+                     np.sqrt(tau))
+    else:
+        mean = np.array([law.mean for law in laws]).reshape(column) + nu_mean
+        std = np.sqrt(np.array([law.variance for law in laws]) + nu_var).reshape(column)
+        p = gaussian_q((tau - mean) / std)
     pfa = float(p[0]) if p[0].ndim == 0 else p[0]
     return pfa, p[1:]
 
@@ -205,7 +207,7 @@ def roc(spec: TestSpec, grid=None) -> RocCurve:
     if np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be strictly increasing")
     # TestSpec rejects grid values outside (0, 1).
-    return RocCurve.from_arrays(*pfa_pd(replace(spec, alpha=alphas)))
+    return RocCurve.from_points(np.column_stack(pfa_pd(replace(spec, alpha=alphas))))
 
 
 # ---------------------------------------------------------------------------

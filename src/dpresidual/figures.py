@@ -62,7 +62,7 @@ def attack_strength_roc(config: ExperimentConfig | None = None):
     roc_rows, auroc_rows = [], []
     for gap, pd in zip(gaps, pds):
         roc_rows.extend([gap, a, p, d] for a, p, d in zip(grid, pfa, pd))
-        auroc_rows.append([gap, RocCurve.from_arrays(pfa, pd).auroc])
+        auroc_rows.append([gap, RocCurve.from_points(np.column_stack((pfa, pd))).auroc])
     return (
         (["delta_theta", "alpha", "pfa", "pd"], roc_rows),
         (["delta_theta", "auroc"], auroc_rows),
@@ -106,7 +106,7 @@ def input_perturbation_auroc(config: ExperimentConfig | None = None):
                     law1=alternatives[0])
     pfa, pds = pfa_pd_family(spec, alternatives)
     for row, pd in zip(rows, pds):
-        row.append(RocCurve.from_arrays(pfa, pd).auroc)
+        row.append(RocCurve.from_points(np.column_stack((pfa, pd))).auroc)
     return ["delta_theta", "epsilon", "epsilon_per_element", "k_factor", "auroc"], rows
 
 

@@ -206,9 +206,11 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
     the smallest k >= k_lo whose upper mass pdtrc(k, mu) is at most p.
     Both ends come from an integer search on pdtr/pdtrc started at a
     quantile guess; a guess within one step settles its end in one round
-    of vectorized evaluations. The call sums the union of the windows in ascending k, each
-    element's terms outside its own window weighing exactly zero, so
-    every element of an array call equals the scalar call bit for bit.
+    of vectorized evaluations. The call sums the union of the windows in
+    ascending k, skipping the gaps between them, each element's terms
+    outside its own window weighing exactly zero, so every element of an
+    array call equals the scalar call bit for bit, and elements with far
+    apart means cost the sum of their windows, not the span between them.
     The term count, element count and search rounds are logged at DEBUG.
 
     Raises
@@ -216,8 +218,8 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
     ConvergenceError
         If a^2 / 2 overflows, if the window search does not close within
         its round cap (means past 2^53, where consecutive integers are
-        no longer distinct floats), or if the union window holds more
-        than ``tol.max_terms`` terms.
+        no longer distinct floats), or if the union of the windows holds
+        more than ``tol.max_terms`` terms.
     """
     if not order > 0:
         raise ValueError(f"order must be > 0, got {order}")
@@ -244,13 +246,21 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
             k_lo, k_hi, rounds = _poisson_window(mu, 0.5 * tol.abs_tol)
         except ConvergenceError as exc:
             raise ConvergenceError(f"marcum_q window for a up to {a_arr.max()}: {exc}") from exc
-        first, last = k_lo.min(), k_hi.max()
-        if last - first + 1.0 > tol.max_terms:
+        # The union of the windows: sort them by k_lo and merge each window
+        # into the run before it unless a gap separates them.
+        by_lo = np.argsort(k_lo, axis=None)
+        lo = np.ravel(k_lo)[by_lo]
+        hi = np.maximum.accumulate(np.ravel(k_hi)[by_lo])
+        opens = np.append(True, lo[1:] > hi[:-1] + 1.0)
+        lo, hi = lo[opens], hi[np.append(opens[1:], True)]
+        counts = hi - lo + 1.0
+        if counts.sum() > tol.max_terms:
             raise ConvergenceError(
-                f"marcum_q window of {last - first + 1.0:.0f} terms exceeds "
+                f"marcum_q windows cover {counts.sum():.0f} terms, more than "
                 f"max_terms={tol.max_terms} (order={order}, a up to {a_arr.max()})"
             )
-        k = np.arange(first, last + 1.0)
+        counts = counts.astype(np.int64)
+        k = np.arange(counts.sum(), dtype=float) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
         logger.debug("marcum_q: %d terms over %d elements, %d search rounds",
                      k.size, mu.size, rounds)
         kk = k.reshape((-1,) + (1,) * mu.ndim)

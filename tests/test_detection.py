@@ -328,6 +328,29 @@ class TestPfaPdFamily:
     def test_mixed_regime_rejected(self):
         with pytest.raises(ValueError, match="regime"):
             pfa_pd_family(chi_spec(6.0), [ResidualLaw.gaussian(1.0, 1.0)])
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            pfa_pd_family(chi_spec(6.0), [ResidualLaw.chi_square(6.0, 1.0),
+                                          ResidualLaw.chi_square(10.0, 1.0)])
+
+    def test_spec_rejects_other_dof(self):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            TestSpec(alpha=0.05, law0=ResidualLaw.chi_square(5, 0.0),
+                     law1=ResidualLaw.chi_square(10, 4.0))
+
+    def test_central_null_keeps_large_alternative_window(self):
+        """A central law0 does not widen a far alternative's Poisson window.
+
+        At nc1 = 4e6 the alternative's window holds about 16k terms; summed
+        from k = 0 it would exceed ``max_terms`` and raise.
+        """
+        spec = chi_spec(15.0, nc1=4e6, alpha=np.array([1e-4, 0.05, 0.9]))
+        pfa, pd = pfa_pd(spec)
+        ref_pfa, ref_pd = _two_call_pfa_pd(spec)
+        assert _bits(pfa) == _bits(ref_pfa) and _bits(pd) == _bits(ref_pd)
+        big = replace(spec, law1=ResidualLaw.chi_square(15.0, 1e7))
+        fam_pfa, fam_pd = pfa_pd_family(spec, [spec.law1, big.law1])
+        assert _bits(fam_pfa) == _bits(pfa) and _bits(fam_pd[0]) == _bits(pd)
+        assert _bits(fam_pd[1]) == _bits(_two_call_pfa_pd(big)[1])
 
 
 def _python_roc(points):
@@ -369,8 +392,7 @@ class TestRocCurveFromPoints:
         assert curve.points == want_points
         assert all(type(v) is float for pt in curve.points for v in pt)
         assert _bits(curve.auroc) == _bits(want_auroc)
-        arrays = RocCurve.from_arrays(*np.array(points, dtype=float).reshape(-1, 2).T)
-        assert arrays == curve
+        assert RocCurve.from_points(np.array(points, dtype=float).reshape(-1, 2)) == curve
 
 
 class TestMonteCarloValidate:

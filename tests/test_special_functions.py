@@ -178,6 +178,23 @@ class TestMarcumQ:
             for j, bj in enumerate(b):
                 assert out[i, j] == marcum_q(2.5, float(ai), float(bj))
 
+    def test_far_apart_windows_sum_their_union(self):
+        """Means 100 and 10^4: windows of ~140 and ~1,500 terms, 10^4 apart.
+
+        The call sums only the terms some window covers, so a budget below
+        the span between them still holds, and each element equals its
+        scalar call under the same budget.
+        """
+        tol = Tolerance(max_terms=2000)
+        a = np.sqrt(2.0 * np.array([1e4, 0.0, 100.0, 1e4]))[:, None]
+        b = np.sqrt(2.0 * np.array([0.0, 50.0, 100.0, 9.9e3, 1.1e4]))
+        out = marcum_q(3.5, a, b, tol=tol)
+        for i, ai in enumerate(a[:, 0]):
+            for j, bj in enumerate(b):
+                assert out[i, j] == marcum_q(3.5, float(ai), float(bj), tol=tol)
+        with pytest.raises(ConvergenceError, match="cover"):
+            marcum_q(3.5, a, b, tol=Tolerance(max_terms=1000))
+
     def test_empty_broadcast(self):
         assert marcum_q(1.0, np.array([1.0, 2.0]), np.empty((0, 1))).shape == (0, 2)
 
