@@ -32,9 +32,12 @@ from .dp_mechanism import (
     gaussian_leakage_probability,
     gaussian_mechanism_sigma,
     gaussian_output_release,
+    input_perturbation_noise,
     input_perturbation_release,
     leakage,
     neighbor_roots,
+    release_noise,
+    released_law,
 )
 from .estimation import (
     ChiMixture,

@@ -50,8 +50,8 @@ from .dp_mechanism import (
     Mechanism,
     chi_square_release,
     delta_max_over_neighborhood,
-    gaussian_mechanism_sigma,
     gaussian_output_release,
+    input_perturbation_noise,
     input_perturbation_release,
 )
 from .estimation import chi_mixture, gaussian_law, residual_law, wls_estimate, wssr
@@ -180,13 +180,12 @@ def cmd_privatize(config: ExperimentConfig, out: Path, seed: int,
         }
     else:
         q = float(wssr(model, z))
+        law = _laws_for_roc(config, model, x_true, attack)[1]
         if dp.mechanism is Mechanism.CHI_SQUARE:
-            law = residual_law(model, x_true, attack)
             release = chi_square_release(law, q, dp.r_prime, dp_stream,
                                          epsilon=dp.epsilon, delta=dp.delta)
         else:
-            approx = gaussian_law(chi_mixture(model, x_true, attack))
-            release = gaussian_output_release(approx.law, q, dp.nu_mean, dp.nu_sigma,
+            release = gaussian_output_release(law, q, dp.nu_mean, dp.nu_sigma,
                                               dp_stream, epsilon=dp.epsilon,
                                               delta=dp.delta)
         law_doc = {
@@ -221,6 +220,9 @@ def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int) -> int:
         raise SchemaError("delta-curve requires dp.epsilon_grid and dp.neighborhood")
     if dp.r_prime is None:
         raise SchemaError("delta-curve requires dp.r_prime")
+    if config.model.lam > 0:
+        raise SchemaError("delta-curve's neighbour scan assumes an unregularized "
+                          "model (model.lambda = 0)")
     streams, model, x_true, attack = _build_instance(config, seed)
     eps = np.asarray(dp.epsilon_grid, dtype=float)
     result = delta_max_over_neighborhood(eps, model, attack, dp.r_prime,
@@ -236,30 +238,26 @@ def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int) -> int:
 def _laws_for_roc(config: ExperimentConfig, model, x_true, attack):
     """(law0, law1, dp_params, label, sim_model) for the configured regime.
 
-    ``sim_model`` is the model whose clean pipeline realizes the laws:
-    the original model, except under input perturbation where the added
-    measurement noise is equivalent to inflating the noise scale by
-    sqrt(1 + k). Ridge-regularized residuals are weighted chi-square
-    mixtures rather than plain chi-squares, so they, like the gaussian
-    output release, use the moment-matched Gaussian laws; a warning names
-    rho whenever such a law has no sup-density bound. Only the output
-    releases carry privacy params into the test. The chi-square release
-    analytics (and the guarantee scan behind them) assume the
-    unregularized model.
+    The one law-selection rule: ``roc`` and ``validate`` test law0 against
+    law1, and ``privatize`` releases under law1. ``sim_model`` is the
+    model whose clean pipeline realizes the laws: the original model,
+    except under input perturbation where the added measurement noise is
+    equivalent to inflating the noise scale by sqrt(1 + k).
+    Ridge-regularized residuals are weighted chi-square mixtures rather
+    than plain chi-squares, so they, like the gaussian output release, use
+    the moment-matched Gaussian laws; a warning names rho whenever such a
+    law has no sup-density bound. Only the output releases carry privacy
+    params into the test. The chi-square release analytics (and the
+    guarantee scan behind them) assume the unregularized model, which the
+    config schema enforces.
     """
     dp = config.dp
     mechanism = dp.mechanism if dp is not None else None
-    if model.lam > 0 and mechanism is Mechanism.CHI_SQUARE:
-        raise SchemaError(
-            "dp.mechanism chi_square assumes an unregularized model "
-            "(model.lambda = 0); use gaussian_output for ridge models"
-        )
     sim_model = model
     if mechanism is Mechanism.GAUSSIAN_INPUT:
         # Perturbing every entry inflates the noise variance by (1+k) and
         # shrinks the noncentrality accordingly; the test itself stays clean.
-        sigma_w = gaussian_mechanism_sigma(1.0, dp.epsilon / model.m, dp.delta)
-        k = sigma_w**2 / model.sigma**2
+        _, k = input_perturbation_noise(model.m, model.sigma, dp.epsilon, dp.delta)
         sim_model = MeasurementModel(H=model.H, sigma=model.sigma * (1 + k) ** 0.5,
                                      lam=model.lam)
     if model.lam > 0 or mechanism is Mechanism.GAUSSIAN_OUTPUT:

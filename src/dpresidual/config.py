@@ -286,10 +286,16 @@ def validate_config(doc) -> ExperimentConfig:
     doc = _require_mapping(doc, "config")
     _reject_unknown(doc, {"model", "attack", "dp", "test", "mc", "figures"}, "config")
     canonical = yaml.safe_dump(doc, sort_keys=True)
+    model = _parse_model(doc["model"]) if doc.get("model") is not None else None
+    attack = _parse_attack(doc["attack"]) if doc.get("attack") is not None else None
+    dp = _parse_dp(doc["dp"]) if doc.get("dp") is not None else None
+    if model and dp and model.lam > 0 and dp.mechanism is Mechanism.CHI_SQUARE:
+        raise SchemaError("dp.mechanism chi_square assumes an unregularized model "
+                          "(model.lambda = 0); use gaussian_output for ridge models")
     return ExperimentConfig(
-        model=_parse_model(doc["model"]) if doc.get("model") is not None else None,
-        attack=_parse_attack(doc["attack"]) if doc.get("attack") is not None else None,
-        dp=_parse_dp(doc["dp"]) if doc.get("dp") is not None else None,
+        model=model,
+        attack=attack,
+        dp=dp,
         test=_parse_test(doc["test"]) if doc.get("test") is not None else TestConfig(),
         mc=_parse_mc(doc["mc"]) if doc.get("mc") is not None else McConfig(),
         figures=_parse_figures(doc["figures"]) if doc.get("figures") is not None else None,

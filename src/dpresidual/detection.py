@@ -22,7 +22,7 @@ import numpy as np
 from .csvio import write_csv
 from .estimation import Regime, ResidualLaw, wssr
 from .exceptions import NoResidualError, ValidationFailure
-from .dp_mechanism import Mechanism, PrivacyParams
+from .dp_mechanism import PrivacyParams, release_noise, released_law
 from .measurement_model import MeasurementModel, simulate_measurements
 from .special_functions import (
     gaussian_q,
@@ -71,17 +71,7 @@ class TestSpec:
         if not _same_family(self.law0, self.law1):
             raise ValueError("law0 and law1 must share a regime and, in the "
                              "chi-square regime, the degrees of freedom")
-        if self.dp is not None:
-            expected = {
-                Regime.CHI_SQUARE: Mechanism.CHI_SQUARE,
-                Regime.GAUSSIAN: Mechanism.GAUSSIAN_OUTPUT,
-            }[self.law0.regime]
-            if self.dp.mechanism is not expected:
-                raise ValueError(
-                    f"{self.dp.mechanism.value} noise does not apply to a "
-                    f"{self.law0.regime.value} release; input perturbation is "
-                    "modelled by rebuilding the laws from the perturbed model"
-                )
+        released_law(self.law0, self.dp)  # the noise must fit the regime
 
 
 @dataclass(frozen=True)
@@ -117,36 +107,21 @@ class RocCurve:
 # Analytic operating points
 # ---------------------------------------------------------------------------
 
-def _dp_noise(spec: TestSpec) -> tuple[float, float, float]:
-    """(extra dof, mean shift, variance inflation) of the configured noise."""
-    if spec.dp is None:
-        return 0.0, 0.0, 0.0
-    if spec.dp.mechanism is Mechanism.CHI_SQUARE:
-        return float(spec.dp.r_prime), 0.0, 0.0
-    return 0.0, spec.dp.nu_mean, spec.dp.nu_sigma**2
-
-
 def threshold(spec: TestSpec):
     """Test threshold at the target false-alarm rate.
 
-    Chi-square regime: tau = 2 * Qinv(alpha, r/2) on the clean degrees of
-    freedom (or r + r' when recalibrating on the noisy null). Gaussian
-    regime: mean + std * Qinv(alpha) of the corresponding null law.
-    A scalar alpha gives a float; an alpha array gives one threshold per
-    target.
+    Calibrated on the clean null law, or on its released law (r + r'
+    degrees of freedom, or the shifted and inflated Gaussian) when
+    recalibrating. Chi-square regime: tau = 2 * Qinv(alpha, dof/2).
+    Gaussian regime: mean + std * Qinv(alpha). A scalar alpha gives a
+    float; an alpha array gives one threshold per target.
     """
-    extra_dof, nu_mean, nu_var = _dp_noise(spec)
-    if spec.law0.regime is Regime.CHI_SQUARE:
-        dof = spec.law0.dof
-        if dof <= 0:
-            raise NoResidualError("null law has zero degrees of freedom")
-        if spec.recalibrate_threshold:
-            dof += extra_dof
-        return 2.0 * regularized_gamma_q_inverse(spec.alpha, 0.5 * dof)
-    mean, var = spec.law0.mean, spec.law0.variance
-    if spec.recalibrate_threshold:
-        mean, var = mean + nu_mean, var + nu_var
-    return mean + math.sqrt(var) * gaussian_q_inverse(spec.alpha)
+    if spec.law0.regime is Regime.CHI_SQUARE and spec.law0.dof <= 0:
+        raise NoResidualError("null law has zero degrees of freedom")
+    law0 = released_law(spec.law0, spec.dp) if spec.recalibrate_threshold else spec.law0
+    if law0.regime is Regime.CHI_SQUARE:
+        return 2.0 * regularized_gamma_q_inverse(spec.alpha, 0.5 * law0.dof)
+    return law0.mean + math.sqrt(law0.variance) * gaussian_q_inverse(spec.alpha)
 
 
 def pfa_pd_family(spec: TestSpec, alternatives):
@@ -164,20 +139,18 @@ def pfa_pd_family(spec: TestSpec, alternatives):
     alpha.shape``, whose row i equals
     ``pfa_pd(replace(spec, law1=alternatives[i]))[1]`` bit for bit.
     """
-    laws = (spec.law0, *alternatives)
-    if not all(_same_family(spec.law0, law) for law in laws):
+    if not all(_same_family(spec.law0, law) for law in alternatives):
         raise ValueError("alternatives must share the regime and, in the "
                          "chi-square regime, the degrees of freedom of law0")
     tau = threshold(spec)
-    extra_dof, nu_mean, nu_var = _dp_noise(spec)
+    laws = [released_law(law, spec.dp) for law in (spec.law0, *alternatives)]
     column = (-1,) + (1,) * np.ndim(tau)
     if spec.law0.regime is Regime.CHI_SQUARE:
         nc = np.array([law.noncentrality for law in laws])
-        p = marcum_q(0.5 * (spec.law0.dof + extra_dof), np.sqrt(nc).reshape(column),
-                     np.sqrt(tau))
+        p = marcum_q(0.5 * laws[0].dof, np.sqrt(nc).reshape(column), np.sqrt(tau))
     else:
-        mean = np.array([law.mean for law in laws]).reshape(column) + nu_mean
-        std = np.sqrt(np.array([law.variance for law in laws]) + nu_var).reshape(column)
+        mean = np.array([law.mean for law in laws]).reshape(column)
+        std = np.sqrt(np.array([law.variance for law in laws])).reshape(column)
         p = gaussian_q((tau - mean) / std)
     pfa = float(p[0]) if p[0].ndim == 0 else p[0]
     return pfa, p[1:]
@@ -262,12 +235,8 @@ def _released_wssr(model: MeasurementModel, attack, x_true, spec: TestSpec,
             simulate_measurements(model, x_true, a, gen, trials=len(z), out=z)
             q[start:start + len(z)] = wssr(model, z)
     if spec.dp is not None:
-        if spec.dp.mechanism is Mechanism.CHI_SQUARE:
-            q0 += noncentral_chisq_sample(float(spec.dp.r_prime), 0.0, gen, size=trials)
-            q1 += noncentral_chisq_sample(float(spec.dp.r_prime), 0.0, gen, size=trials)
-        else:
-            q0 += gen.normal(spec.dp.nu_mean, spec.dp.nu_sigma, size=trials)
-            q1 += gen.normal(spec.dp.nu_mean, spec.dp.nu_sigma, size=trials)
+        q0 += release_noise(spec.dp, gen, trials)
+        q1 += release_noise(spec.dp, gen, trials)
     return q0, q1
 
 

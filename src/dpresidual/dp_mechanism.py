@@ -135,6 +135,40 @@ class NoisyRelease:
     seed: dict | None
 
 
+def released_law(law: ResidualLaw, params: PrivacyParams | None) -> ResidualLaw:
+    """Law of the released statistic q + nu for q distributed as ``law``.
+
+    Chi-square noise adds r' degrees of freedom at unchanged
+    noncentrality; Gaussian output noise shifts the mean by nu_mean and
+    raises the variance by nu_sigma^2; ``params=None`` returns ``law``.
+    Noise of the other regime, or input perturbation, raises ValueError.
+    """
+    if params is None:
+        return law
+    if law.regime is Regime.CHI_SQUARE and params.mechanism is Mechanism.CHI_SQUARE:
+        return ResidualLaw.chi_square(dof=law.dof + params.r_prime,
+                                      noncentrality=law.noncentrality)
+    if law.regime is Regime.GAUSSIAN and params.mechanism is Mechanism.GAUSSIAN_OUTPUT:
+        return ResidualLaw.gaussian(mean=law.mean + params.nu_mean,
+                                    variance=law.variance + params.nu_sigma**2)
+    raise ValueError(f"{params.mechanism.value} noise does not apply to a "
+                     f"{law.regime.value} release; input perturbation is modelled "
+                     "by rebuilding the laws from the perturbed model")
+
+
+def release_noise(params: PrivacyParams, rng, size=None):
+    """Draw the release noise nu of an output mechanism.
+
+    A central chi-square with r' degrees of freedom, or N(nu_mean,
+    nu_sigma^2). ``size=None`` gives one float, an int an array of draws.
+    """
+    if params.mechanism is Mechanism.CHI_SQUARE:
+        return noncentral_chisq_sample(float(params.r_prime), 0.0, rng, size)
+    if params.mechanism is Mechanism.GAUSSIAN_OUTPUT:
+        return as_generator(rng).normal(params.nu_mean, params.nu_sigma, size)
+    raise ValueError(f"{params.mechanism.value} adds no noise to the released statistic")
+
+
 @dataclass(frozen=True)
 class NeighborhoodSpec:
     """Search domain for the guarantee maximization.
@@ -170,23 +204,13 @@ class NeighborhoodSpec:
 def chi_square_release(law: ResidualLaw, q: float, r_prime: int, rng,
                        epsilon: float | None = None,
                        delta: float | None = None) -> NoisyRelease:
-    """Release q + nu with nu an independent central chi-square, r' dof.
-
-    The released statistic keeps the noncentrality of ``law`` and gains
-    r' degrees of freedom.
-    """
-    if law.regime is not Regime.CHI_SQUARE:
-        raise ValueError("chi-square mechanism needs a chi-square-regime law")
-    if r_prime < 1:
-        raise ValueError(f"r_prime must be >= 1, got {r_prime}")
+    """Release q + nu with nu an independent central chi-square, r' dof."""
+    params = PrivacyParams.chi_square(r_prime=r_prime, epsilon=epsilon, delta=delta)
+    release_law = released_law(law, params)
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
-    nu = noncentral_chisq_sample(float(r_prime), 0.0, rng)
-    release_law = ResidualLaw.chi_square(dof=law.dof + r_prime,
-                                         noncentrality=law.noncentrality)
-    params = PrivacyParams.chi_square(r_prime=r_prime, epsilon=epsilon, delta=delta)
-    return NoisyRelease(value=q + nu, params=params, law=release_law,
-                        seed=seed_record_of(rng))
+    return NoisyRelease(value=q + release_noise(params, rng), params=params,
+                        law=release_law, seed=seed_record_of(rng))
 
 
 def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime,
@@ -430,18 +454,11 @@ def gaussian_output_release(law: ResidualLaw, q: float, nu_mean: float,
                             epsilon: float | None = None,
                             delta: float | None = None) -> NoisyRelease:
     """Release q + N(nu_mean, nu_sigma^2) for a Gaussian-regime law."""
-    if law.regime is not Regime.GAUSSIAN:
-        raise ValueError("gaussian output mechanism needs a gaussian-regime law")
-    if not nu_sigma > 0:
-        raise ValueError(f"nu_sigma must be > 0, got {nu_sigma}")
-    gen = as_generator(rng)
-    value = q + gen.normal(nu_mean, nu_sigma)
-    release_law = ResidualLaw.gaussian(mean=law.mean + nu_mean,
-                                       variance=law.variance + nu_sigma**2)
     params = PrivacyParams.gaussian_output(nu_mean=nu_mean, nu_sigma=nu_sigma,
                                            epsilon=epsilon, delta=delta)
-    return NoisyRelease(value=value, params=params, law=release_law,
-                        seed=seed_record_of(rng))
+    release_law = released_law(law, params)
+    return NoisyRelease(value=q + release_noise(params, rng), params=params,
+                        law=release_law, seed=seed_record_of(rng))
 
 
 def _quadratic_le_zero(a: float, b: float, c: float) -> list[tuple[float, float]]:
@@ -565,6 +582,18 @@ def gaussian_mechanism_sigma(sensitivity: float, epsilon: float, delta: float) -
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
+def input_perturbation_noise(m: int, sigma: float, epsilon: float, delta: float,
+                             sensitivity: float = 1.0) -> tuple[float, float]:
+    """(sigma_w, k) of input perturbation at total budget epsilon.
+
+    The budget is split evenly over the m entries, so each is perturbed
+    at per-element budget epsilon / m; k = sigma_w^2 / sigma^2 is the
+    noise-to-measurement variance ratio.
+    """
+    sigma_w = gaussian_mechanism_sigma(sensitivity, epsilon / m, delta)
+    return sigma_w, sigma_w**2 / sigma**2
+
+
 @dataclass(frozen=True)
 class InputPerturbation:
     """Perturbed measurement vector with the calibration record."""
@@ -586,23 +615,17 @@ def input_perturbation_release(model: MeasurementModel, z, epsilon: float,
     budget epsilon / m, the stated sensitivity per element); reports
     k = sigma_w^2 / sigma^2, the noise-to-measurement variance ratio.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    sigma_w, k = input_perturbation_noise(model.m, model.sigma, epsilon, delta, sensitivity)
     z = np.asarray(z, dtype=float)
     if z.shape != (model.m,):
         raise ValueError(f"z has shape {z.shape}, expected ({model.m},)")
     gen = as_generator(rng)
-    eps_o = epsilon / model.m
-    sigma_w = gaussian_mechanism_sigma(sensitivity, eps_o, delta)
-    k = sigma_w**2 / model.sigma**2
     params = PrivacyParams.gaussian_input(input_k=k, epsilon=epsilon, delta=delta)
     return InputPerturbation(
         z_tilde=z + sigma_w * gen.standard_normal(model.m),
         sigma_w=sigma_w,
         k=k,
-        epsilon_per_element=eps_o,
+        epsilon_per_element=epsilon / model.m,
         params=params,
         seed=seed_record_of(rng),
     )

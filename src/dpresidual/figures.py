@@ -22,7 +22,7 @@ from .detection import (
     sample_law,
     threshold,
 )
-from .dp_mechanism import PrivacyParams, gaussian_mechanism_sigma
+from .dp_mechanism import PrivacyParams, input_perturbation_noise, release_noise
 from .estimation import ResidualLaw
 from .exceptions import SchemaError
 from .streams import SeedStream
@@ -97,10 +97,9 @@ def input_perturbation_auroc(config: ExperimentConfig | None = None):
     rows, alternatives = [], []
     for nc in ncs:
         for eps in epsilons:
-            eps_o = eps / m
-            sigma_w = gaussian_mechanism_sigma(INPUT_SENSITIVITY, eps_o, INPUT_DELTA)
-            k = sigma_w**2  # relative to unit measurement noise
-            rows.append([nc, eps, eps_o, k])
+            # k relative to unit measurement noise
+            _, k = input_perturbation_noise(m, 1.0, eps, INPUT_DELTA, INPUT_SENSITIVITY)
+            rows.append([nc, eps, eps / m, k])
             alternatives.append(ResidualLaw.chi_square(dof, nc / (1.0 + k)))
     spec = TestSpec(alpha=DEFAULT_ALPHA_GRID, law0=ResidualLaw.chi_square(dof, 0.0),
                     law1=alternatives[0])
@@ -153,9 +152,9 @@ def output_noise_metrics(config: ExperimentConfig | None = None,
         gen = stream.generator
         q0 = sample_law(law0, gen, mc.trials)
         q1 = sample_law(law1, gen, mc.trials)
-        if nu_sigma > 0:
-            q0 = q0 + gen.normal(0.0, nu_sigma, size=mc.trials)
-            q1 = q1 + gen.normal(0.0, nu_sigma, size=mc.trials)
+        if dp is not None:
+            q0 = q0 + release_noise(dp, gen, mc.trials)
+            q1 = q1 + release_noise(dp, gen, mc.trials)
         rows.append([
             nu_sigma, pfa, pd,
             float(np.mean(q0 > tau)), float(np.mean(q1 > tau)),

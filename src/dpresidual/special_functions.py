@@ -236,38 +236,35 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
         mu = 0.5 * a_arr * a_arr
         x = 0.5 * b_arr * b_arr
 
+    if np.isinf(mu).any():
+        raise ConvergenceError(f"marcum_q Poisson mean a^2/2 overflows at a = {a_arr.max()}")
+    try:
+        k_lo, k_hi, rounds = _poisson_window(mu, 0.5 * tol.abs_tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"marcum_q window for a up to {a_arr.max()}: {exc}") from exc
+    # The union of the windows: sort them by k_lo and merge each window
+    # into the run before it unless a gap separates them.
+    by_lo = np.argsort(k_lo, axis=None)
+    lo = np.ravel(k_lo)[by_lo]
+    hi = np.maximum.accumulate(np.ravel(k_hi)[by_lo])
+    opens = np.append(True, lo[1:] > hi[:-1] + 1.0)
+    lo, hi = lo[opens], hi[np.append(opens[1:], True)]
+    counts = hi - lo + 1.0
+    if counts.sum() > tol.max_terms:
+        raise ConvergenceError(
+            f"marcum_q windows cover {counts.sum():.0f} terms, more than "
+            f"max_terms={tol.max_terms} (order={order}, a up to {a_arr.max()})"
+        )
+    counts = counts.astype(np.int64)
+    k = np.arange(counts.sum(), dtype=float) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    logger.debug("marcum_q: %d terms over %d elements, %d search rounds",
+                 k.size, mu.size, rounds)
+    kk = k.reshape((-1,) + (1,) * mu.ndim)
+    w = np.exp(sp.xlogy(kk, mu) - mu - sp.gammaln(kk + 1.0))
+    w[(kk < k_lo) | (kk > k_hi)] = 0.0
     total = np.zeros(shape)
-    if not mu.any():  # every Poisson weight sits on k = 0
-        total += sp.gammaincc(order, x)
-    else:
-        if np.isinf(mu).any():
-            raise ConvergenceError(f"marcum_q Poisson mean a^2/2 overflows at a = {a_arr.max()}")
-        try:
-            k_lo, k_hi, rounds = _poisson_window(mu, 0.5 * tol.abs_tol)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"marcum_q window for a up to {a_arr.max()}: {exc}") from exc
-        # The union of the windows: sort them by k_lo and merge each window
-        # into the run before it unless a gap separates them.
-        by_lo = np.argsort(k_lo, axis=None)
-        lo = np.ravel(k_lo)[by_lo]
-        hi = np.maximum.accumulate(np.ravel(k_hi)[by_lo])
-        opens = np.append(True, lo[1:] > hi[:-1] + 1.0)
-        lo, hi = lo[opens], hi[np.append(opens[1:], True)]
-        counts = hi - lo + 1.0
-        if counts.sum() > tol.max_terms:
-            raise ConvergenceError(
-                f"marcum_q windows cover {counts.sum():.0f} terms, more than "
-                f"max_terms={tol.max_terms} (order={order}, a up to {a_arr.max()})"
-            )
-        counts = counts.astype(np.int64)
-        k = np.arange(counts.sum(), dtype=float) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        logger.debug("marcum_q: %d terms over %d elements, %d search rounds",
-                     k.size, mu.size, rounds)
-        kk = k.reshape((-1,) + (1,) * mu.ndim)
-        w = np.exp(sp.xlogy(kk, mu) - mu - sp.gammaln(kk + 1.0))
-        w[(kk < k_lo) | (kk > k_hi)] = 0.0
-        for k_i, w_i in zip(k, w):
-            total += w_i * sp.gammaincc(order + k_i, x)
+    for k_i, w_i in zip(k, w):
+        total += w_i * sp.gammaincc(order + k_i, x)
 
     # Truncated Poisson mass never reaches 1 exactly; the b = 0 boundary
     # carries full mass by definition.

@@ -16,6 +16,7 @@ from dpresidual import (
     delta_max_over_neighborhood,
     gaussian_mechanism_sigma,
     pfa_pd,
+    released_law,
     roc,
     wssr,
 )
@@ -164,6 +165,53 @@ class TestPrivatize:
         assert len(release["z_tilde"]) == 12
         assert release["epsilon_per_element"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("lam,mechanism", [
+        (0.0, "chi_square"), (0.0, "gaussian_output"), (1.0, "gaussian_output"),
+    ])
+    def test_release_law_follows_roc_rule(self, tmp_path, lam, mechanism):
+        """privatize releases under the alternative law roc and validate test."""
+        doc = {**BASE_CONFIG, "model": {**BASE_CONFIG["model"], "lambda": lam},
+               "dp": {**DP_BY_MECHANISM[mechanism], "nu_mean": 0.3}
+               if mechanism == "gaussian_output" else DP_BY_MECHANISM[mechanism]}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["privatize", "--config", str(path), "--out", str(out)]) == 0
+        law_doc = json.loads((out / "release.json").read_text())["law"]
+        config = load_config(path)
+        _, model, x_true, attack = _build_instance(config, config.mc.seed)
+        _, law1, params, _, _ = _laws_for_roc(config, model, x_true, attack)
+        law = released_law(law1, params)
+        assert law_doc == {"regime": law.regime.value, "dof": law.dof,
+                           "noncentrality": law.noncentrality, "mean": law.mean,
+                           "variance": law.variance}
+
+    def test_chi_square_on_ridge_model_rejected(self, tmp_path, capsys):
+        """The lambda = 0 rule of the chi-square release is a schema check,
+        so every subcommand refuses the config before writing anything."""
+        doc = {**BASE_CONFIG, "model": {**BASE_CONFIG["model"], "lambda": 1.0}}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        for command in ("simulate", "privatize"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2
+            assert "dp.mechanism chi_square" in capsys.readouterr().err
+        assert not (out / "measurements.csv").exists()
+        assert not (out / "release.json").exists()
+
+    def test_unbounded_ridge_law_warns_once(self, tmp_path, caplog):
+        """privatize selects its law by roc's rule and so logs its one
+        missing-bound warning on a 20x30 ridge model."""
+        doc = {**BASE_CONFIG, "model": {"m": 20, "n": 30, "sigma": 1.0, "lambda": 1.0},
+               "dp": DP_BY_MECHANISM["gaussian_output"]}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        with caplog.at_level("WARNING", logger="dpresidual.cli"):
+            assert main(["privatize", "--config", str(path), "--out", str(out)]) == 0
+        records = [r for r in caplog.records if r.name == "dpresidual.cli"]
+        assert len(records) == 1 and records[0].levelname == "WARNING"
+        assert "rho=" in records[0].getMessage()
+
 
 class TestDeltaCurve:
     @pytest.fixture
@@ -215,6 +263,19 @@ class TestDeltaCurve:
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 1
         assert "lies outside theta_domain [0.2, 0.201]" in messages[0]
+
+    def test_ridge_model_rejected(self, tmp_path, capsys):
+        """A gaussian_output ridge config that carries r_prime still cannot
+        reach the unregularized neighbour scan."""
+        doc = {**SCAN_WINNING_CONFIG,
+               "model": {**SCAN_WINNING_CONFIG["model"], "lambda": 0.5},
+               "dp": {**SCAN_WINNING_CONFIG["dp"], "mechanism": "gaussian_output",
+                      "nu_mean": 0.0, "nu_sigma": 1.0}}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 2
+        assert "model.lambda = 0" in capsys.readouterr().err
+        assert not (out / "delta_curve.csv").exists()
 
 
 class TestRocAndValidate:

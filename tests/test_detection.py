@@ -74,6 +74,9 @@ class TestThreshold:
     def test_zero_dof_rejected(self):
         with pytest.raises(NoResidualError):
             threshold(chi_spec(0.0))
+        with pytest.raises(NoResidualError):  # also on the noisy null's r' dof
+            threshold(chi_spec(0.0, dp=PrivacyParams.chi_square(r_prime=2),
+                               recalibrate=True))
 
     def test_noise_keeps_clean_threshold(self):
         dp = PrivacyParams.chi_square(r_prime=1)
@@ -84,6 +87,11 @@ class TestThreshold:
         spec = chi_spec(6.0, alpha=0.05, dp=dp, recalibrate=True)
         pfa, _ = pfa_pd(spec)
         assert pfa == pytest.approx(0.05, rel=1e-9)
+        dp = PrivacyParams.gaussian_output(nu_mean=0.3, nu_sigma=2.0)
+        spec = gaussian_spec(10.0, 1.0, 13.0, 16.0, dp=dp, recalibrate=True)
+        assert threshold(spec) == pytest.approx(
+            10.3 + math.sqrt(5.0) * gaussian_q_inverse(0.05), rel=1e-15)
+        assert pfa_pd(spec)[0] == pytest.approx(0.05, rel=1e-9)
 
     def test_mismatched_regimes_rejected(self):
         with pytest.raises(ValueError):
@@ -95,6 +103,12 @@ class TestThreshold:
             chi_spec(4.0, dp=PrivacyParams.gaussian_output(nu_mean=0.0, nu_sigma=1.0))
         with pytest.raises(ValueError):
             gaussian_spec(0.0, 1.0, 1.0, 1.0, dp=PrivacyParams.chi_square(r_prime=1))
+        # Input perturbation changes the laws, not the released statistic.
+        dp = PrivacyParams.gaussian_input(input_k=0.5)
+        with pytest.raises(ValueError, match="input perturbation"):
+            chi_spec(4.0, dp=dp)
+        with pytest.raises(ValueError, match="input perturbation"):
+            gaussian_spec(0.0, 1.0, 1.0, 1.0, dp=dp)
 
 
 class TestPfaPd:
@@ -256,11 +270,13 @@ def _bits(x) -> bytes:
 def _two_call_pfa_pd(spec):
     """pfa_pd as one tail evaluation per law, each law on its own."""
     tau = threshold(spec)
-    extra_dof, nu_mean, nu_var = detection._dp_noise(spec)
+    dp = spec.dp
     if spec.law0.regime is Regime.CHI_SQUARE:
+        extra_dof = 0.0 if dp is None else float(dp.r_prime)
         order = 0.5 * (spec.law0.dof + extra_dof)
         return tuple(marcum_q(order, math.sqrt(law.noncentrality), np.sqrt(tau))
                      for law in (spec.law0, spec.law1))
+    nu_mean, nu_var = (0.0, 0.0) if dp is None else (dp.nu_mean, dp.nu_sigma**2)
     return tuple(gaussian_q((tau - (law.mean + nu_mean)) / math.sqrt(law.variance + nu_var))
                  for law in (spec.law0, spec.law1))
 

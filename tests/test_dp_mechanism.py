@@ -30,12 +30,15 @@ from dpresidual import (
     gaussian_leakage_probability,
     gaussian_mechanism_sigma,
     gaussian_output_release,
+    input_perturbation_noise,
     input_perturbation_release,
     leakage,
     neighbor_projection_update,
     neighbor_roots,
     noncentral_chisq_sample,
     projection_matrix,
+    release_noise,
+    released_law,
     residual_law,
     roc,
 )
@@ -151,6 +154,72 @@ class TestChiSquareRelease:
         monkeypatch.setenv("DP_RESIDUAL_PRODUCTION", "1")
         law = ResidualLaw.chi_square(dof=5.0, noncentrality=0.0)
         assert chi_square_release(law, 1.0, 1, stream).seed is None
+
+
+class TestReleasedStatistic:
+    """``released_law`` and ``release_noise`` define both output mechanisms."""
+
+    CHI = ResidualLaw.chi_square(dof=5.0, noncentrality=2.0)
+    GAUSS = ResidualLaw.gaussian(mean=10.0, variance=1.5)
+
+    def test_law_of_each_release(self):
+        chi = chi_square_release(self.CHI, 4.2, 3, SeedStream(1), epsilon=1.0, delta=0.1)
+        gauss = gaussian_output_release(self.GAUSS, 9.7, 0.3, 2.0, SeedStream(1))
+        for release, law in ((chi, self.CHI), (gauss, self.GAUSS)):
+            assert released_law(law, release.params) == release.law
+        assert chi.law == ResidualLaw.chi_square(dof=8.0, noncentrality=2.0)
+        assert gauss.law == ResidualLaw.gaussian(mean=10.3, variance=5.5)
+
+    def test_no_noise_keeps_law(self):
+        assert released_law(self.CHI, None) is self.CHI
+        assert released_law(self.GAUSS, None) is self.GAUSS
+
+    @pytest.mark.parametrize("law,params", [
+        (CHI, PrivacyParams.gaussian_output(nu_mean=0.0, nu_sigma=1.0)),
+        (GAUSS, PrivacyParams.chi_square(r_prime=1)),
+        (CHI, PrivacyParams.gaussian_input(input_k=0.5)),
+        (GAUSS, PrivacyParams.gaussian_input(input_k=0.5)),
+    ], ids=["gaussian-on-chi", "chi-on-gaussian", "input-on-chi", "input-on-gaussian"])
+    def test_rejects_foreign_noise(self, law, params):
+        with pytest.raises(ValueError, match="does not apply"):
+            released_law(law, params)
+
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_chi_square_noise_is_the_inline_draw(self, size):
+        params = PrivacyParams.chi_square(r_prime=3)
+        drawn = release_noise(params, SeedStream(11), size)
+        expected = noncentral_chisq_sample(3.0, 0.0, SeedStream(11), size=size)
+        assert type(drawn) is type(expected)
+        assert np.asarray(drawn).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_gaussian_noise_is_the_inline_draw(self, size):
+        params = PrivacyParams.gaussian_output(nu_mean=0.3, nu_sigma=1.5)
+        drawn = release_noise(params, SeedStream(11), size)
+        expected = SeedStream(11).generator.normal(0.3, 1.5, size=size)
+        assert type(drawn) is type(expected)
+        assert np.asarray(drawn).tobytes() == np.asarray(expected).tobytes()
+
+    def test_release_value_is_query_plus_noise(self):
+        params = PrivacyParams.chi_square(r_prime=2)
+        release = chi_square_release(self.CHI, 4.2, 2, SeedStream(3))
+        assert release.value == 4.2 + release_noise(params, SeedStream(3))
+        params = PrivacyParams.gaussian_output(nu_mean=0.3, nu_sigma=2.0)
+        release = gaussian_output_release(self.GAUSS, 9.7, 0.3, 2.0, SeedStream(3))
+        assert release.value == 9.7 + release_noise(params, SeedStream(3))
+
+    def test_input_perturbation_adds_no_release_noise(self):
+        with pytest.raises(ValueError):
+            release_noise(PrivacyParams.gaussian_input(input_k=0.5), SeedStream(0))
+
+    @pytest.mark.parametrize("r_prime", [0, -1])
+    def test_chi_square_release_rejects_r_prime(self, stream, r_prime):
+        with pytest.raises(ValueError, match="r_prime"):
+            chi_square_release(self.CHI, 1.0, r_prime, stream)
+
+    def test_gaussian_release_rejects_nu_sigma(self, stream):
+        with pytest.raises(ValueError, match="nu_sigma"):
+            gaussian_output_release(self.GAUSS, 1.0, 0.0, 0.0, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +719,14 @@ class TestInputPerturbation:
         assert result.epsilon_per_element == pytest.approx(0.5)
         assert result.k == pytest.approx(result.sigma_w**2 / 0.25)
         assert result.params.mechanism is Mechanism.GAUSSIAN_INPUT
+
+    def test_noise_matches_release(self, rng, stream):
+        """The (sigma_w, k) calibration is the one the release records."""
+        model = random_model(rng, 8, 3, sigma=0.5)
+        result = input_perturbation_release(model, np.zeros(8), 4.0, 0.1, stream)
+        assert input_perturbation_noise(8, 0.5, 4.0, 0.1) == (result.sigma_w, result.k)
+        sigma_w = gaussian_mechanism_sigma(1.0, 4.0 / 8, 0.1)
+        assert input_perturbation_noise(8, 1.0, 4.0, 0.1) == (sigma_w, sigma_w**2)
 
     def test_output_beats_input_at_matched_budget(self, rng):
         """At equal total budget, perturbing the release preserves more

@@ -130,6 +130,19 @@ class TestMarcumQ:
         """Q_1(0, b) = exp(-b^2 / 2)."""
         assert marcum_q(1.0, 0.0, 2.0) == pytest.approx(math.exp(-2.0), abs=1e-6)
 
+    @pytest.mark.parametrize("order", [0.5, 1.0, 7.5, 90.5, 1e3, 1e4])
+    def test_central_is_gamma_tail_bit_for_bit(self, order):
+        """At a = 0 the series sums its one k = 0 term of weight exactly 1."""
+        rng = np.random.default_rng(4)
+        b = np.concatenate([[0.0, 1e-300, np.inf],
+                            np.sqrt(2.0 * order * rng.uniform(0.5, 1.5, 200)),
+                            rng.exponential(3.0, 50)])
+        x = 0.5 * b * b
+        expected = np.where(x == 0.0, 1.0, np.minimum(special.gammaincc(order, x), 1.0))
+        assert marcum_q(order, 0.0, b).tobytes() == expected.tobytes()
+        assert marcum_q(order, np.zeros((3, 1)), b).tobytes() == \
+            np.broadcast_to(expected, (3, b.size)).tobytes()
+
     @pytest.mark.parametrize("order,a", [(1.0, 0.0), (2.5, 1.3), (0.5, 4.0)])
     def test_full_mass_above_zero(self, order, a):
         assert marcum_q(order, a, 0.0) == 1.0
