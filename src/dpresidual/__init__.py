@@ -36,6 +36,7 @@ from .dp_mechanism import (
     input_perturbation_release,
     leakage,
     neighbor_roots,
+    output_release,
     release_noise,
     released_law,
 )
@@ -48,7 +49,6 @@ from .estimation import (
     cumulant,
     gaussian_law,
     normal_approx_bound,
-    preferred_regime,
     residual_law,
     wls_estimate,
     wssr,

@@ -32,13 +32,13 @@ from .config import (
     ExperimentConfig,
     build_attack,
     build_model,
-    build_privacy_params,
     derive_streams,
     load_config,
 )
 from .csvio import read_csv, write_csv
 from .detection import (
     DEFAULT_ALPHA_GRID,
+    MIN_TRIALS,
     RocCurve,
     TestSpec,
     monte_carlo_validate,
@@ -48,11 +48,10 @@ from .detection import (
 )
 from .dp_mechanism import (
     Mechanism,
-    chi_square_release,
     delta_max_over_neighborhood,
-    gaussian_output_release,
     input_perturbation_noise,
     input_perturbation_release,
+    output_release,
 )
 from .estimation import chi_mixture, gaussian_law, residual_law, wls_estimate, wssr
 from .exceptions import NumericError, SchemaError, ValidationFailure
@@ -163,15 +162,16 @@ def cmd_privatize(config: ExperimentConfig, out: Path, seed: int,
     streams, model, x_true, attack = _build_instance(config, seed)
     z = _load_measurements(measurements or out / "measurements.csv", config, seed)
     dp_stream = streams[STREAM_DP]
-    dp = config.dp
+    params = config.dp.params
 
-    if dp.mechanism is Mechanism.GAUSSIAN_INPUT:
-        result = input_perturbation_release(model, z, dp.epsilon, dp.delta, dp_stream)
+    if params.mechanism is Mechanism.GAUSSIAN_INPUT:
+        result = input_perturbation_release(model, z, params.epsilon, params.delta,
+                                            dp_stream)
         payload = {
             "schema": "dpresidual-release/1",
             "mechanism": "gaussian_input",
-            "epsilon": dp.epsilon,
-            "delta": dp.delta,
+            "epsilon": params.epsilon,
+            "delta": params.delta,
             "k": result.k,
             "sigma_w": result.sigma_w,
             "epsilon_per_element": result.epsilon_per_element,
@@ -181,13 +181,7 @@ def cmd_privatize(config: ExperimentConfig, out: Path, seed: int,
     else:
         q = float(wssr(model, z))
         law = _laws_for_roc(config, model, x_true, attack)[1]
-        if dp.mechanism is Mechanism.CHI_SQUARE:
-            release = chi_square_release(law, q, dp.r_prime, dp_stream,
-                                         epsilon=dp.epsilon, delta=dp.delta)
-        else:
-            release = gaussian_output_release(law, q, dp.nu_mean, dp.nu_sigma,
-                                              dp_stream, epsilon=dp.epsilon,
-                                              delta=dp.delta)
+        release = output_release(law, q, params, dp_stream)
         law_doc = {
             "regime": release.law.regime.value,
             "dof": release.law.dof,
@@ -197,12 +191,8 @@ def cmd_privatize(config: ExperimentConfig, out: Path, seed: int,
         }
         payload = {
             "schema": "dpresidual-release/1",
-            "mechanism": dp.mechanism.value,
-            "epsilon": dp.epsilon,
-            "delta": dp.delta,
-            "r_prime": dp.r_prime,
-            "nu_mean": dp.nu_mean,
-            "nu_sigma": dp.nu_sigma,
+            **vars(params),  # the budget and every knob field, unset ones null
+            "mechanism": params.mechanism.value,
             "value": release.value,
             "law": law_doc,
             "seed_record": release.seed,
@@ -218,14 +208,15 @@ def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int) -> int:
     dp = config.dp
     if dp.epsilon_grid is None or dp.neighborhood is None:
         raise SchemaError("delta-curve requires dp.epsilon_grid and dp.neighborhood")
-    if dp.r_prime is None:
+    r_prime = dp.params.r_prime or dp.r_prime
+    if r_prime is None:
         raise SchemaError("delta-curve requires dp.r_prime")
     if config.model.lam > 0:
         raise SchemaError("delta-curve's neighbour scan assumes an unregularized "
                           "model (model.lambda = 0)")
     streams, model, x_true, attack = _build_instance(config, seed)
     eps = np.asarray(dp.epsilon_grid, dtype=float)
-    result = delta_max_over_neighborhood(eps, model, attack, dp.r_prime,
+    result = delta_max_over_neighborhood(eps, model, attack, r_prime,
                                          dp.neighborhood, streams[STREAM_SCAN])
     rows = np.column_stack([eps, result.delta, result.argmax_theta,
                             result.argmax_theta_prime]).tolist()
@@ -251,15 +242,17 @@ def _laws_for_roc(config: ExperimentConfig, model, x_true, attack):
     guarantee scan behind them) assume the unregularized model, which the
     config schema enforces.
     """
-    dp = config.dp
-    mechanism = dp.mechanism if dp is not None else None
+    params = config.dp.params if config.dp is not None else None
+    mechanism = params.mechanism if params is not None else None
     sim_model = model
     if mechanism is Mechanism.GAUSSIAN_INPUT:
         # Perturbing every entry inflates the noise variance by (1+k) and
         # shrinks the noncentrality accordingly; the test itself stays clean.
-        _, k = input_perturbation_noise(model.m, model.sigma, dp.epsilon, dp.delta)
+        _, k = input_perturbation_noise(model.m, model.sigma, params.epsilon,
+                                        params.delta)
         sim_model = MeasurementModel(H=model.H, sigma=model.sigma * (1 + k) ** 0.5,
                                      lam=model.lam)
+        params = None
     if model.lam > 0 or mechanism is Mechanism.GAUSSIAN_OUTPUT:
         approx = [gaussian_law(chi_mixture(sim_model, x_true, a)) for a in (None, attack)]
         if not all(g.bound_available for g in approx):
@@ -270,8 +263,6 @@ def _laws_for_roc(config: ExperimentConfig, model, x_true, attack):
         law0, law1 = (g.law for g in approx)
     else:
         law0, law1 = (residual_law(sim_model, x_true, a) for a in (None, attack))
-    params = build_privacy_params(dp) \
-        if mechanism in (Mechanism.CHI_SQUARE, Mechanism.GAUSSIAN_OUTPUT) else None
     label = mechanism.value if mechanism is not None else "none"
     return law0, law1, params, label, sim_model
 
@@ -285,9 +276,8 @@ def cmd_roc(config: ExperimentConfig, out: Path, seed: int) -> int:
     pfa, pd = pfa_pd(TestSpec(alpha=alphas, law0=law0, law1=law1, dp=params))
     curve = RocCurve.from_points(np.column_stack((pfa, pd)))
     params_str = "" if params is None else ";".join(
-        f"{k}={getattr(params, k)}"
-        for k in ("epsilon", "delta", "r_prime", "nu_mean", "nu_sigma", "input_k")
-        if getattr(params, k) is not None
+        f"{k}={v}" for k, v in vars(params).items()
+        if k != "mechanism" and v is not None
     )
     write_roc_csv(out / "roc.csv", [(label, params_str, alphas, zip(pfa, pd))],
                   meta=_meta(config, seed))
@@ -298,6 +288,9 @@ def cmd_roc(config: ExperimentConfig, out: Path, seed: int) -> int:
 
 def cmd_validate(config: ExperimentConfig, out: Path, seed: int) -> int:
     _require(config, "model")
+    if config.mc.trials < MIN_TRIALS:
+        raise SchemaError(f"validate needs mc.trials >= {MIN_TRIALS}, "
+                          f"got {config.mc.trials}")
     streams, model, x_true, attack = _build_instance(config, seed)
     law0, law1, params, label, sim_model = _laws_for_roc(config, model, x_true, attack)
     spec = TestSpec(alpha=config.test.alpha, law0=law0, law1=law1, dp=params)

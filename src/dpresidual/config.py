@@ -1,9 +1,9 @@
 """Experiment configuration: strict schema over a YAML key tree.
 
 Unknown keys are rejected and every violation names the offending key
-path. The parsed configuration is plain data; building models, attacks,
-and privacy parameters from it lives here too so the CLI commands stay
-thin.
+path. The parsed configuration is plain data, the ``dp`` section parsed
+straight into its ``PrivacyParams``; building models and attacks from it
+lives here too so the CLI commands stay thin.
 """
 
 from __future__ import annotations
@@ -40,14 +40,16 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class DpConfig:
-    mechanism: Mechanism
-    epsilon: float
-    delta: float
-    r_prime: int | None = None
-    nu_mean: float | None = None
-    nu_sigma: float | None = None
+    """The ``dp`` section: the release's ``PrivacyParams`` plus delta-curve's inputs.
+
+    ``r_prime`` is set only on a gaussian_output config, for delta-curve's
+    chi-square guarantee scan; a chi_square config's r' is ``params.r_prime``.
+    """
+
+    params: PrivacyParams
     epsilon_grid: tuple[float, ...] | None = None
     neighborhood: NeighborhoodSpec | None = None
+    r_prime: int | None = None
 
 
 @dataclass(frozen=True)
@@ -197,28 +199,30 @@ def _parse_dp(doc, path="dp") -> DpConfig:
             f"{path}.mechanism must be one of "
             f"{[m.value for m in Mechanism]}, got {mech_name!r}"
         ) from None
-    cfg = DpConfig(
-        mechanism=mechanism,
+    knobs = dict(
         epsilon=_get(doc, "epsilon", path, float),
         delta=_get(doc, "delta", path, float),
         r_prime=_get(doc, "r_prime", path, int, required=False),
         nu_mean=_get(doc, "nu_mean", path, float, required=False),
         nu_sigma=_get(doc, "nu_sigma", path, float, required=False),
+    )
+    # A gaussian_output config may carry r_prime for delta-curve's
+    # chi-square guarantee scan alone: no knob of its release, but checked
+    # as the chi-square mechanism's r_prime.
+    scan_r_prime = knobs.pop("r_prime") if mechanism is Mechanism.GAUSSIAN_OUTPUT else None
+    try:
+        params = PrivacyParams(mechanism, **knobs)
+        if scan_r_prime is not None:
+            PrivacyParams.chi_square(r_prime=scan_r_prime)
+    except ValueError as exc:
+        raise SchemaError(f"{path}.{exc}") from exc
+    cfg = DpConfig(
+        params=params,
         epsilon_grid=_get_list(doc, "epsilon_grid", path, float),
         neighborhood=_parse_neighborhood(doc["neighborhood"])
         if doc.get("neighborhood") is not None else None,
+        r_prime=scan_r_prime,
     )
-    if not cfg.epsilon > 0:
-        raise SchemaError(f"{path}.epsilon must be > 0")
-    if not 0 <= cfg.delta <= 1:
-        raise SchemaError(f"{path}.delta must be in [0, 1]")
-    if mechanism is Mechanism.CHI_SQUARE and (cfg.r_prime is None or cfg.r_prime < 1):
-        raise SchemaError(f"{path}.r_prime must be an integer >= 1 for chi_square")
-    if mechanism is Mechanism.GAUSSIAN_OUTPUT:
-        if cfg.nu_mean is None or cfg.nu_sigma is None:
-            raise SchemaError(f"{path}: gaussian_output requires nu_mean and nu_sigma")
-        if not cfg.nu_sigma > 0:
-            raise SchemaError(f"{path}.nu_sigma must be > 0")
     if cfg.epsilon_grid is not None:
         if any(e <= 0 for e in cfg.epsilon_grid):
             raise SchemaError(f"{path}.epsilon_grid values must be > 0")
@@ -289,7 +293,7 @@ def validate_config(doc) -> ExperimentConfig:
     model = _parse_model(doc["model"]) if doc.get("model") is not None else None
     attack = _parse_attack(doc["attack"]) if doc.get("attack") is not None else None
     dp = _parse_dp(doc["dp"]) if doc.get("dp") is not None else None
-    if model and dp and model.lam > 0 and dp.mechanism is Mechanism.CHI_SQUARE:
+    if model and dp and model.lam > 0 and dp.params.mechanism is Mechanism.CHI_SQUARE:
         raise SchemaError("dp.mechanism chi_square assumes an unregularized model "
                           "(model.lambda = 0); use gaussian_output for ridge models")
     return ExperimentConfig(
@@ -357,13 +361,3 @@ def build_attack(cfg: AttackConfig | None, model: MeasurementModel) -> AttackVec
     if any(not 0 <= i < model.m for i in cfg.indices):
         raise SchemaError(f"attack.indices must lie in [0, {model.m})")
     return AttackVector.sparse(model.m, cfg.indices, cfg.values)
-
-
-def build_privacy_params(cfg: DpConfig) -> PrivacyParams:
-    if cfg.mechanism is Mechanism.CHI_SQUARE:
-        return PrivacyParams.chi_square(r_prime=cfg.r_prime, epsilon=cfg.epsilon,
-                                        delta=cfg.delta)
-    if cfg.mechanism is Mechanism.GAUSSIAN_OUTPUT:
-        return PrivacyParams.gaussian_output(nu_mean=cfg.nu_mean, nu_sigma=cfg.nu_sigma,
-                                             epsilon=cfg.epsilon, delta=cfg.delta)
-    raise SchemaError("input perturbation params are derived at release time")

@@ -36,6 +36,7 @@ from .streams import as_generator
 
 DEFAULT_ALPHA_GRID = np.logspace(-4.0, math.log10(0.999), 512)
 MC_BLOCK_ELEMS = 1 << 19  # trials x m entries per simulated block (4 MB of float64)
+MIN_TRIALS = 1000  # fewest Monte Carlo trials per hypothesis that validation accepts
 
 
 def _same_family(law0: ResidualLaw, law: ResidualLaw) -> bool:
@@ -253,8 +254,8 @@ def monte_carlo_validate(model: MeasurementModel, attack, spec: TestSpec,
     worst-offending quantity. Trials are simulated in fixed-size blocks,
     so memory is bounded independently of ``trials``.
     """
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
     if np.ndim(spec.alpha) != 0:
         raise ValueError("Monte Carlo validation needs a scalar alpha (one threshold)")
     tau = threshold(spec)

@@ -68,10 +68,13 @@ class Mechanism(enum.Enum):
 class PrivacyParams:
     """Privacy budget plus the knobs of the selected mechanism.
 
-    Exactly the fields of the selected mechanism may be set: ``r_prime``
-    for the chi-square mechanism, ``nu_mean``/``nu_sigma`` for the
-    Gaussian output mechanism, ``input_k`` (recorded noise-to-measurement
-    variance ratio) for input perturbation.
+    The one record of a release's knobs, and ``__post_init__`` the one
+    place that checks them: exactly the knobs of the selected mechanism
+    may be set, ``r_prime`` for the chi-square mechanism and
+    ``nu_mean``/``nu_sigma`` for the Gaussian output mechanism. Input
+    perturbation has no knob beyond the budget it calibrates its noise
+    from, so there delta must lie in (0, 1). Every ``ValueError`` message
+    begins with the offending field's name.
     """
 
     mechanism: Mechanism
@@ -80,30 +83,32 @@ class PrivacyParams:
     r_prime: int | None = None
     nu_mean: float | None = None
     nu_sigma: float | None = None
-    input_k: float | None = None
 
     def __post_init__(self):
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.delta is not None and not 0 <= self.delta <= 1:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
+        if self.mechanism is Mechanism.GAUSSIAN_INPUT and self.delta in (0, 1):
+            raise ValueError(f"delta must be in (0, 1) for gaussian_input, got {self.delta}")
         required = {
             Mechanism.CHI_SQUARE: ("r_prime",),
             Mechanism.GAUSSIAN_OUTPUT: ("nu_mean", "nu_sigma"),
-            Mechanism.GAUSSIAN_INPUT: ("input_k",),
+            Mechanism.GAUSSIAN_INPUT: (),
         }[self.mechanism]
-        for name in ("r_prime", "nu_mean", "nu_sigma", "input_k"):
+        for name in ("r_prime", "nu_mean", "nu_sigma"):
             value = getattr(self, name)
             if name in required and value is None:
-                raise ValueError(f"{self.mechanism.value} mechanism requires {name}")
+                raise ValueError(f"{name} is required by the {self.mechanism.value} "
+                                 "mechanism")
             if name not in required and value is not None:
                 raise ValueError(f"{name} is not a parameter of {self.mechanism.value}")
         if self.r_prime is not None and self.r_prime < 1:
             raise ValueError(f"r_prime must be >= 1, got {self.r_prime}")
-        if self.nu_sigma is not None and not self.nu_sigma > 0:
-            raise ValueError(f"nu_sigma must be > 0, got {self.nu_sigma}")
-        if self.input_k is not None and not self.input_k > 0:
-            raise ValueError(f"input_k must be > 0, got {self.input_k}")
+        if self.nu_mean is not None and not math.isfinite(self.nu_mean):
+            raise ValueError(f"nu_mean must be finite, got {self.nu_mean}")
+        if self.nu_sigma is not None and not 0 < self.nu_sigma < math.inf:
+            raise ValueError(f"nu_sigma must be finite and > 0, got {self.nu_sigma}")
 
     @classmethod
     def chi_square(cls, r_prime: int = 1, epsilon: float | None = None,
@@ -119,10 +124,9 @@ class PrivacyParams:
                    nu_mean=nu_mean, nu_sigma=nu_sigma)
 
     @classmethod
-    def gaussian_input(cls, input_k: float, epsilon: float | None = None,
+    def gaussian_input(cls, epsilon: float | None = None,
                        delta: float | None = None) -> "PrivacyParams":
-        return cls(mechanism=Mechanism.GAUSSIAN_INPUT, epsilon=epsilon, delta=delta,
-                   input_k=input_k)
+        return cls(mechanism=Mechanism.GAUSSIAN_INPUT, epsilon=epsilon, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,19 @@ def release_noise(params: PrivacyParams, rng, size=None):
     raise ValueError(f"{params.mechanism.value} adds no noise to the released statistic")
 
 
+def output_release(law: ResidualLaw, q: float, params: PrivacyParams, rng) -> NoisyRelease:
+    """Release q + nu under an output mechanism's ``params``.
+
+    The value is q plus one ``release_noise`` draw and the law is
+    ``released_law(law, params)``; q is a residual statistic, so >= 0.
+    """
+    release_law = released_law(law, params)
+    if q < 0:
+        raise ValueError(f"q must be >= 0, got {q}")
+    return NoisyRelease(value=q + release_noise(params, rng), params=params,
+                        law=release_law, seed=seed_record_of(rng))
+
+
 @dataclass(frozen=True)
 class NeighborhoodSpec:
     """Search domain for the guarantee maximization.
@@ -205,12 +222,8 @@ def chi_square_release(law: ResidualLaw, q: float, r_prime: int, rng,
                        epsilon: float | None = None,
                        delta: float | None = None) -> NoisyRelease:
     """Release q + nu with nu an independent central chi-square, r' dof."""
-    params = PrivacyParams.chi_square(r_prime=r_prime, epsilon=epsilon, delta=delta)
-    release_law = released_law(law, params)
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q}")
-    return NoisyRelease(value=q + release_noise(params, rng), params=params,
-                        law=release_law, seed=seed_record_of(rng))
+    params = PrivacyParams.chi_square(r_prime, epsilon, delta)
+    return output_release(law, q, params, rng)
 
 
 def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime,
@@ -454,11 +467,8 @@ def gaussian_output_release(law: ResidualLaw, q: float, nu_mean: float,
                             epsilon: float | None = None,
                             delta: float | None = None) -> NoisyRelease:
     """Release q + N(nu_mean, nu_sigma^2) for a Gaussian-regime law."""
-    params = PrivacyParams.gaussian_output(nu_mean=nu_mean, nu_sigma=nu_sigma,
-                                           epsilon=epsilon, delta=delta)
-    release_law = released_law(law, params)
-    return NoisyRelease(value=q + release_noise(params, rng), params=params,
-                        law=release_law, seed=seed_record_of(rng))
+    params = PrivacyParams.gaussian_output(nu_mean, nu_sigma, epsilon, delta)
+    return output_release(law, q, params, rng)
 
 
 def _quadratic_le_zero(a: float, b: float, c: float) -> list[tuple[float, float]]:
@@ -620,13 +630,12 @@ def input_perturbation_release(model: MeasurementModel, z, epsilon: float,
     if z.shape != (model.m,):
         raise ValueError(f"z has shape {z.shape}, expected ({model.m},)")
     gen = as_generator(rng)
-    params = PrivacyParams.gaussian_input(input_k=k, epsilon=epsilon, delta=delta)
     return InputPerturbation(
         z_tilde=z + sigma_w * gen.standard_normal(model.m),
         sigma_w=sigma_w,
         k=k,
         epsilon_per_element=epsilon / model.m,
-        params=params,
+        params=PrivacyParams.gaussian_input(epsilon=epsilon, delta=delta),
         seed=seed_record_of(rng),
     )
 

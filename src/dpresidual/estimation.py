@@ -264,18 +264,3 @@ def gaussian_law(mix: ChiMixture) -> GaussianApproximation:
         sup_density_bound=bound,
     )
 
-
-def preferred_regime(mix: ChiMixture, rho_max: float = 0.125,
-                     bound_max: float = 0.05) -> Regime:
-    """Pick the working regime for a mixture.
-
-    Gaussian when rho < rho_max and the sup-density bound is below
-    ``bound_max``; chi-square otherwise. The chi-square analytics
-    degenerate numerically for very many degrees of freedom, which is
-    exactly when the bound becomes small.
-    """
-    approx = gaussian_law(mix)
-    if approx.rho < rho_max and approx.sup_density_bound is not None \
-            and approx.sup_density_bound < bound_max:
-        return Regime.GAUSSIAN
-    return Regime.CHI_SQUARE

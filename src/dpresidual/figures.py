@@ -109,24 +109,33 @@ def input_perturbation_auroc(config: ExperimentConfig | None = None):
     return ["delta_theta", "epsilon", "epsilon_per_element", "k_factor", "auroc"], rows
 
 
-def output_noise_auroc(config: ExperimentConfig | None = None):
-    """AUROC of the test as the release-noise scale grows.
+def _noise_sweep(config: ExperimentConfig | None) -> list[tuple[float, TestSpec]]:
+    """(nu_sigma, test) per release-noise scale of the fig5/fig6 sweep.
 
-    Gaussian-regime laws N(10, 1) vs N(13, 16) with zero-mean release
-    noise of standard deviation nu_sigma added to both. The noise differs
-    per curve, and with it the laws' shared variance inflation, so each
-    curve is its own ``roc`` call rather than a row of one family call.
+    Gaussian-regime laws N(10, 1) vs N(13, 16) at target alpha = 0.05,
+    with zero-mean release noise of standard deviation nu_sigma added to
+    both; nu_sigma = 0 releases the clean statistic.
     """
-    fig = _figures_cfg(config)
-    sweep = fig.nu_sigma_values or DEFAULT_NU_SIGMA
+    sweep = _figures_cfg(config).nu_sigma_values or DEFAULT_NU_SIGMA
     law0 = ResidualLaw.gaussian(THETA_Z0, SIGMA_Z0**2)
     law1 = ResidualLaw.gaussian(1.3 * THETA_Z0, SIGMA_Z1_NOISE_SWEEP**2)
-    rows = []
+    tests = []
     for nu_sigma in sweep:
         dp = PrivacyParams.gaussian_output(nu_mean=0.0, nu_sigma=nu_sigma) \
             if nu_sigma > 0 else None
-        rows.append([nu_sigma, roc(TestSpec(alpha=0.05, law0=law0, law1=law1, dp=dp)).auroc])
-    return ["nu_sigma", "auroc"], rows
+        tests.append((nu_sigma, TestSpec(alpha=0.05, law0=law0, law1=law1, dp=dp)))
+    return tests
+
+
+def output_noise_auroc(config: ExperimentConfig | None = None):
+    """AUROC of the test as the release-noise scale grows.
+
+    The noise differs per curve, and with it the laws' shared variance
+    inflation, so each curve is its own ``roc`` call rather than a row of
+    one family call.
+    """
+    return ["nu_sigma", "auroc"], [[nu_sigma, roc(spec).auroc]
+                                   for nu_sigma, spec in _noise_sweep(config)]
 
 
 def output_noise_metrics(config: ExperimentConfig | None = None,
@@ -136,25 +145,18 @@ def output_noise_metrics(config: ExperimentConfig | None = None,
     Analytic values plus Monte Carlo estimates from sampling the laws and
     the release noise directly.
     """
-    fig = _figures_cfg(config)
     mc = config.mc if config is not None else McConfig()
-    sweep = fig.nu_sigma_values or DEFAULT_NU_SIGMA
-    law0 = ResidualLaw.gaussian(THETA_Z0, SIGMA_Z0**2)
-    law1 = ResidualLaw.gaussian(1.3 * THETA_Z0, SIGMA_Z1_NOISE_SWEEP**2)
     stream = SeedStream(mc.seed if seed is None else seed)
     rows = []
-    for nu_sigma in sweep:
-        dp = PrivacyParams.gaussian_output(nu_mean=0.0, nu_sigma=nu_sigma) \
-            if nu_sigma > 0 else None
-        spec = TestSpec(alpha=0.05, law0=law0, law1=law1, dp=dp)
+    for nu_sigma, spec in _noise_sweep(config):
         pfa, pd = pfa_pd(spec)
         tau = threshold(spec)
         gen = stream.generator
-        q0 = sample_law(law0, gen, mc.trials)
-        q1 = sample_law(law1, gen, mc.trials)
-        if dp is not None:
-            q0 = q0 + release_noise(dp, gen, mc.trials)
-            q1 = q1 + release_noise(dp, gen, mc.trials)
+        q0 = sample_law(spec.law0, gen, mc.trials)
+        q1 = sample_law(spec.law1, gen, mc.trials)
+        if spec.dp is not None:
+            q0 = q0 + release_noise(spec.dp, gen, mc.trials)
+            q1 = q1 + release_noise(spec.dp, gen, mc.trials)
         rows.append([
             nu_sigma, pfa, pd,
             float(np.mean(q0 > tau)), float(np.mean(q1 > tau)),

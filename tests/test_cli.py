@@ -444,6 +444,113 @@ class TestFigures:
         assert [float(r[0]) for r in rows] == [-1.0, 2.0]
 
 
+ALL_COMMANDS = (["simulate"], ["estimate"], ["privatize"], ["delta-curve"], ["roc"],
+                ["validate"], ["figures", "--which", "fig5"])
+
+
+class TestDpSection:
+    """The dp section is parsed into its PrivacyParams once, for every command."""
+
+    @pytest.mark.parametrize("mechanism,key,value", [
+        ("chi_square", "nu_sigma", -5.0),
+        ("chi_square", "nu_mean", 2.0),
+        ("gaussian_input", "r_prime", 1),
+        ("gaussian_input", "nu_sigma", 1.0),
+    ])
+    def test_foreign_knob_rejected_everywhere(self, tmp_path, capsys, mechanism, key,
+                                              value):
+        doc = {**BASE_CONFIG, "dp": {**DP_BY_MECHANISM[mechanism], key: value}}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        for args in ALL_COMMANDS:
+            assert main(args + ["--config", str(path), "--out", str(out)]) == 2, args
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: dp.{key} is not a parameter of {mechanism}")
+            assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_input_perturbation_delta_bounds(self, tmp_path, capsys, delta):
+        doc = {**BASE_CONFIG, "dp": {**DP_BY_MECHANISM["gaussian_input"], "delta": delta}}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        for command in ("simulate", "privatize", "roc"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: dp.delta must be in (0, 1) for gaussian_input")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("nu_mean", math.nan), ("nu_mean", -math.inf), ("nu_sigma", math.inf),
+    ])
+    def test_nonfinite_output_noise_rejected(self, tmp_path, capsys, key, value):
+        """A NaN noise mean used to end roc in an uncaught auroc traceback."""
+        doc = {**BASE_CONFIG, "dp": {**DP_BY_MECHANISM["gaussian_output"], key: value}}
+        path = write_config(tmp_path, doc)
+        assert main(["roc", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: dp.{key} must be finite")
+
+    def test_missing_knob_named(self, tmp_path, capsys):
+        dp = {k: v for k, v in DP_BY_MECHANISM["gaussian_output"].items() if k != "nu_mean"}
+        path = write_config(tmp_path, {**BASE_CONFIG, "dp": dp})
+        assert main(["roc", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "dp.nu_mean is required by the gaussian_output mechanism" in \
+            capsys.readouterr().err
+
+    def test_gaussian_output_scan_r_prime(self, tmp_path, capsys):
+        """A lambda = 0 gaussian_output config may carry r_prime for the
+        delta-curve scan alone; the scan reads it and the release does not."""
+        doc = {**SCAN_WINNING_CONFIG,
+               "dp": {**SCAN_WINNING_CONFIG["dp"], "mechanism": "gaussian_output",
+                      "nu_mean": 0.0, "nu_sigma": 1.0}}
+        path = write_config(tmp_path, doc)
+        chi_path = write_config(tmp_path, SCAN_WINNING_CONFIG, "chi.yaml")
+        out, chi_out = tmp_path / "o", tmp_path / "chi"
+        assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["delta-curve", "--config", str(chi_path), "--out", str(chi_out)]) == 0
+        assert read_csv(out / "delta_curve.csv")[1:] == \
+            read_csv(chi_out / "delta_curve.csv")[1:]
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["privatize", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "release.json").read_text())["r_prime"] is None
+        doc["dp"]["r_prime"] = 0
+        path = write_config(tmp_path, doc)
+        assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 2
+        assert "dp.r_prime must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mechanism,keys", [
+        ("chi_square", {"mechanism", "epsilon", "delta", "r_prime", "nu_mean",
+                        "nu_sigma", "value", "law"}),
+        ("gaussian_output", {"mechanism", "epsilon", "delta", "r_prime", "nu_mean",
+                             "nu_sigma", "value", "law"}),
+        ("gaussian_input", {"mechanism", "epsilon", "delta", "k", "sigma_w",
+                            "epsilon_per_element", "z_tilde"}),
+    ])
+    def test_release_document_keys(self, tmp_path, mechanism, keys):
+        path = write_config(tmp_path, {**BASE_CONFIG, "dp": DP_BY_MECHANISM[mechanism]})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["privatize", "--config", str(path), "--out", str(out)]) == 0
+        release = json.loads((out / "release.json").read_text())
+        assert set(release) == keys | {"schema", "seed_record", "config_hash", "seed"}
+        assert release["mechanism"] == mechanism
+        for key, value in DP_BY_MECHANISM[mechanism].items():
+            assert release[key] == value
+
+    def test_validate_needs_enough_trials(self, tmp_path, capsys):
+        """validate refuses mc.trials below its Monte Carlo floor up front;
+        fig6 samples any trials >= 1."""
+        path = write_config(tmp_path, {**BASE_CONFIG,
+                                       "mc": {**BASE_CONFIG["mc"], "trials": 500}})
+        out = tmp_path / "o"
+        assert main(["validate", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: validate needs mc.trials >= 1000, got 500")
+        assert not (out / "validation.csv").exists()
+        assert main(["figures", "--which", "fig6", "--config", str(path),
+                     "--out", str(out)]) == 0
+
+
 class TestDeterminism:
     def test_all_artifact_commands_byte_identical(self, tmp_path):
         """Fixed seed and workers=1 reproduce every output byte for byte."""
@@ -459,8 +566,7 @@ class TestDeterminism:
             out = tmp_path / run
             for args in (["simulate"], ["estimate"], ["privatize"], ["delta-curve"],
                          ["roc"], ["validate"], ["figures", "--which", "fig6"]):
-                extra = [] if args[0] == "figures" else []
-                assert main(args + ["--config", str(path), "--out", str(out)] + extra) == 0
+                assert main(args + ["--config", str(path), "--out", str(out)]) == 0
             outputs[run] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert outputs["a"] == outputs["b"]
 

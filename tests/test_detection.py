@@ -104,7 +104,7 @@ class TestThreshold:
         with pytest.raises(ValueError):
             gaussian_spec(0.0, 1.0, 1.0, 1.0, dp=PrivacyParams.chi_square(r_prime=1))
         # Input perturbation changes the laws, not the released statistic.
-        dp = PrivacyParams.gaussian_input(input_k=0.5)
+        dp = PrivacyParams.gaussian_input(epsilon=12.0, delta=0.1)
         with pytest.raises(ValueError, match="input perturbation"):
             chi_spec(4.0, dp=dp)
         with pytest.raises(ValueError, match="input perturbation"):

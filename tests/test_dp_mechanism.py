@@ -36,6 +36,7 @@ from dpresidual import (
     neighbor_projection_update,
     neighbor_roots,
     noncentral_chisq_sample,
+    output_release,
     projection_matrix,
     release_noise,
     released_law,
@@ -79,11 +80,11 @@ class TestPrivacyParams:
         assert p.r_prime == 2
 
     def test_exactly_selected_fields_required(self):
-        with pytest.raises(ValueError, match="requires r_prime"):
+        with pytest.raises(ValueError, match="r_prime is required"):
             PrivacyParams(mechanism=Mechanism.CHI_SQUARE)
         with pytest.raises(ValueError, match="not a parameter"):
             PrivacyParams(mechanism=Mechanism.CHI_SQUARE, r_prime=1, nu_sigma=1.0)
-        with pytest.raises(ValueError, match="requires nu_mean"):
+        with pytest.raises(ValueError, match="nu_mean is required"):
             PrivacyParams(mechanism=Mechanism.GAUSSIAN_OUTPUT, nu_sigma=1.0)
 
     @pytest.mark.parametrize("kwargs", [
@@ -95,6 +96,31 @@ class TestPrivacyParams:
         base.update(kwargs)
         with pytest.raises(ValueError):
             PrivacyParams(**base)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
+    def test_input_perturbation_delta_is_open(self, delta):
+        """Input perturbation calibrates its noise from delta in (0, 1)."""
+        with pytest.raises(ValueError, match=r"^delta must be in"):
+            PrivacyParams.gaussian_input(epsilon=1.0, delta=delta)
+        assert PrivacyParams.gaussian_input(epsilon=1.0, delta=0.5).delta == 0.5
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"mechanism": Mechanism.CHI_SQUARE}, "r_prime"),
+        ({"mechanism": Mechanism.CHI_SQUARE, "r_prime": 1, "nu_mean": 0.0}, "nu_mean"),
+        ({"mechanism": Mechanism.GAUSSIAN_OUTPUT, "nu_mean": 0.0}, "nu_sigma"),
+        ({"mechanism": Mechanism.GAUSSIAN_OUTPUT, "nu_mean": 0.0, "nu_sigma": -1.0},
+         "nu_sigma"),
+        ({"mechanism": Mechanism.GAUSSIAN_OUTPUT, "nu_mean": math.nan, "nu_sigma": 1.0},
+         "nu_mean"),
+        ({"mechanism": Mechanism.GAUSSIAN_OUTPUT, "nu_mean": 0.0, "nu_sigma": math.inf},
+         "nu_sigma"),
+        ({"mechanism": Mechanism.GAUSSIAN_INPUT, "r_prime": 1}, "r_prime"),
+        ({"mechanism": Mechanism.GAUSSIAN_INPUT, "epsilon": -1.0}, "epsilon"),
+    ])
+    def test_message_begins_with_field(self, kwargs, name):
+        """The config names the offending dp.<key> by this prefix."""
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            PrivacyParams(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +203,8 @@ class TestReleasedStatistic:
     @pytest.mark.parametrize("law,params", [
         (CHI, PrivacyParams.gaussian_output(nu_mean=0.0, nu_sigma=1.0)),
         (GAUSS, PrivacyParams.chi_square(r_prime=1)),
-        (CHI, PrivacyParams.gaussian_input(input_k=0.5)),
-        (GAUSS, PrivacyParams.gaussian_input(input_k=0.5)),
+        (CHI, PrivacyParams.gaussian_input(epsilon=12.0, delta=0.1)),
+        (GAUSS, PrivacyParams.gaussian_input(epsilon=12.0, delta=0.1)),
     ], ids=["gaussian-on-chi", "chi-on-gaussian", "input-on-chi", "input-on-gaussian"])
     def test_rejects_foreign_noise(self, law, params):
         with pytest.raises(ValueError, match="does not apply"):
@@ -208,9 +234,27 @@ class TestReleasedStatistic:
         release = gaussian_output_release(self.GAUSS, 9.7, 0.3, 2.0, SeedStream(3))
         assert release.value == 9.7 + release_noise(params, SeedStream(3))
 
+    @pytest.mark.parametrize("law,params", [
+        (CHI, PrivacyParams.chi_square(r_prime=3, epsilon=1.0, delta=0.1)),
+        (GAUSS, PrivacyParams.gaussian_output(nu_mean=0.3, nu_sigma=2.0)),
+    ], ids=["chi_square", "gaussian_output"])
+    def test_named_releases_are_output_release(self, law, params):
+        """Both named releases are output_release over their params record."""
+        if params.mechanism is Mechanism.CHI_SQUARE:
+            named = chi_square_release(law, 4.2, 3, SeedStream(5), epsilon=1.0, delta=0.1)
+        else:
+            named = gaussian_output_release(law, 4.2, 0.3, 2.0, SeedStream(5))
+        assert named == output_release(law, 4.2, params, SeedStream(5))
+
+    def test_negative_query_rejected(self, stream):
+        for law, params in ((self.CHI, PrivacyParams.chi_square(r_prime=1)),
+                            (self.GAUSS, PrivacyParams.gaussian_output(0.0, 1.0))):
+            with pytest.raises(ValueError, match="q must be >= 0"):
+                output_release(law, -0.5, params, stream)
+
     def test_input_perturbation_adds_no_release_noise(self):
         with pytest.raises(ValueError):
-            release_noise(PrivacyParams.gaussian_input(input_k=0.5), SeedStream(0))
+            release_noise(PrivacyParams.gaussian_input(epsilon=12.0, delta=0.1), SeedStream(0))
 
     @pytest.mark.parametrize("r_prime", [0, -1])
     def test_chi_square_release_rejects_r_prime(self, stream, r_prime):

@@ -19,7 +19,6 @@ from dpresidual import (
     cumulant,
     gaussian_law,
     normal_approx_bound,
-    preferred_regime,
     projection_matrix,
     residual_law,
     simulate_measurements,
@@ -379,12 +378,6 @@ class TestGaussianLaw:
         small = gaussian_law(chi_mixture(random_model(rng, 30, 5), np.zeros(5), None))
         large = gaussian_law(chi_mixture(random_model(rng, 300, 5), np.zeros(5), None))
         assert large.sup_density_bound < small.sup_density_bound
-
-    def test_regime_switch(self, rng):
-        small = chi_mixture(random_model(rng, 10, 4), np.zeros(4), None)
-        large = chi_mixture(random_model(rng, 400, 20), np.zeros(20), None)
-        assert preferred_regime(small) is Regime.CHI_SQUARE
-        assert preferred_regime(large) is Regime.GAUSSIAN
 
     def test_zero_variance_rejected(self, rng):
         mix = chi_mixture(random_model(rng, 4, 4), np.zeros(4), None)
