@@ -35,7 +35,6 @@ from .dp_mechanism import (
     input_perturbation_noise,
     input_perturbation_release,
     leakage,
-    neighbor_roots,
     output_release,
     release_noise,
     released_law,
@@ -72,6 +71,7 @@ from .measurement_model import (
     gsp_reduce,
     load_model_csv,
     neighbor_projection_update,
+    neighbor_roots,
     projection_matrix,
     save_model_csv,
     simulate_measurements,

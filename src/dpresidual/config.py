@@ -131,6 +131,13 @@ def _get_list(doc: dict, key: str, path: str, kind, required: bool = False):
     return tuple(out)
 
 
+def _require_finite(path: str, lists: dict) -> None:
+    for key, values in lists.items():
+        for i, v in enumerate(values or ()):
+            if not math.isfinite(v):
+                raise SchemaError(f"{path}.{key}[{i}] must be finite, got {v}")
+
+
 def _parse_model(doc, path="model") -> ModelConfig:
     doc = _require_mapping(doc, path)
     _reject_unknown(doc, {"m", "n", "sigma", "lambda", "matrix_source"}, path)
@@ -146,10 +153,10 @@ def _parse_model(doc, path="model") -> ModelConfig:
         raise SchemaError(f"{path}.m must be >= 1")
     if cfg.n < 1:
         raise SchemaError(f"{path}.n must be >= 1")
-    if not cfg.sigma > 0:
-        raise SchemaError(f"{path}.sigma must be > 0")
-    if cfg.lam < 0:
-        raise SchemaError(f"{path}.lambda must be >= 0")
+    if not 0 < cfg.sigma < math.inf:
+        raise SchemaError(f"{path}.sigma must be finite and > 0, got {cfg.sigma}")
+    if not 0 <= cfg.lam < math.inf:
+        raise SchemaError(f"{path}.lambda must be finite and >= 0, got {cfg.lam}")
     return cfg
 
 
@@ -167,6 +174,7 @@ def _parse_attack(doc, path="attack") -> AttackConfig:
         raise SchemaError(f"{path}: indices and values must have equal length")
     if stealth is None and indices is None:
         raise SchemaError(f"{path}: give either indices/values or stealth_coeffs")
+    _require_finite(path, {"values": values, "stealth_coeffs": stealth})
     return AttackConfig(indices=indices, values=values, stealth_coeffs=stealth)
 
 
@@ -274,10 +282,7 @@ def _parse_figures(doc, path="figures") -> FiguresConfig:
         epsilon_values=_get_list(doc, "epsilon_values", path, float),
     )
     # fig3 sweeps signed mean gaps; fig4 rejects negative noncentralities.
-    for key, values in vars(cfg).items():
-        for i, v in enumerate(values or ()):
-            if not math.isfinite(v):
-                raise SchemaError(f"{path}.{key}[{i}] must be finite, got {v}")
+    _require_finite(path, vars(cfg))
     if cfg.nu_sigma_values is not None and any(v < 0 for v in cfg.nu_sigma_values):
         raise SchemaError(f"{path}.nu_sigma_values must be >= 0")
     if cfg.epsilon_values is not None and any(v <= 0 for v in cfg.epsilon_values):

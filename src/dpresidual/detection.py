@@ -216,6 +216,16 @@ class McValidation:
         name = max(devs, key=devs.get)
         return name, devs[name]
 
+    def check(self) -> None:
+        """Raise ValidationFailure if a rate is off by more than three standard errors."""
+        name, sigmas = self.worst_offender()
+        if sigmas > 3.0:
+            raise ValidationFailure(
+                f"{name} deviates from the analytic value by {sigmas:.2f} "
+                f"standard errors (empirical {getattr(self, name + '_hat'):.5f}, "
+                f"analytic {getattr(self, name + '_analytic'):.5f})"
+            )
+
 
 def _released_wssr(model: MeasurementModel, attack, x_true, spec: TestSpec,
                    trials: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -249,10 +259,9 @@ def monte_carlo_validate(model: MeasurementModel, attack, spec: TestSpec,
     Simulates ``trials`` measurement vectors under each hypothesis from
     the model (state defaults to zero; pass the state used to build the
     laws when lam > 0), applies the configured release noise, thresholds,
-    and compares against ``pfa_pd``. With ``check`` set, a deviation
-    beyond three standard errors raises ValidationFailure naming the
-    worst-offending quantity. Trials are simulated in fixed-size blocks,
-    so memory is bounded independently of ``trials``.
+    and compares against ``pfa_pd``. With ``check`` set, the result's
+    ``check`` gate runs before it is returned. Trials are simulated in
+    fixed-size blocks, so memory is bounded independently of ``trials``.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
@@ -274,13 +283,7 @@ def monte_carlo_validate(model: MeasurementModel, attack, spec: TestSpec,
         trials=trials, threshold=tau,
     )
     if check:
-        name, sigmas = result.worst_offender()
-        if sigmas > 3.0:
-            raise ValidationFailure(
-                f"{name} deviates from the analytic value by {sigmas:.2f} "
-                f"standard errors (empirical {getattr(result, name + '_hat'):.5f}, "
-                f"analytic {getattr(result, name + '_analytic'):.5f})"
-            )
+        result.check()
     return result
 
 

@@ -38,10 +38,10 @@ from scipy import special as sp
 from .estimation import Regime, ResidualLaw, residual_law
 from .exceptions import ConvergenceError
 from .measurement_model import (
-    _PIVOT_TOL,
     MeasurementModel,
     NeighborPerturbation,
     _attack_dense,
+    neighbor_roots,
 )
 from .special_functions import (
     DEFAULT_TOLERANCE,
@@ -281,63 +281,6 @@ class DeltaScanResult:
     scan_max: float | np.ndarray
     grid_max: float | np.ndarray
     skipped: int
-
-
-def neighbor_roots(model: MeasurementModel, attack, rows, delta_h) -> np.ndarray:
-    """Noncentrality roots theta' = ||P' a|| / sigma of distance-one neighbours.
-
-    Neighbour k shifts row i = ``rows[k]`` of H by dh = ``delta_h[k]``, so
-    its Gram is G' = G + A B^T with A = [h_i + dh, dh], B = [dh, h_i]. The
-    rank-two Woodbury identity gives x' = G'^{-1} H'^T a through the 2 x 2
-    capacitance matrix K = I + B^T G^{-1} A. With D = x' - x_hat and
-    s = dh^T x',
-
-        ||P' a||^2 = ||P a||^2 + D^T G D + s^2 - 2 s ((P a)_i - h_i^T D),
-
-    evaluated as ||E + s U_i||^2 + ||P a - s q_i||^2 with E = S V^T D,
-    q_i = (I - U U^T) e_i and (P a)^T q_i = (P a)_i, so that the part of
-    P' a in col(H) is one row-wise norm rather than a difference of large
-    terms. Everything is written in the model's factor through
-    W = dh V / s_H (G^{-1} is never formed), at O(len(rows) n) work and
-    memory. Requires lam = 0. Returns NaN for neighbours whose K,
-    equivalently whose Gram, is numerically singular.
-    """
-    if model.lam != 0:
-        raise ValueError("the neighbour-root update requires lambda = 0")
-    rows = np.asarray(rows, dtype=np.intp)
-    delta_h = np.asarray(delta_h, dtype=float)
-    if rows.ndim != 1 or np.any((rows < 0) | (rows >= model.m)):
-        raise ValueError(f"rows must be a 1-D array of indices in [0, {model.m})")
-    if delta_h.shape != (rows.size, model.n):
-        raise ValueError(f"delta_h has shape {delta_h.shape}, "
-                         f"expected ({rows.size}, {model.n})")
-    f = model.factor
-    a = _attack_dense(attack, model.m)
-    c = f.u.T @ a                            # H x_hat = U c
-    pa = a - f.u @ c
-    a_i, U_i = a[rows], f.u[rows]
-    W = (delta_h @ f.vt.T) / f.s
-    beta = np.einsum("ij,ij->i", W, W)       # dh^T G^{-1} dh
-    gamma = np.einsum("ij,ij->i", U_i, W)    # h_i^T G^{-1} dh
-    lev = np.einsum("ij,ij->i", U_i, U_i)    # h_i^T G^{-1} h_i
-    dh_x = W @ c                             # dh^T x_hat
-    k11, k12, k21, k22 = 1.0 + gamma + beta, beta, lev + gamma, 1.0 + gamma
-    det = k11 * k22 - k12 * k21
-    singular = ~(np.abs(det) > _PIVOT_TOL * (np.abs(k11 * k22) + np.abs(k12 * k21)))
-    det[singular] = 1.0
-    r1, r2 = dh_x + a_i * beta, U_i @ c + a_i * gamma
-    u1 = (k22 * r1 - k12 * r2) / det
-    u2 = (k11 * r2 - k21 * r1) / det
-    # D = c_y G^{-1} dh - u1 G^{-1} h_i, so E = S V^T D = c_y W - u1 U_i.
-    c_y = a_i - u1 - u2
-    s_dot = dh_x + c_y * beta - u1 * gamma
-    F = c_y[:, None] * W + (s_dot - u1)[:, None] * U_i   # E + s U_i
-    norm_sq = np.einsum("ij,ij->i", F, F)
-    if model.m > model.n:  # P a and q_i vanish when U is square
-        norm_sq += float(pa @ pa) - 2.0 * s_dot * pa[rows] + s_dot**2 * (1.0 - lev)
-    theta_prime = np.sqrt(np.maximum(norm_sq, 0.0)) / model.sigma
-    theta_prime[singular] = np.nan
-    return theta_prime
 
 
 def delta_max_over_neighborhood(epsilon, model: MeasurementModel,

@@ -19,7 +19,7 @@ class ConvergenceError(NumericError):
 
 
 class SingularUpdateError(NumericError):
-    """Rank-one projection update hit a (near-)zero pivot."""
+    """A distance-one neighbour's Gram is numerically singular."""
 
 
 class NoResidualError(NumericError):

@@ -7,26 +7,27 @@ with correlated noise pre-whiten first; callers with a nonlinear forward
 model supply the Jacobian at the operating point.
 
 Alongside construction and simulation, this module carries the residual
-projector P (and its ridge variant), distance-one row perturbations with a
-rank-one projector update, the low-pass state-subspace reduction, and
-unobservable (stealth) attack construction for test fixtures.
+projector P (and its ridge variant), distance-one row perturbations with
+one rank-two Woodbury update of the factor behind both the neighbour's
+projector and its noncentrality root, the low-pass state-subspace
+reduction, and unobservable (stealth) attack construction for test
+fixtures.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import RankDeficiencyError, SingularUpdateError
 from .streams import as_generator
 
-logger = logging.getLogger(__name__)
-
-# Relative pivot threshold below which the rank-one update is deemed singular.
+# A neighbour whose capacitance has |det K| = |det G' / det G| at or below
+# this is numerically singular (see _NeighborGram).
 _PIVOT_TOL = 1e-10
 
 
@@ -88,10 +89,10 @@ class MeasurementModel:
             raise ValueError(f"H must be a 2-D matrix, got shape {H.shape}")
         if not np.all(np.isfinite(H)):
             raise ValueError("H must have finite entries")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         object.__setattr__(self, "H", _readonly(H))
         if self.lam == 0 and self.factor.rank < H.shape[1]:
             raise RankDeficiencyError(
@@ -282,81 +283,127 @@ def apply_neighbor(model: MeasurementModel, pert: NeighborPerturbation) -> Measu
     return MeasurementModel(H=Hp, sigma=model.sigma, lam=model.lam)
 
 
-def neighbor_projection_update(model: MeasurementModel, pert: NeighborPerturbation,
-                               fallback: bool = True) -> np.ndarray:
-    """Projector of the distance-one neighbor without refactoring H'.
+class _NeighborGram(NamedTuple):
+    """The rank-two Woodbury solve of distance-one neighbours' Grams.
 
-    Propagates the row change through the Gram inverse by Sherman-Morrison
-    steps: with C0 = H^T H, C1 = delta_h h^T C0^{-1} and pivot
-    c0 = 1 + h^T C0^{-1} delta_h,
+    Neighbour k shifts row i = ``rows[k]`` of H by dh. In the factor's
+    coordinates w = dh V / s (row k of ``w``), H' = Y S V^T with
+    Y = U + e_i w^T, and Y^T Y = I + A B^T with A = [U_i + w, w] and
+    B = [w, U_i], so (Y^T Y)^{-1} = I - A K^{-1} B^T through the 2 x 2
+    capacitance K = I + B^T A = [[1 + gamma + beta, beta],
+    [lev + gamma, 1 + gamma]]: beta = w^T w = dh^T G^{-1} dh,
+    gamma = U_i^T w = h_i^T G^{-1} dh and the leverage lev = U_i^T U_i.
+    By the matrix determinant lemma det K = det G' / det G, so the one
+    singularity rule |det K| <= _PIVOT_TOL does not depend on the scale
+    of H.
+    """
 
-        M = C0^{-1} - C0^{-1} C1 / c0 - C1^T C0^{-1} / c0
-                    + C1^T C0^{-1} C1 / c0^2
+    rows: np.ndarray
+    w: np.ndarray
+    u_i: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    lev: np.ndarray
+    k: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    det: np.ndarray
+    singular: np.ndarray
 
-    inverts the rank-two corrected Gram up to a residual gamma *
-    delta_h delta_h^T term with gamma = 1 - h^T C0^{-1} h; a final
-    Sherman-Morrison step absorbs it, giving (H'^T H')^{-1} exactly. Then
-    P' = I - H' (H'^T H')^{-1} H'^T = P + C4.
+    def solve(self, r1, r2):
+        """K^{-1} [r1, r2] per neighbour; singular neighbours divide by 1."""
+        k11, k12, k21, k22 = self.k
+        det = np.where(self.singular, 1.0, self.det)
+        return (k22 * r1 - k12 * r2) / det, (k11 * r2 - k21 * r1) / det
 
-    Requires lam = 0. A near-zero pivot |c0| or a singular final step
-    raises SingularUpdateError, or (default) falls back to direct
-    recomputation with a logged warning.
+
+def _neighbor_gram(model: MeasurementModel, rows, delta_h) -> _NeighborGram:
+    """Gram update of the neighbours shifting row ``rows[k]`` by ``delta_h[k]``.
+
+    O(len(rows) n) work and memory from the model's factor; G^{-1} is
+    never formed. Requires lam = 0.
     """
     if model.lam != 0:
-        raise ValueError("rank-one projector update requires lambda = 0")
-    if not 0 <= pert.row_index < model.m:
-        raise ValueError(f"row_index {pert.row_index} out of range [0, {model.m})")
-    if pert.delta_h.shape != (model.n,):
-        raise ValueError(
-            f"delta_h has length {pert.delta_h.shape[0]}, expected {model.n}"
-        )
+        raise ValueError("the neighbour Gram update requires lambda = 0")
+    rows = np.asarray(rows, dtype=np.intp)
+    delta_h = np.asarray(delta_h, dtype=float)
+    if rows.ndim != 1 or np.any((rows < 0) | (rows >= model.m)):
+        raise ValueError(f"rows must be a 1-D array of indices in [0, {model.m})")
+    if delta_h.shape != (rows.size, model.n):
+        raise ValueError(f"delta_h has shape {delta_h.shape}, "
+                         f"expected ({rows.size}, {model.n})")
+    f = model.factor
+    u_i = f.u[rows]
+    w = (delta_h @ f.vt.T) / f.s
+    beta = np.einsum("ij,ij->i", w, w)
+    gamma = np.einsum("ij,ij->i", u_i, w)
+    lev = np.einsum("ij,ij->i", u_i, u_i)
+    k = (1.0 + gamma + beta, beta, lev + gamma, 1.0 + gamma)
+    det = k[0] * k[3] - k[1] * k[2]
+    return _NeighborGram(rows=rows, w=w, u_i=u_i, beta=beta, gamma=gamma, lev=lev,
+                         k=k, det=det, singular=~(np.abs(det) > _PIVOT_TOL))
 
-    H = model.H
-    m = model.m
-    h = H[pert.row_index, :]
-    dh = pert.delta_h
 
-    C0 = H.T @ H
-    C0_inv = np.linalg.solve(C0, np.eye(model.n))
-    c0 = 1.0 + h @ C0_inv @ dh
+def neighbor_projection_update(model: MeasurementModel,
+                               pert: NeighborPerturbation) -> np.ndarray:
+    """Projector of the distance-one neighbour without refactoring H'.
 
-    def _direct() -> np.ndarray:
-        return projection_matrix(apply_neighbor(model, pert)).matrix.copy()
+    With Y = U + e_i w^T as in ``_NeighborGram``, P' = I - Y (Y^T Y)^{-1} Y^T
+    and the rank-two Woodbury solve give
 
-    if abs(c0) <= _PIVOT_TOL:
-        if fallback:
-            logger.warning(
-                "singular rank-one update (c0=%.3e) at row %d; recomputing directly",
-                c0, pert.row_index,
-            )
-            return _direct()
-        raise SingularUpdateError(f"pivot c0={c0:.3e} is numerically zero")
+        P' = I - Y Y^T + Y [U_i + w, w] K^{-1} (Y [w, U_i])^T.
 
-    C1 = np.outer(dh, h) @ C0_inv
-    M = (C0_inv
-         - (C0_inv @ C1) / c0
-         - (C1.T @ C0_inv) / c0
-         + (C1.T @ C0_inv @ C1) / c0**2)
-
-    # Residual rank-one term left by the symmetric factorization above.
-    gamma = 1.0 - h @ C0_inv @ h
-    Md = M @ dh
-    c1 = 1.0 + gamma * (dh @ Md)
-    if abs(c1) <= _PIVOT_TOL:
-        if fallback:
-            logger.warning(
-                "singular correction step (c1=%.3e) at row %d; recomputing directly",
-                c1, pert.row_index,
-            )
-            return _direct()
-        raise SingularUpdateError(f"correction pivot c1={c1:.3e} is numerically zero")
-    gram_inv = M - gamma * np.outer(Md, Md) / c1
-
-    e = np.zeros(m)
-    e[pert.row_index] = 1.0
-    Hp = H + np.outer(e, dh)
-    P_prime = np.eye(m) - Hp @ gram_inv @ Hp.T
+    Like ``projection_matrix``, a reference rather than a package path:
+    the neighbour scan needs only ``neighbor_roots``. Requires lam = 0. A
+    neighbour whose Gram is numerically singular raises
+    SingularUpdateError, by the rule under which ``neighbor_roots`` gives
+    NaN.
+    """
+    g = _neighbor_gram(model, [pert.row_index], pert.delta_h[None, :])
+    if g.singular[0]:
+        raise SingularUpdateError(f"the neighbour Gram at row {pert.row_index} is "
+                                  f"numerically singular (det K = {g.det[0]:.3e})")
+    w, u_i = g.w[0], g.u_i[0]
+    Y = model.factor.u.copy()
+    Y[pert.row_index] += w
+    yw, yu = Y @ w, Y @ u_i
+    t1, t2 = g.solve(yw, yu)                 # the rows of K^{-1} (Y [w, U_i])^T
+    P_prime = np.eye(model.m) - Y @ Y.T + np.outer(yu + yw, t1) + np.outer(yw, t2)
     return 0.5 * (P_prime + P_prime.T)
+
+
+def neighbor_roots(model: MeasurementModel, attack, rows, delta_h) -> np.ndarray:
+    """Noncentrality roots theta' = ||P' a|| / sigma of distance-one neighbours.
+
+    Neighbour k shifts row i = ``rows[k]`` of H by dh = ``delta_h[k]``.
+    ``_neighbor_gram``'s capacitance K gives x' = G'^{-1} H'^T a. With
+    D = x' - x_hat and s = dh^T x',
+
+        ||P' a||^2 = ||P a||^2 + D^T G D + s^2 - 2 s ((P a)_i - h_i^T D),
+
+    evaluated as ||E + s U_i||^2 + ||P a - s q_i||^2 with E = S V^T D,
+    q_i = (I - U U^T) e_i and (P a)^T q_i = (P a)_i, so that the part of
+    P' a in col(H) is one row-wise norm rather than a difference of large
+    terms. O(len(rows) n) work and memory. Requires lam = 0. Returns NaN
+    for neighbours whose Gram is numerically singular, by the rule under
+    which ``neighbor_projection_update`` raises.
+    """
+    g = _neighbor_gram(model, rows, delta_h)
+    f = model.factor
+    a = _attack_dense(attack, model.m)
+    c = f.u.T @ a                            # H x_hat = U c
+    pa = a - f.u @ c
+    a_i = a[g.rows]
+    dh_x = g.w @ c                           # dh^T x_hat
+    u1, u2 = g.solve(dh_x + a_i * g.beta, g.u_i @ c + a_i * g.gamma)
+    # D = c_y G^{-1} dh - u1 G^{-1} h_i, so E = S V^T D = c_y w - u1 U_i.
+    c_y = a_i - u1 - u2
+    s_dot = dh_x + c_y * g.beta - u1 * g.gamma
+    F = c_y[:, None] * g.w + (s_dot - u1)[:, None] * g.u_i   # E + s U_i
+    norm_sq = np.einsum("ij,ij->i", F, F)
+    if model.m > model.n:  # P a and q_i vanish when U is square
+        norm_sq += float(pa @ pa) - 2.0 * s_dot * pa[g.rows] + s_dot**2 * (1.0 - g.lev)
+    theta_prime = np.sqrt(np.maximum(norm_sq, 0.0)) / model.sigma
+    theta_prime[g.singular] = np.nan
+    return theta_prime
 
 
 def gsp_reduce(model: MeasurementModel, u_kappa: np.ndarray) -> MeasurementModel:

@@ -584,6 +584,29 @@ class TestCliMisc:
         assert code == 2
         assert "model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value,named", [
+        ("model", "sigma", math.inf, "model.sigma"),
+        ("model", "sigma", math.nan, "model.sigma"),
+        ("model", "lambda", math.nan, "model.lambda"),
+        ("model", "lambda", math.inf, "model.lambda"),
+        ("attack", "values", [math.nan, -1.5], "attack.values[0]"),
+        ("attack", "values", [2.0, math.inf], "attack.values[1]"),
+        ("attack", "stealth_coeffs", [0.0, math.nan, 0.0, 0.0],
+         "attack.stealth_coeffs[1]"),
+    ])
+    def test_nonfinite_model_and_attack_rejected(self, tmp_path, capsys, section, key,
+                                                 value, named):
+        """An infinite sigma used to exit 0 on simulate and roc, and the other
+        values ended estimate, simulate or roc in a traceback."""
+        body = {key: value} if key == "stealth_coeffs" else {**BASE_CONFIG[section],
+                                                             key: value}
+        path = write_config(tmp_path, {**BASE_CONFIG, section: body})
+        out = tmp_path / "o"
+        for args in ALL_COMMANDS:
+            assert main(args + ["--config", str(path), "--out", str(out)]) == 2, args
+            assert capsys.readouterr().err.startswith(f"error: {named} must be finite")
+        assert not out.exists()
+
     def test_workers_flag_accepted(self, tmp_path, config_path):
         out = tmp_path / "o"
         assert main(["validate", "--config", str(config_path), "--out", str(out),

@@ -23,6 +23,7 @@ from dpresidual import (
     ResidualLaw,
     SeedStream,
     TestSpec,
+    apply_neighbor,
     calibrate_gaussian_output_sigma,
     chi_square_release,
     delta_for_epsilon,
@@ -33,7 +34,6 @@ from dpresidual import (
     input_perturbation_noise,
     input_perturbation_release,
     leakage,
-    neighbor_projection_update,
     neighbor_roots,
     noncentral_chisq_sample,
     output_release,
@@ -598,7 +598,7 @@ class TestDeltaScan:
 
 
 class TestNeighborRoots:
-    """The batched Woodbury roots against the rank-one projector update."""
+    """The batched Woodbury roots against a fresh SVD of each neighbour."""
 
     @staticmethod
     def probes(rng, model, count, bound):
@@ -610,8 +610,8 @@ class TestNeighborRoots:
     @staticmethod
     def oracle(model, a, rows, deltas):
         return np.array([
-            np.linalg.norm(neighbor_projection_update(
-                model, NeighborPerturbation(int(i), dh), fallback=False) @ a)
+            np.linalg.norm(projection_matrix(apply_neighbor(
+                model, NeighborPerturbation(int(i), dh))).matrix @ a)
             for i, dh in zip(rows, deltas)]) / model.sigma
 
     @pytest.mark.parametrize("in_col_h", [False, True])

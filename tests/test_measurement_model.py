@@ -1,7 +1,11 @@
 """Measurement models, projectors, neighbors, reductions, and attacks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpresidual import (
     AttackVector,
@@ -14,6 +18,7 @@ from dpresidual import (
     gsp_reduce,
     load_model_csv,
     neighbor_projection_update,
+    neighbor_roots,
     projection_matrix,
     save_model_csv,
     simulate_measurements,
@@ -29,7 +34,7 @@ class TestMeasurementModel:
         assert (model.m, model.n) == (8, 3)
         assert not model.H.flags.writeable
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
     def test_sigma_positive(self, rng, sigma):
         with pytest.raises(ValueError):
             MeasurementModel(H=rng.normal(size=(4, 2)), sigma=sigma)
@@ -37,6 +42,11 @@ class TestMeasurementModel:
     def test_lambda_nonnegative(self, rng):
         with pytest.raises(ValueError):
             MeasurementModel(H=rng.normal(size=(4, 2)), sigma=1.0, lam=-0.1)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_lambda_finite(self, rng, lam):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            MeasurementModel(H=rng.normal(size=(4, 2)), sigma=1.0, lam=lam)
 
     def test_rank_checked_without_ridge(self, rng):
         H = rng.normal(size=(5, 3))
@@ -210,25 +220,39 @@ class TestNeighbors:
             P_direct = projection_matrix(apply_neighbor(model, pert)).matrix
             assert np.max(np.abs(P_updated - P_direct)) <= 1e-8
 
-    def test_singular_pivot_raises_without_fallback(self, rng):
-        model = random_model(rng, 8, 3)
-        h = model.H[5, :]
-        C0 = model.H.T @ model.H
-        delta = -C0 @ h / (h @ h)  # makes h^T C0^{-1} delta = -1, so c0 = 0
-        pert = NeighborPerturbation(row_index=5, delta_h=delta)
-        with pytest.raises(SingularUpdateError):
-            neighbor_projection_update(model, pert, fallback=False)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 40).flatmap(lambda m: st.tuples(
+               st.just(m), st.integers(1, m - 1), st.integers(0, m - 1))),
+           st.floats(-3.0, math.log10(3.0)), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_update_matches_fresh_factor(self, shape, log_norm, gram_pivot, seed):
+        """Any size and row, ||dh|| from 1e-3 to 3. ``gram_pivot`` takes
+        dh = -H^T H h / (h^T h) instead, which zeroes the Sherman-Morrison
+        pivot 1 + h^T (H^T H)^{-1} dh although the neighbour has full rank."""
+        m, n, row = shape
+        gen = np.random.default_rng(seed)
+        model = random_model(gen, m, n)
+        h = model.H[row]
+        d = -model.H.T @ model.H @ h if gram_pivot else gen.normal(size=n)
+        dh = d / (h @ h) if gram_pivot else d * 10**log_norm / np.linalg.norm(d)
+        pert = NeighborPerturbation(row_index=row, delta_h=dh)
+        np.testing.assert_allclose(neighbor_projection_update(model, pert),
+                                   projection_matrix(apply_neighbor(model, pert)).matrix,
+                                   rtol=0, atol=1e-8)
 
-    def test_singular_pivot_falls_back(self, rng, caplog):
-        model = random_model(rng, 8, 3)
-        h = model.H[5, :]
-        C0 = model.H.T @ model.H
-        pert = NeighborPerturbation(row_index=5, delta_h=-C0 @ h / (h @ h))
-        with caplog.at_level("WARNING"):
-            P_prime = neighbor_projection_update(model, pert)
-        assert "recomputing directly" in caplog.text
-        P_direct = projection_matrix(apply_neighbor(model, pert)).matrix
-        np.testing.assert_allclose(P_prime, P_direct, atol=1e-10)
+    def test_singular_gram_raises_and_root_is_nan(self):
+        """Column 2 of H is e_2, and shifting row 2 by (0, 0, -1) zeroes it:
+        the update and the roots flag the neighbour by the same rule."""
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            H = gen.normal(size=(6, 3))
+            H[:, 2] = 0.0
+            H[2, 2] = 1.0
+            model = MeasurementModel(H=H, sigma=1.0)
+            dh = np.array([0.0, 0.0, -1.0])
+            with pytest.raises(SingularUpdateError):
+                neighbor_projection_update(model, NeighborPerturbation(2, dh))
+            root = neighbor_roots(model, gen.normal(size=6), [2], dh[None, :])
+            assert np.isnan(root[0]), f"seed {seed}"
 
     def test_requires_unregularized_model(self, rng):
         model = random_model(rng, 6, 3, lam=0.5)
