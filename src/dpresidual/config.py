@@ -172,6 +172,8 @@ def _parse_attack(doc, path="attack") -> AttackConfig:
         raise SchemaError(f"{path}: indices and values must be given together")
     if indices is not None and len(indices) != len(values):
         raise SchemaError(f"{path}: indices and values must have equal length")
+    if indices is not None and len(set(indices)) != len(indices):
+        raise SchemaError(f"{path}.indices must be distinct, got {indices}")
     if stealth is None and indices is None:
         raise SchemaError(f"{path}: give either indices/values or stealth_coeffs")
     _require_finite(path, {"values": values, "stealth_coeffs": stealth})
@@ -301,6 +303,9 @@ def validate_config(doc) -> ExperimentConfig:
     if model and dp and model.lam > 0 and dp.params.mechanism is Mechanism.CHI_SQUARE:
         raise SchemaError("dp.mechanism chi_square assumes an unregularized model "
                           "(model.lambda = 0); use gaussian_output for ridge models")
+    if model and attack and model.lam > 0 and attack.stealth_coeffs is not None:
+        raise SchemaError("attack.stealth_coeffs builds an attack that only the "
+                          "unregularized projector annihilates (model.lambda = 0)")
     return ExperimentConfig(
         model=model,
         attack=attack,

@@ -162,6 +162,8 @@ class AttackVector:
         values = [float(v) for v in values]
         if len(indices) != len(values):
             raise ValueError("indices and values must have equal length")
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"attack indices must be distinct, got {indices}")
         a = np.zeros(m)
         for i, v in zip(indices, values):
             if not 0 <= i < m:

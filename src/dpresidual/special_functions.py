@@ -12,15 +12,12 @@ Marcum Q-function", ACM TOMS 2014),
 
     Q_s(a, b) = sum_k  Poisson(k; a^2/2) * Q(s + k, b^2/2),
 
-over a window of k fixed per element by the Poisson quantiles of its mean:
-the mass left out below the window and the mass left out above it are
-each at most half the absolute tolerance. With all gamma tails in [0, 1],
-the left-out mass bounds the truncation error directly. The window ends
-are integers found by searching the Poisson tails ``pdtr``/``pdtrc``
-themselves from a quantile guess, so each end is the extreme integer its
-definition names; a guess within one step settles in one round of
-vectorized tail evaluations. ``a`` and ``b`` broadcast; a call loops over
-the terms of the union of its elements' windows, never over the elements.
+over a window of k fixed per element by closed-form Poisson tail bounds
+on its mean: the mass left out below the window and the mass left out
+above it are each at most half the absolute tolerance. With all gamma
+tails in [0, 1], the left-out mass bounds the truncation error directly.
+``a`` and ``b`` broadcast; a call loops over the terms of the union of
+its elements' windows, never over the elements.
 """
 
 from __future__ import annotations
@@ -36,11 +33,6 @@ from .exceptions import ConvergenceError
 from .streams import as_generator
 
 logger = logging.getLogger(__name__)
-
-# A guess off by any distance below 2^53 is bracketed within 53 doubling
-# rounds and bisected within 53 more.
-_MAX_SEARCH_ROUNDS = 2 * 53 + 2
-
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -90,92 +82,34 @@ def regularized_gamma_q_inverse(alpha, s: float):
 # Marcum Q-function and the noncentral chi-square law
 # ---------------------------------------------------------------------------
 
-def _last_true(pred, mu, guess, floor):
-    """Largest integer j >= floor - 1 with ``pred(j, mu)``, elementwise.
-
-    ``pred`` must hold on an initial run of the integers and fail after
-    it; j = floor - 1 counts as holding. The first round evaluates
-    g - 1 .. g + 2 around the guess g (NaN reads as ``floor``): the answer
-    is g - 2 plus the number of the four at which ``pred`` holds, which
-    settles a guess within one step, unless it holds at all four or at
-    none. Those elements gallop on from the round's edge in doubling
-    steps until ``pred`` changes, then bisect. Returns the integers and
-    the number of rounds.
-
-    Raises
-    ------
-    ConvergenceError
-        If an element is still open after ``_MAX_SEARCH_ROUNDS`` rounds.
-    """
-    g = np.fmax(guess, floor)
-    below = (g - 1.0 < floor) | pred(g - 1.0, mu)
-    top = pred(g + 2.0, mu)
-    # pred holds on a prefix: at all four probes exactly when it holds at
-    # the top one, and at none exactly when it fails at the bottom one.
-    out = g - 2.0 + below + pred(g, mu) + pred(g + 1.0, mu) + top
-    open_ = top | ~below
-    if not open_.any():
-        return out, 1
-    shape = out.shape
-    mu, g, top, open_ = (np.reshape(v, -1) for v in (mu, g, top, open_))
-    floor = np.broadcast_to(floor, shape).reshape(-1)
-    lo = np.where(top, g + 2.0, floor - 1.0)   # pred holds here ...
-    hi = np.where(top, np.inf, g - 1.0)        # ... and fails here
-    i = np.flatnonzero(open_)
-    step = 1.0
-    for rounds in range(2, _MAX_SEARCH_ROUNDS + 1):
-        l, h, f = lo[i], hi[i], floor[i]
-        probe = np.where(np.isinf(h), l + step,                     # gallop up
-                         np.where(l < f, np.maximum(h - step, f),   # gallop down
-                                  np.floor(0.5 * (l + h))))         # bisect
-        holds = pred(probe, mu[i])
-        lo[i] = np.where(holds, probe, l)
-        hi[i] = np.where(holds, h, probe)
-        i = i[hi[i] - lo[i] > 1.0]
-        if not i.size:
-            return np.where(open_, lo, out.reshape(-1)).reshape(shape), rounds
-        step *= 2.0
-    raise ConvergenceError(f"Poisson window search still open after {_MAX_SEARCH_ROUNDS} rounds")
-
-
 def _poisson_window(mu, p: float):
-    """Each mean's window [k_lo, k_hi] of Poisson terms, and the search rounds.
+    """Each mean's window [k_lo, k_hi] of Poisson terms, from tail bounds.
 
-    k_lo is the largest integer j >= 0 with pdtr(j, mu) <= p, or 0 if there
-    is none; k_hi is the smallest j >= k_lo with pdtrc(j, mu) <= p. Both
-    come from an integer search on pdtr/pdtrc themselves, so each window
-    meets its definition exactly; the quantile guesses only set the cost.
+    The Poisson law is sub-Gaussian on the left and obeys the Chernoff
+    bound on the right (Boucheron, Lugosi & Massart, "Concentration
+    Inequalities", 2013, Sec. 2.2): with L = ln(1/p),
+
+        Pr[X <= mu - t] <= exp(-t^2 / (2 mu)),      t = sqrt(2 L mu),
+        Pr[X >= mu (1 + u)] <= exp(-mu h(u)),       h(u) = (1 + u) log1p(u) - u.
+
+    So k_lo = max(ceil(mu - t), 0) and k_hi = ceil(mu (1 + u)) - 1 with
+    mu h(u) = L leave at most p of Poisson mass out on each side. That u
+    is exp(1 + W0((L/mu - 1)/e)) - 1, then one Newton step: h is convex
+    and increasing, so a step from any u > 0 lands on or above the root,
+    whatever W's rounding. A mean mu <= p has k_hi = 0, as
+    Pr[X >= 1] <= mu. Means must lie below 2^53.
     """
-    z = float(sp.ndtri(p))  # < 0, as p < 1/2
-    # Cornish-Fisher quantile mu + zq sqrt(mu) + (zq^2 - 1)/6 + c (zq - zq^3)/(72 sqrt(mu))
-    # with a continuity shift of one half, at zq = z below and zq = -z above.
-    # The full third term (c = 1) over-corrects at moderate means. With
-    # c = 1/2 the first search round settled both ends for all but 2 of
-    # 20,000 log-uniform means in [1e-10, 1e6] at abs_tol = 1e-12.
-    shift, third = (z * z - 1.0) / 6.0 - 0.5, (z - z**3) / 144.0
-    with np.errstate(all="ignore"):  # mu = 0 gives NaN guesses, read as the floor
-        root = np.sqrt(mu)
-        # Where pdtr(0, mu) = exp(-mu) > p no j >= 0 qualifies: k_lo = 0.
-        has_lower = sp.pdtr(0.0, mu) <= p
-        k_lo, lo_rounds = 0.0 * mu, 0  # zeros shaped like mu; a scalar stays a scalar
-        if has_lower.any():
-            lo_guess = np.where(has_lower, np.floor(mu + z * root + shift + third / root), 0.0)
-            k_lo, lo_rounds = _last_true(lambda j, m: sp.pdtr(j, m) <= p, mu, lo_guess, 0.0)
-            k_lo = np.maximum(k_lo, 0.0)
-        # n estimates k_hi + 1. Below mu = 1/2 the expansion fails; there the
-        # upper tail is close to its first term, so two Newton steps on
-        # n log mu - lgamma(n + 1) = mu + log p start from n = log p / log mu.
-        n = mu - z * root + shift - third / root + 1.0
-        small = mu < 0.5
-        if small.any():
-            log_mu, rhs = np.log(mu), mu + math.log(p)
-            m = math.log(p) / log_mu
-            for _ in range(2):
-                m = m - (m * log_mu - sp.gammaln(m + 1.0) - rhs) / (log_mu - sp.digamma(m + 1.0))
-            n = np.where(small, m, n)
-    # k_hi - 1 is the last j >= k_lo - 1 whose upper mass still exceeds p.
-    k_hi, hi_rounds = _last_true(lambda j, m: sp.pdtrc(j, m) > p, mu, np.ceil(n) - 2.0, k_lo)
-    return k_lo, k_hi + 1.0, lo_rounds + hi_rounds
+    log_inv_p = -math.log(p)
+    k_lo = np.maximum(np.ceil(mu - np.sqrt(2.0 * log_inv_p * mu)), 0.0)
+    spread = mu > p
+    m = np.where(spread, mu, 1.0)  # a stand-in where k_hi is 0 anyway
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal p: caught by the caller
+        c = log_inv_p / m
+        u = np.expm1(1.0 + sp.lambertw((c - 1.0) / math.e).real)
+        log1p_u = np.log1p(u)
+        u -= ((1.0 + u) * log1p_u - u - c) / log1p_u
+        k_hi = np.where(spread, np.ceil(mu * (1.0 + u)) - 1.0, 0.0)
+    return k_lo, k_hi
 
 
 def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -200,26 +134,23 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
         most ``tol.abs_tol / 2`` on either side of its window.
 
     Each element sums the Poisson terms k_lo <= k <= k_hi of its own
-    mean mu = a^2 / 2, with p = abs_tol / 2: k_lo is the largest k >= 0
-    whose lower mass pdtr(k, mu) is at most p (0 if none is), so the
-    terms below it weigh pdtr(k_lo - 1, mu) <= p together, and k_hi is
-    the smallest k >= k_lo whose upper mass pdtrc(k, mu) is at most p.
-    Both ends come from an integer search on pdtr/pdtrc started at a
-    quantile guess; a guess within one step settles its end in one round
-    of vectorized evaluations. The call sums the union of the windows in
-    ascending k, skipping the gaps between them, each element's terms
-    outside its own window weighing exactly zero, so every element of an
-    array call equals the scalar call bit for bit, and elements with far
-    apart means cost the sum of their windows, not the span between them.
-    The term count, element count and search rounds are logged at DEBUG.
+    mean mu = a^2 / 2. With p = abs_tol / 2, both ends come in closed
+    form from the Poisson tail bounds of ``_poisson_window``: the terms
+    below k_lo weigh at most p together, and so do the terms above k_hi.
+    The call sums the union of the windows in ascending k, skipping the
+    gaps between them, each element's terms outside its own window
+    weighing exactly zero, so every element of an array call equals the
+    scalar call bit for bit, and elements with far apart means cost the
+    sum of their windows, not the span between them. The term and
+    element counts are logged at DEBUG.
 
     Raises
     ------
     ConvergenceError
-        If a^2 / 2 overflows, if the window search does not close within
-        its round cap (means past 2^53, where consecutive integers are
-        no longer distinct floats), or if the union of the windows holds
-        more than ``tol.max_terms`` terms.
+        If a^2 / 2 reaches 2^53 (overflow included), where consecutive
+        integers are no longer distinct floats, if ``tol.abs_tol`` is so
+        small that a window end is not finite, or if the union of the
+        windows holds more than ``tol.max_terms`` terms.
     """
     if not order > 0:
         raise ValueError(f"order must be > 0, got {order}")
@@ -236,12 +167,11 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
         mu = 0.5 * a_arr * a_arr
         x = 0.5 * b_arr * b_arr
 
-    if np.isinf(mu).any():
-        raise ConvergenceError(f"marcum_q Poisson mean a^2/2 overflows at a = {a_arr.max()}")
-    try:
-        k_lo, k_hi, rounds = _poisson_window(mu, 0.5 * tol.abs_tol)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"marcum_q window for a up to {a_arr.max()}: {exc}") from exc
+    if not (mu < 2.0**53).all():
+        raise ConvergenceError(f"marcum_q Poisson mean a^2/2 reaches 2^53 at a = {a_arr.max()}")
+    k_lo, k_hi = _poisson_window(mu, 0.5 * tol.abs_tol)
+    if not np.isfinite(k_hi).all():
+        raise ConvergenceError(f"marcum_q window end not finite at abs_tol={tol.abs_tol}")
     # The union of the windows: sort them by k_lo and merge each window
     # into the run before it unless a gap separates them.
     by_lo = np.argsort(k_lo, axis=None)
@@ -257,8 +187,7 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
         )
     counts = counts.astype(np.int64)
     k = np.arange(counts.sum(), dtype=float) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    logger.debug("marcum_q: %d terms over %d elements, %d search rounds",
-                 k.size, mu.size, rounds)
+    logger.debug("marcum_q: %d terms over %d elements", k.size, mu.size)
     kk = k.reshape((-1,) + (1,) * mu.ndim)
     w = np.exp(sp.xlogy(kk, mu) - mu - sp.gammaln(kk + 1.0))
     w[(kk < k_lo) | (kk > k_hi)] = 0.0

@@ -607,6 +607,23 @@ class TestCliMisc:
             assert capsys.readouterr().err.startswith(f"error: {named} must be finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("lam,attack,named", [
+        # simulate and roc used to end in a ValueError traceback (exit 1).
+        (0.5, {"stealth_coeffs": [1.0, -0.5, 0.0, 2.0]}, "attack.stealth_coeffs"),
+        # simulate used to exit 0 and keep only the last value, -1.5.
+        (0.0, {"indices": [2, 2], "values": [2.0, -1.5]}, "attack.indices must be distinct"),
+    ])
+    def test_attack_rejected_on_every_command(self, tmp_path, capsys, lam, attack, named):
+        doc = {**BASE_CONFIG, "model": {**BASE_CONFIG["model"], "lambda": lam},
+               "attack": attack}
+        doc.pop("dp")
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        for args in ALL_COMMANDS:
+            assert main(args + ["--config", str(path), "--out", str(out)]) == 2, args
+            assert capsys.readouterr().err.startswith(f"error: {named}")
+        assert not out.exists()
+
     def test_workers_flag_accepted(self, tmp_path, config_path):
         out = tmp_path / "o"
         assert main(["validate", "--config", str(config_path), "--out", str(out),

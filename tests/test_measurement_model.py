@@ -83,6 +83,10 @@ class TestAttackVector:
         with pytest.raises(ValueError):
             AttackVector.sparse(3, [0, 1], [1.0])
 
+    def test_duplicate_index_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            AttackVector.sparse(6, [2, 4, 2], [2.0, 1.0, -1.5])
+
 
 class TestProjectionMatrix:
     def test_hand_computable(self):
