@@ -100,8 +100,17 @@ def _build_instance(config: ExperimentConfig, seed: int):
     return streams, model, x_true, attack
 
 
-def _load_measurements(path, config: ExperimentConfig, seed: int) -> np.ndarray:
-    meta, columns, rows = read_csv(path)
+def _load_measurements(path: Path | None, out: Path, config: ExperimentConfig,
+                       seed: int, m: int) -> np.ndarray:
+    """The m finite z values of the measurements CSV (default OUT/measurements.csv)."""
+    hint = "" if path else "; run simulate first or pass --measurements"
+    path = path or out / "measurements.csv"
+    try:
+        meta, columns, rows = read_csv(path)
+    except OSError as exc:
+        raise SchemaError(f"measurements {path}: {exc.strerror or exc}{hint}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"measurements {path}: {exc}") from exc
     if meta.get("schema") != MEASUREMENTS_SCHEMA:
         raise SchemaError(f"unexpected measurements schema {meta.get('schema')!r}")
     if meta.get("config_hash") != config.config_hash or meta.get("seed") != str(seed):
@@ -111,8 +120,18 @@ def _load_measurements(path, config: ExperimentConfig, seed: int) -> np.ndarray:
             f"config_hash={config.config_hash} seed={seed}; the rebuilt model "
             "would not match"
         )
+    if "z" not in columns:
+        raise SchemaError(f"measurements {path} has no 'z' column")
     col = columns.index("z")
-    return np.array([float(r[col]) for r in rows])
+    try:
+        z = np.array([float(r[col]) for r in rows])
+    except (IndexError, ValueError) as exc:
+        raise SchemaError(f"measurements {path}: a z cell is missing or not a number "
+                          f"({exc})") from exc
+    if z.shape != (m,) or not np.isfinite(z).all():
+        raise SchemaError(f"measurements {path}: the model needs {m} finite z values, got "
+                          f"{z.size} ({np.count_nonzero(~np.isfinite(z))} not finite)")
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +160,7 @@ def cmd_estimate(config: ExperimentConfig, out: Path, seed: int,
                  measurements: Path | None) -> int:
     _require(config, "model")
     streams, model, _, _ = _build_instance(config, seed)
-    z = _load_measurements(measurements or out / "measurements.csv", config, seed)
+    z = _load_measurements(measurements, out, config, seed, model.m)
     x_star = wls_estimate(model, z)
     q = wssr(model, z)
     law = residual_law(model, x_star, None)  # analyst view: plug-in state
@@ -164,7 +183,7 @@ def cmd_privatize(config: ExperimentConfig, out: Path, seed: int,
                   measurements: Path | None) -> int:
     _require(config, "model", "dp")
     streams, model, x_true, attack = _build_instance(config, seed)
-    z = _load_measurements(measurements or out / "measurements.csv", config, seed)
+    z = _load_measurements(measurements, out, config, seed, model.m)
     dp_stream = streams[STREAM_DP]
     params = config.dp.params
 
@@ -377,6 +396,8 @@ def main(argv=None) -> int:
     try:
         if args.workers is not None and args.workers < 1:
             raise SchemaError(f"--workers must be >= 1, got {args.workers}")
+        if args.seed is not None and args.seed < 0:
+            raise SchemaError(f"--seed must be >= 0, got {args.seed}")
         config = load_config(args.config) if args.config is not None else None
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -347,7 +347,13 @@ def build_model(cfg: ModelConfig, matrix_stream: SeedStream) -> MeasurementModel
     if cfg.matrix_source == "random_seeded":
         H = matrix_stream.generator.standard_normal((cfg.m, cfg.n))
         return MeasurementModel(H=H, sigma=cfg.sigma, lam=cfg.lam)
-    model = load_model_csv(cfg.matrix_source)
+    source = cfg.matrix_source
+    try:
+        model = load_model_csv(source)
+    except OSError as exc:
+        raise SchemaError(f"model.matrix_source {source}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"model.matrix_source {source}: {exc}") from exc
     if (model.m, model.n) != (cfg.m, cfg.n):
         raise SchemaError(
             f"model.matrix_source is {model.m}x{model.n}, config declares "

@@ -44,8 +44,6 @@ from .measurement_model import (
     neighbor_roots,
 )
 from .special_functions import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
     gaussian_q,
     log_bessel_i,
     marcum_q,
@@ -56,6 +54,8 @@ from .streams import as_generator, seed_record_of
 logger = logging.getLogger(__name__)
 
 _CENTRAL_EPS = 1e-8
+_CALIBRATION_MARGIN = 1e-3
+_CALIBRATION_REL_TOL = 1e-4
 
 
 class Mechanism(enum.Enum):
@@ -226,8 +226,7 @@ def chi_square_release(law: ResidualLaw, q: float, r_prime: int, rng,
     return output_release(law, q, params, rng)
 
 
-def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime,
-                      tol: Tolerance = DEFAULT_TOLERANCE):
+def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime):
     """The delta guarantee at budget epsilon for neighbor pairs.
 
     ``theta`` and ``theta_prime`` are the noncentrality roots of the
@@ -235,10 +234,10 @@ def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime,
     irrelevant; each pair is symmetrized). ``epsilon`` and the two roots
     broadcast against each other, all scalars giving a float, and every
     element's two tails come from one ``marcum_q`` call, so each element
-    equals the scalar call bit for bit. Identical roots give delta = 0.
-    When the lower boundary eps/(theta'-theta) - (theta'+theta)/2 is
-    negative, its tail term saturates at 1: the event that bounds the
-    leakage from below is empty there.
+    equals the scalar call bit for bit and is within 2 ABS_TOL (one per
+    tail). Identical roots give delta = 0. When the lower boundary
+    eps/(theta'-theta) - (theta'+theta)/2 is negative, its tail term
+    saturates at 1: the event that bounds the leakage from below is empty.
     """
     epsilon = np.asarray(epsilon, dtype=float)
     if not np.all(epsilon > 0):
@@ -254,8 +253,7 @@ def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime,
     ratio = epsilon / np.where(gap > 0.0, gap, np.inf)   # gap 0 is masked below
     b_lo = ratio - 0.5 * (hi + lo)
     b_hi = ratio + 0.5 * (hi + lo)
-    q_lo, q_hi = marcum_q(0.5 * r_tilde, lo, np.stack([np.maximum(b_lo, 0.0), b_hi]),
-                          tol=tol)
+    q_lo, q_hi = marcum_q(0.5 * r_tilde, lo, np.stack([np.maximum(b_lo, 0.0), b_hi]))
     term_lo = np.where(b_lo < 0, 1.0, q_lo)
     out = np.where(gap == 0.0, 0.0, np.minimum(1.0, term_lo + q_hi))
     return float(out) if out.ndim == 0 else out
@@ -478,22 +476,21 @@ def gaussian_leakage_probability(law: ResidualLaw, neighbor_law: ResidualLaw,
 
 
 def calibrate_gaussian_output_sigma(law: ResidualLaw, neighbor_law: ResidualLaw,
-                                    epsilon: float, delta: float,
-                                    margin: float = 1e-3,
-                                    rel_tol: float = 1e-4) -> float:
-    """Smallest noise scale passing the leakage condition with margin.
+                                    epsilon: float, delta: float) -> float:
+    """Smallest noise scale passing the leakage condition with a margin.
 
-    Searches nu_sigma such that Pr[|L| <= epsilon] >= 1 - delta + margin
-    in the worst direction, doubling up from 1 and bisecting down. The
-    probability is evaluated exactly (no sampling), so the returned scale
-    is deterministic. Returns 0.0 when the laws already satisfy the
-    condition without noise.
+    Searches nu_sigma such that Pr[|L| <= epsilon] >= 1 - delta + 1e-3
+    in the worst direction, doubling up from 1 and bisecting down to a
+    relative 1e-4; both are fixed (``_CALIBRATION_MARGIN``,
+    ``_CALIBRATION_REL_TOL``). The probability is evaluated exactly (no
+    sampling), so the returned scale is deterministic. Returns 0.0 when
+    the laws already satisfy the condition without noise.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    target = 1.0 - delta + margin
+    target = 1.0 - delta + _CALIBRATION_MARGIN
 
     def ok(s: float) -> bool:
         return gaussian_leakage_probability(law, neighbor_law, s, epsilon) >= target
@@ -511,7 +508,7 @@ def calibrate_gaussian_output_sigma(law: ResidualLaw, neighbor_law: ResidualLaw,
                 f"2^60 satisfies the leakage condition at epsilon={epsilon}, delta={delta}"
             )
     lo = 0.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _CALIBRATION_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             hi = mid

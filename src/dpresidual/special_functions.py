@@ -14,17 +14,18 @@ Marcum Q-function", ACM TOMS 2014),
 
 over a window of k fixed per element by closed-form Poisson tail bounds
 on its mean: the mass left out below the window and the mass left out
-above it are each at most half the absolute tolerance. With all gamma
-tails in [0, 1], the left-out mass bounds the truncation error directly.
-``a`` and ``b`` broadcast; a call loops over the terms of the union of
-its elements' windows, never over the elements.
+above it are each at most ABS_TOL / 2. With all gamma tails in [0, 1],
+the left-out mass bounds the truncation error directly, so every value
+is within the fixed ABS_TOL = 1e-12 of the full series. ``a`` and ``b``
+broadcast; a call loops over the terms of the union of its elements'
+windows, never over the elements, and raises ``ConvergenceError`` past
+MAX_TERMS = 10^6 of them.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -34,29 +35,9 @@ from .streams import as_generator
 
 logger = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Series/iteration control for the special-function evaluations.
-
-    Attributes
-    ----------
-    abs_tol : float
-        Absolute truncation target for series tails, in (0, 1).
-    max_terms : int
-        Hard cap on series terms before a ConvergenceError is raised.
-    """
-
-    abs_tol: float = 1e-12
-    max_terms: int = 10**6
-
-    def __post_init__(self):
-        if not 0 < self.abs_tol < 1:
-            raise ValueError(f"abs_tol must be in (0, 1), got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_TOLERANCE = Tolerance()
+# The Marcum-Q series' absolute truncation error and its term budget.
+ABS_TOL = 1e-12
+MAX_TERMS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -97,22 +78,22 @@ def _poisson_window(mu, p: float):
     is exp(1 + W0((L/mu - 1)/e)) - 1, then one Newton step: h is convex
     and increasing, so a step from any u > 0 lands on or above the root,
     whatever W's rounding. A mean mu <= p has k_hi = 0, as
-    Pr[X >= 1] <= mu. Means must lie below 2^53.
+    Pr[X >= 1] <= mu. Means must lie below 2^53; ``marcum_q`` passes
+    p = ABS_TOL / 2, where both ends are finite for every such mean.
     """
     log_inv_p = -math.log(p)
     k_lo = np.maximum(np.ceil(mu - np.sqrt(2.0 * log_inv_p * mu)), 0.0)
     spread = mu > p
     m = np.where(spread, mu, 1.0)  # a stand-in where k_hi is 0 anyway
-    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal p: caught by the caller
-        c = log_inv_p / m
-        u = np.expm1(1.0 + sp.lambertw((c - 1.0) / math.e).real)
-        log1p_u = np.log1p(u)
-        u -= ((1.0 + u) * log1p_u - u - c) / log1p_u
-        k_hi = np.where(spread, np.ceil(mu * (1.0 + u)) - 1.0, 0.0)
+    c = log_inv_p / m
+    u = np.expm1(1.0 + sp.lambertw((c - 1.0) / math.e).real)
+    log1p_u = np.log1p(u)
+    u -= ((1.0 + u) * log1p_u - u - c) / log1p_u
+    k_hi = np.where(spread, np.ceil(mu * (1.0 + u)) - 1.0, 0.0)
     return k_lo, k_hi
 
 
-def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
+def marcum_q(order: float, a, b):
     """Generalized Marcum Q-function Q_order(a, b) of real order > 0.
 
     Equals the upper tail of the noncentral chi-square law under the
@@ -129,12 +110,10 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
     b : float or ndarray
         Boundary, b >= 0; b = inf gives 0. ``a`` and ``b`` broadcast
         against each other; scalars in give a float out.
-    tol : Tolerance
-        Truncation control; the Poisson mass each element drops is at
-        most ``tol.abs_tol / 2`` on either side of its window.
 
-    Each element sums the Poisson terms k_lo <= k <= k_hi of its own
-    mean mu = a^2 / 2. With p = abs_tol / 2, both ends come in closed
+    Every value is within ABS_TOL = 1e-12 of the full series. Each
+    element sums the Poisson terms k_lo <= k <= k_hi of its own mean
+    mu = a^2 / 2. With p = ABS_TOL / 2, both ends come in closed
     form from the Poisson tail bounds of ``_poisson_window``: the terms
     below k_lo weigh at most p together, and so do the terms above k_hi.
     The call sums the union of the windows in ascending k, skipping the
@@ -148,9 +127,8 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
     ------
     ConvergenceError
         If a^2 / 2 reaches 2^53 (overflow included), where consecutive
-        integers are no longer distinct floats, if ``tol.abs_tol`` is so
-        small that a window end is not finite, or if the union of the
-        windows holds more than ``tol.max_terms`` terms.
+        integers are no longer distinct floats, or if the union of the
+        windows holds more than MAX_TERMS = 10^6 terms.
     """
     if not order > 0:
         raise ValueError(f"order must be > 0, got {order}")
@@ -169,9 +147,7 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
 
     if not (mu < 2.0**53).all():
         raise ConvergenceError(f"marcum_q Poisson mean a^2/2 reaches 2^53 at a = {a_arr.max()}")
-    k_lo, k_hi = _poisson_window(mu, 0.5 * tol.abs_tol)
-    if not np.isfinite(k_hi).all():
-        raise ConvergenceError(f"marcum_q window end not finite at abs_tol={tol.abs_tol}")
+    k_lo, k_hi = _poisson_window(mu, 0.5 * ABS_TOL)
     # The union of the windows: sort them by k_lo and merge each window
     # into the run before it unless a gap separates them.
     by_lo = np.argsort(k_lo, axis=None)
@@ -180,10 +156,10 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
     opens = np.append(True, lo[1:] > hi[:-1] + 1.0)
     lo, hi = lo[opens], hi[np.append(opens[1:], True)]
     counts = hi - lo + 1.0
-    if counts.sum() > tol.max_terms:
+    if counts.sum() > MAX_TERMS:
         raise ConvergenceError(
             f"marcum_q windows cover {counts.sum():.0f} terms, more than "
-            f"max_terms={tol.max_terms} (order={order}, a up to {a_arr.max()})"
+            f"MAX_TERMS={MAX_TERMS} (order={order}, a up to {a_arr.max()})"
         )
     counts = counts.astype(np.int64)
     k = np.arange(counts.sum(), dtype=float) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
@@ -201,8 +177,7 @@ def marcum_q(order: float, a, b, tol: Tolerance = DEFAULT_TOLERANCE):
     return float(out) if out.ndim == 0 else out
 
 
-def noncentral_chisq_cdf(x, dof: float, noncentrality: float,
-                         tol: Tolerance = DEFAULT_TOLERANCE):
+def noncentral_chisq_cdf(x, dof: float, noncentrality: float):
     """CDF of the noncentral chi-square law chi2_dof(noncentrality).
 
     Related to the Marcum Q-function by
@@ -217,7 +192,7 @@ def noncentral_chisq_cdf(x, dof: float, noncentrality: float,
     scalar = x_arr.ndim == 0
     if np.any(x_arr < 0):
         raise ValueError("x must be >= 0")
-    out = 1.0 - marcum_q(0.5 * dof, math.sqrt(noncentrality), np.sqrt(x_arr), tol=tol)
+    out = 1.0 - marcum_q(0.5 * dof, math.sqrt(noncentrality), np.sqrt(x_arr))
     out = np.clip(out, 0.0, 1.0)
     return float(out) if scalar else out
 

@@ -743,3 +743,82 @@ class TestLawSelection:
             assert main(["roc", "--config", str(config_path),
                          "--out", str(tmp_path / "o")]) == 0
         assert not [r for r in caplog.records if r.name == "dpresidual.cli"]
+
+
+MODEL_COMMANDS = ALL_COMMANDS[:6]
+MODEL_HEADER = "# schema: dpresidual-model/1\n# m: 3\n# n: 2\n# sigma: 1.0\n# lambda: 0.0\n"
+
+
+class TestInputErrors:
+    """Unreadable input files and a negative seed are schema errors (exit 2)
+    with no artifact written; each used to end in a traceback (exit 1)."""
+
+    @pytest.mark.parametrize("body", [
+        None,
+        MODEL_HEADER + "1.0,2.0\n2.0,5.0\n",
+        MODEL_HEADER + "1.0,2.0\n2.0,abc\n3.0,7.0\n",
+    ], ids=["missing", "two_rows_of_three", "non_numeric"])
+    def test_bad_model_csv(self, tmp_path, capsys, body):
+        model_csv = tmp_path / "H.csv"
+        if body is not None:
+            model_csv.write_text(body)
+        doc = {**SCAN_WINNING_CONFIG,
+               "model": {"m": 3, "n": 2, "sigma": 1.0, "lambda": 0.0,
+                         "matrix_source": str(model_csv)}}
+        doc.pop("attack")
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        for args in MODEL_COMMANDS:
+            assert main(args + ["--config", str(path), "--out", str(out)]) == 2, args
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: model.matrix_source {model_csv}: "), err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command,artifact", [("estimate", "estimate.json"),
+                                                  ("privatize", "release.json")])
+    def test_missing_measurements(self, tmp_path, capsys, config_path, command, artifact):
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "measurements.csv") in err and "run simulate first" in err
+        elsewhere = tmp_path / "nope.csv"
+        assert main([command, "--config", str(config_path), "--out", str(out),
+                     "--measurements", str(elsewhere)]) == 2
+        err = capsys.readouterr().err
+        assert str(elsewhere) in err and "run simulate first" not in err
+        assert not (out / artifact).exists()
+
+    @pytest.mark.parametrize("command,artifact", [("estimate", "estimate.json"),
+                                                  ("privatize", "release.json")])
+    @pytest.mark.parametrize("offset,line,named", [
+        (0, "index,y", "no 'z' column"),
+        (1, "0,abc", "not a number"),
+        (1, "0,nan", "1 not finite"),
+        (1, None, "needs 12 finite z values, got 11"),
+    ], ids=["no_z_column", "non_numeric", "nan", "short"])
+    def test_malformed_measurements(self, tmp_path, capsys, config_path, command,
+                                    artifact, offset, line, named):
+        """Replace the header or the first row (None drops that row)."""
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        measurements = out / "measurements.csv"
+        lines = measurements.read_text().splitlines()
+        at = lines.index("index,z") + offset
+        lines[at:at + 1] = [] if line is None else [line]
+        measurements.write_text("\n".join(lines) + "\n")
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(measurements) in err and named in err
+        assert not (out / artifact).exists()
+
+    @pytest.mark.parametrize("args,with_config", [
+        *((args, True) for args in MODEL_COMMANDS),
+        (["figures", "--which", "fig6"], True),
+        (["figures", "--which", "fig6"], False),
+    ], ids=[*(args[0] for args in MODEL_COMMANDS), "figures", "figures_no_config"])
+    def test_negative_seed(self, tmp_path, capsys, config_path, args, with_config):
+        config = ["--config", str(config_path)] if with_config else []
+        out = tmp_path / "o"
+        assert main(args + config + ["--out", str(out), "--seed", "-3"]) == 2
+        assert "--seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()

@@ -43,6 +43,7 @@ from dpresidual import (
     residual_law,
     roc,
 )
+from dpresidual.special_functions import ABS_TOL
 from conftest import random_model
 
 
@@ -287,6 +288,19 @@ class TestDeltaForEpsilon:
         deltas = [delta_for_epsilon(6.0, 4.0, 0.5, 0.5 + g)
                   for g in np.linspace(0.05, 2.5, 30)]
         assert all(b >= a - 1e-12 for a, b in zip(deltas, deltas[1:]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.01, 30.0), st.integers(1, 300), st.floats(0.05, 10.0),
+           st.floats(0.01, 5.0))
+    def test_nondecreasing_in_gap_on_each_side(self, theta, r_tilde, epsilon, max_gap):
+        """For a fixed theta, delta grows with |theta' - theta| on either side,
+        up to the truncation error of its two Marcum-Q tails, so over an
+        interval of roots it peaks at an end."""
+        for side in (1.0, -1.0):
+            reach = max_gap if side > 0 else min(max_gap, theta)
+            gaps = np.linspace(0.0, reach, 401)[1:]
+            d = delta_for_epsilon(epsilon, float(r_tilde), theta, theta + side * gaps)
+            assert np.diff(d).min() >= -2.0 * ABS_TOL, side
 
     def test_symmetric_under_swap(self):
         assert delta_for_epsilon(2.0, 5.0, 0.4, 1.2) == \

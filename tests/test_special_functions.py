@@ -19,7 +19,6 @@ from scipy import integrate, optimize, special, stats
 from dpresidual import (
     ConvergenceError,
     SeedStream,
-    Tolerance,
     bessel_i,
     gaussian_q,
     gaussian_q_inverse,
@@ -29,6 +28,7 @@ from dpresidual import (
     noncentral_chisq_sample,
     regularized_gamma_q_inverse,
 )
+from dpresidual import special_functions
 from dpresidual.special_functions import _poisson_window
 
 
@@ -191,22 +191,23 @@ class TestMarcumQ:
             for j, bj in enumerate(b):
                 assert out[i, j] == marcum_q(2.5, float(ai), float(bj))
 
-    def test_far_apart_windows_sum_their_union(self):
+    def test_far_apart_windows_sum_their_union(self, monkeypatch):
         """Means 100 and 10^4: windows of ~140 and ~1,500 terms, 10^4 apart.
 
         The call sums only the terms some window covers, so a budget below
         the span between them still holds, and each element equals its
         scalar call under the same budget.
         """
-        tol = Tolerance(max_terms=2000)
+        monkeypatch.setattr(special_functions, "MAX_TERMS", 2000)
         a = np.sqrt(2.0 * np.array([1e4, 0.0, 100.0, 1e4]))[:, None]
         b = np.sqrt(2.0 * np.array([0.0, 50.0, 100.0, 9.9e3, 1.1e4]))
-        out = marcum_q(3.5, a, b, tol=tol)
+        out = marcum_q(3.5, a, b)
         for i, ai in enumerate(a[:, 0]):
             for j, bj in enumerate(b):
-                assert out[i, j] == marcum_q(3.5, float(ai), float(bj), tol=tol)
+                assert out[i, j] == marcum_q(3.5, float(ai), float(bj))
+        monkeypatch.setattr(special_functions, "MAX_TERMS", 1000)
         with pytest.raises(ConvergenceError, match="cover"):
-            marcum_q(3.5, a, b, tol=Tolerance(max_terms=1000))
+            marcum_q(3.5, a, b)
 
     def test_empty_broadcast(self):
         assert marcum_q(1.0, np.array([1.0, 2.0]), np.empty((0, 1))).shape == (0, 2)
@@ -215,9 +216,10 @@ class TestMarcumQ:
         assert marcum_q(2.5, 0.0, 3.0) == pytest.approx(
             special.gammaincc(2.5, 4.5), abs=1e-14)
 
-    def test_term_budget_reported(self):
+    def test_term_budget_reported(self, monkeypatch):
+        monkeypatch.setattr(special_functions, "MAX_TERMS", 3)
         with pytest.raises(ConvergenceError):
-            marcum_q(1.0, 12.0, 1.0, tol=Tolerance(max_terms=3))
+            marcum_q(1.0, 12.0, 1.0)
 
     def test_overflowing_mean_reported(self):
         """a^2/2 overflows past a ~ 1.3e154: a ConvergenceError naming a."""
@@ -233,11 +235,6 @@ class TestMarcumQ:
         with pytest.raises(ConvergenceError, match="cover"):  # finite window ends below 2^53
             marcum_q(2.0, math.sqrt(2.0 * 0.99 * 2.0**53), 1.0)
 
-    def test_nonfinite_window_end_reported(self):
-        """A subnormal abs_tol overflows the upper end's closed form."""
-        with pytest.raises(ConvergenceError, match="not finite"):
-            marcum_q(2.0, 1e-154, 1.0, tol=Tolerance(abs_tol=1e-320))
-
     def test_infinite_boundary(self):
         assert marcum_q(2.0, 1.0, math.inf) == 0.0
         np.testing.assert_array_equal(marcum_q(2.0, np.array([0.0, 3.0]), math.inf), [0.0, 0.0])
@@ -247,7 +244,7 @@ class TestMarcumQ:
         a = np.array([0.5, 3.0, 9.0])
         with caplog.at_level(logging.DEBUG, logger="dpresidual.special_functions"):
             marcum_q(2.0, a, 4.0)
-        k_lo, k_hi = _poisson_window(0.5 * a * a, 0.5 * Tolerance().abs_tol)
+        k_lo, k_hi = _poisson_window(0.5 * a * a, 0.5 * special_functions.ABS_TOL)
         assert [r.getMessage() for r in caplog.records] == [
             f"marcum_q: {int(k_hi.max() - k_lo.min()) + 1} terms over 3 elements"]
 
@@ -296,6 +293,18 @@ class TestPoissonWindow:
         exact = np.isfinite(o_lo) & np.isfinite(o_hi)
         assert exact[mu < 1e7].all()
         assert np.all((k_hi - k_lo + 1.0)[exact] <= 1.2 * (o_hi - o_lo + 1.0)[exact] + 2.0)
+
+    def test_fixed_tolerance_ends_finite(self):
+        """At marcum_q's p = ABS_TOL / 2 every mean below 2^53 has a finite
+        window, computed without a floating-point warning."""
+        p = 0.5 * special_functions.ABS_TOL
+        edges = [0.0, p, np.nextafter(p, 0.0), np.nextafter(p, 1.0),
+                 2.0**53 * (1.0 - 2.0**-52)]
+        sweep = np.logspace(math.log10(5e-324), 53.0 * math.log10(2.0), 10**6,
+                            endpoint=False)
+        k_lo, k_hi = _poisson_window(np.concatenate([edges, sweep]), p)
+        assert np.isfinite(k_lo).all() and np.isfinite(k_hi).all()
+        assert np.all(k_hi >= k_lo)
 
 
 class TestNoncentralChisqCdf:
@@ -424,16 +433,3 @@ class TestBesselI:
         with pytest.raises(ValueError):
             bessel_i(order, x)
 
-
-class TestTolerance:
-    def test_defaults(self):
-        t = Tolerance()
-        assert t.abs_tol == 1e-12 and t.max_terms == 10**6
-
-    @pytest.mark.parametrize("kwargs", [
-        {"abs_tol": 0.0}, {"abs_tol": -1e-3}, {"max_terms": 0},
-        {"abs_tol": 1.0}, {"abs_tol": 5.0},
-    ])
-    def test_invariants(self, kwargs):
-        with pytest.raises(ValueError):
-            Tolerance(**kwargs)
