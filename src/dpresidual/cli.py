@@ -13,9 +13,11 @@ Carlo validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,12 +58,14 @@ from .dp_mechanism import (
 from .estimation import chi_mixture, gaussian_law, residual_law, wls_estimate, wssr
 from .exceptions import NumericError, SchemaError, ValidationFailure
 from .measurement_model import MeasurementModel, simulate_measurements
+from .special_functions import ABS_TOL
 
 logger = logging.getLogger(__name__)
 
 MEASUREMENTS_SCHEMA = "dpresidual-measurements/1"
 DELTA_CURVE_CLI_SCHEMA = "dpresidual-delta-curve-cli/1"
 VALIDATION_SCHEMA = "dpresidual-validation/1"
+LOG_LEVELS = {"warning": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 FIGURE_SCHEMAS = {
     "fig3_roc": "dpresidual-fig3-roc/1",
     "fig3_auroc": "dpresidual-fig3-auroc/1",
@@ -241,10 +245,13 @@ def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int) -> int:
     eps = np.asarray(dp.epsilon_grid, dtype=float)
     result = delta_max_over_neighborhood(eps, model, attack, r_prime,
                                          dp.neighborhood, streams[STREAM_SCAN])
+    # Each of delta's two Marcum-Q tails sums nonnegative terms and leaves
+    # out at most ABS_TOL, so the true delta lies in [delta, delta + 2 ABS_TOL].
+    bound = np.minimum(1.0, result.delta + 2.0 * ABS_TOL)
     rows = np.column_stack([eps, result.delta, result.argmax_theta,
-                            result.argmax_theta_prime]).tolist()
+                            result.argmax_theta_prime, bound]).tolist()
     write_csv(out / "delta_curve.csv", DELTA_CURVE_CLI_SCHEMA,
-              ["epsilon", "delta", "argmax_theta", "argmax_theta_prime"],
+              ["epsilon", "delta", "argmax_theta", "argmax_theta_prime", "delta_bound"],
               rows, meta=_meta(config, seed))
     return 0
 
@@ -372,6 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override mc.seed")
         p.add_argument("--workers", type=int, default=None,
                        help="override mc.workers (>= 1; validate runs in one process)")
+        p.add_argument("--log-level", choices=sorted(LOG_LEVELS), default="warning",
+                       help="stderr logging: warning (default), info (stage times) "
+                            "or debug (also Marcum-Q term counts)")
 
     common(sub.add_parser("simulate", help="draw measurements and a truth sidecar"))
     p_est = sub.add_parser("estimate", help="state estimate and residual statistic")
@@ -391,48 +401,80 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _stderr_logging(level: int):
+    """Send the package's records at ``level`` and above to stderr, for the
+    duration of the block only; the logger is left as it was found."""
+    package = logging.getLogger("dpresidual")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(level)
+    saved = package.level
+    package.setLevel(min(level, package.getEffectiveLevel()))
+    package.addHandler(handler)
+    try:
+        yield
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(saved)
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Log the wall time of a stage that completes, at INFO."""
+    start = time.perf_counter()
+    yield
+    logger.info("stage %s: %.3f s", name, time.perf_counter() - start)
+
+
+def _dispatch(args, config: ExperimentConfig | None, out: Path, seed: int) -> int:
+    if args.command == "simulate":
+        return cmd_simulate(config, out, seed)
+    if args.command == "estimate":
+        return cmd_estimate(config, out, seed, args.measurements)
+    if args.command == "privatize":
+        return cmd_privatize(config, out, seed, args.measurements)
+    if args.command == "delta-curve":
+        return cmd_delta_curve(config, out, seed)
+    if args.command == "roc":
+        return cmd_roc(config, out, seed)
+    if args.command == "validate":
+        workers = args.workers if args.workers is not None else config.mc.workers
+        if workers > 1:
+            logger.warning("workers=%d ignored: the Monte Carlo trials run in one "
+                           "process", workers)
+        return cmd_validate(config, out, seed)
+    if args.command == "figures":
+        return cmd_figures(args.which, config, out, seed)
+    raise SchemaError(f"unknown command {args.command!r}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.workers is not None and args.workers < 1:
-            raise SchemaError(f"--workers must be >= 1, got {args.workers}")
-        if args.seed is not None and args.seed < 0:
-            raise SchemaError(f"--seed must be >= 0, got {args.seed}")
-        config = load_config(args.config) if args.config is not None else None
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if config is not None:
-            config, seed = _effective(config, args)
-        else:
-            seed = args.seed if args.seed is not None else 0
-        if args.command == "simulate":
-            return cmd_simulate(config, out, seed)
-        if args.command == "estimate":
-            return cmd_estimate(config, out, seed, args.measurements)
-        if args.command == "privatize":
-            return cmd_privatize(config, out, seed, args.measurements)
-        if args.command == "delta-curve":
-            return cmd_delta_curve(config, out, seed)
-        if args.command == "roc":
-            return cmd_roc(config, out, seed)
-        if args.command == "validate":
-            workers = args.workers if args.workers is not None else config.mc.workers
-            if workers > 1:
-                logger.warning("workers=%d ignored: the Monte Carlo trials run in one "
-                               "process", workers)
-            return cmd_validate(config, out, seed)
-        if args.command == "figures":
-            return cmd_figures(args.which, config, out, seed)
-        raise SchemaError(f"unknown command {args.command!r}")
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except ValidationFailure as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 4
+    with _stderr_logging(LOG_LEVELS[args.log_level]):
+        try:
+            if args.workers is not None and args.workers < 1:
+                raise SchemaError(f"--workers must be >= 1, got {args.workers}")
+            if args.seed is not None and args.seed < 0:
+                raise SchemaError(f"--seed must be >= 0, got {args.seed}")
+            with _stage("load_config"):
+                config = load_config(args.config) if args.config is not None else None
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            if config is not None:
+                config, seed = _effective(config, args)
+            else:
+                seed = args.seed if args.seed is not None else 0
+            with _stage(args.command):
+                return _dispatch(args, config, out, seed)
+        except SchemaError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except NumericError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return 3
+        except ValidationFailure as exc:
+            print(f"validation failure: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

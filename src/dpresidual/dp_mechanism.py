@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .estimation import Regime, ResidualLaw, residual_law
 from .exceptions import ConvergenceError
@@ -366,7 +365,7 @@ def _noncentral_logpdf(q, dof: float, theta: float):
     half = 0.5 * dof
     if theta < _CENTRAL_EPS:
         return (half - 1.0) * np.log(q) - 0.5 * q - half * math.log(2.0) \
-            - sp.gammaln(half)
+            - math.lgamma(half)
     nc = theta * theta
     return (-0.5 * (q + nc)
             + (0.5 * half - 0.5) * (np.log(q) - math.log(nc))

@@ -20,6 +20,10 @@ is within the fixed ABS_TOL = 1e-12 of the full series. ``a`` and ``b``
 broadcast; a call loops over the terms of the union of its elements'
 windows, never over the elements, and raises ``ConvergenceError`` past
 MAX_TERMS = 10^6 of them.
+
+Every function that calls ``scipy.special`` imports it on first use, not
+at module import, so a process that only simulates, estimates or releases
+(all plain numpy) starts without paying scipy's import time.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import logging
 import math
 
 import numpy as np
-from scipy import special as sp
 
 from .exceptions import ConvergenceError
 from .streams import as_generator
@@ -50,6 +53,8 @@ def regularized_gamma_q_inverse(alpha, s: float):
     Monotone decreasing in ``alpha``; alpha (scalar or array) must lie
     strictly in (0, 1). Arrays are inverted elementwise.
     """
+    from scipy import special as sp
+
     alpha_arr = np.asarray(alpha, dtype=float)
     if not np.all((alpha_arr > 0.0) & (alpha_arr < 1.0)):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -81,6 +86,8 @@ def _poisson_window(mu, p: float):
     Pr[X >= 1] <= mu. Means must lie below 2^53; ``marcum_q`` passes
     p = ABS_TOL / 2, where both ends are finite for every such mean.
     """
+    from scipy import special as sp
+
     log_inv_p = -math.log(p)
     k_lo = np.maximum(np.ceil(mu - np.sqrt(2.0 * log_inv_p * mu)), 0.0)
     spread = mu > p
@@ -130,6 +137,8 @@ def marcum_q(order: float, a, b):
         integers are no longer distinct floats, or if the union of the
         windows holds more than MAX_TERMS = 10^6 terms.
     """
+    from scipy import special as sp
+
     if not order > 0:
         raise ValueError(f"order must be > 0, got {order}")
     a_arr = np.asarray(a, dtype=float)
@@ -235,6 +244,8 @@ def noncentral_chisq_sample(dof: float, noncentrality: float, rng, size=None):
 
 def gaussian_q(x):
     """Standard normal upper-tail probability Q(x) = Pr[N(0,1) > x]."""
+    from scipy import special as sp
+
     x_arr = np.asarray(x, dtype=float)
     out = 0.5 * sp.erfc(x_arr / math.sqrt(2.0))
     return float(out) if x_arr.ndim == 0 else out
@@ -242,6 +253,8 @@ def gaussian_q(x):
 
 def gaussian_q_inverse(p):
     """Inverse of ``gaussian_q``; p (scalar or array) must lie strictly in (0, 1)."""
+    from scipy import special as sp
+
     p_arr = np.asarray(p, dtype=float)
     if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
         raise ValueError(f"p must be in (0, 1), got {p}")
@@ -259,6 +272,8 @@ def bessel_i(order: float, x: float) -> float:
     Evaluated in scaled form internally; raises OverflowError when the
     unscaled value exceeds the double range (use ``log_bessel_i`` there).
     """
+    from scipy import special as sp
+
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if not x > 0:
@@ -277,6 +292,8 @@ def log_bessel_i(order: float, x) -> float:
 
     Defined for order > -1, where I_order is positive on x > 0.
     """
+    from scipy import special as sp
+
     if order <= -1:
         raise ValueError(f"order must be > -1, got {order}")
     x_arr = np.asarray(x, dtype=float)

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,7 +232,8 @@ class TestDeltaCurve:
             out = tmp_path / f"o{k}"
             assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 0
             _, columns, rows = read_csv(out / "delta_curve.csv")
-            assert columns == ["epsilon", "delta", "argmax_theta", "argmax_theta_prime"]
+            assert columns == ["epsilon", "delta", "argmax_theta", "argmax_theta_prime",
+                               "delta_bound"]
             deltas = [float(r[1]) for r in rows]
             assert all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))
 
@@ -252,8 +254,32 @@ class TestDeltaCurve:
                                              streams[STREAM_SCAN])
         assert np.all(direct.scan_max > direct.grid_max)
         expected = np.column_stack([eps, direct.delta, direct.argmax_theta,
-                                    direct.argmax_theta_prime])
+                                    direct.argmax_theta_prime,
+                                    np.minimum(1.0, direct.delta + 2e-12)])
         assert [[float(v) for v in row] for row in rows] == expected.tolist()
+
+    def test_delta_bound_covers_series_truncation(self, tmp_path):
+        """delta_bound adds the two Marcum-Q tails' truncation bound to delta,
+        so a delta printed far below the series tolerance is bounded by it."""
+        doc = {"model": {"m": 200, "n": 20, "sigma": 1.0, "lambda": 0.0,
+                         "matrix_source": "random_seeded"},
+               "attack": {"indices": [3, 11], "values": [2.0, -1.5]},
+               "dp": {"mechanism": "chi_square", "epsilon": 2.0, "delta": 0.1,
+                      "r_prime": 1, "epsilon_grid": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
+                      "neighborhood": {"delta_h_bound": 1.0, "scan_count": 1000,
+                                       "theta_domain": [2.3, 2.4], "grid_points": 17}},
+               "test": {"alpha": 0.05},
+               "mc": {"trials": 100000, "seed": 7, "workers": 1}}
+        out = tmp_path / "o"
+        assert main(["delta-curve", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out / "delta_curve.csv")
+        delta = np.array([float(r[columns.index("delta")]) for r in rows])
+        bound = np.array([float(r[columns.index("delta_bound")]) for r in rows])
+        assert np.all(bound >= delta) and np.all(bound <= 1.0)
+        tiny = delta < 1e-30
+        assert tiny.any() and np.all(bound[tiny] == 2e-12)
+        assert np.array_equal(bound[~tiny], np.minimum(1.0, delta[~tiny] + 2e-12))
 
     def test_theta_domain_warning_logged_once(self, tmp_path, caplog):
         path = write_config(tmp_path, SCAN_WINNING_CONFIG)
@@ -569,6 +595,49 @@ class TestDeterminism:
                 assert main(args + ["--config", str(path), "--out", str(out)]) == 0
             outputs[run] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert outputs["a"] == outputs["b"]
+
+
+class TestLogLevel:
+    """--log-level sends the package's records to stderr for one main call."""
+
+    def test_default_writes_bare_warnings_only(self, tmp_path, capsys, caplog):
+        path = write_config(tmp_path, SCAN_WINNING_CONFIG)
+        assert main(["delta-curve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        warning, = [r.getMessage() for r in caplog.records]
+        assert capsys.readouterr().err == warning + "\n"
+
+    def test_info_logs_stage_times(self, tmp_path, capsys, config_path):
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                     "--log-level", "info"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["stage load_config",
+                                                          "stage simulate"]
+        assert all(re.fullmatch(r"stage \w+: \d+\.\d{3} s", line) for line in lines)
+
+    def test_debug_logs_marcum_terms(self, tmp_path, capsys, config_path):
+        assert main(["roc", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                     "--log-level", "debug"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert any(re.fullmatch(r"marcum_q: \d+ terms over \d+ elements", line)
+                   for line in lines)
+        assert lines[-1].startswith("stage roc: ")
+
+    def test_logger_restored_after_main(self, tmp_path, capsys, config_path):
+        package = logging.getLogger("dpresidual")
+        before = (package.level, list(package.handlers))
+        for level in ("warning", "debug"):
+            assert main(["simulate", "--config", str(config_path),
+                         "--out", str(tmp_path / "o"), "--log-level", level]) == 0
+            assert (package.level, package.handlers) == before
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                     "--seed", "-1", "--log-level", "debug"]) == 2
+        assert (package.level, package.handlers) == before
+
+    def test_unknown_level_is_a_usage_error(self, tmp_path, config_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                  "--log-level", "error"])
+        assert exc.value.code == 2
 
 
 class TestCliMisc:
