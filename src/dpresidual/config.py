@@ -191,7 +191,8 @@ def _parse_neighborhood(doc, path="dp.neighborhood") -> NeighborhoodSpec:
             delta_h_bound=_get(doc, "delta_h_bound", path, float),
             scan_count=_get(doc, "scan_count", path, int),
             theta_domain=(domain[0], domain[1]),
-            grid_points=_get(doc, "grid_points", path, int, required=False, default=33),
+            grid_points=_get(doc, "grid_points", path, int, required=False,
+                             default=NeighborhoodSpec.grid_points),
         )
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
@@ -245,7 +246,8 @@ def _parse_test(doc, path="test") -> TestConfig:
     doc = _require_mapping(doc, path)
     _reject_unknown(doc, {"alpha", "alpha_grid"}, path)
     cfg = TestConfig(
-        alpha=_get(doc, "alpha", path, float, required=False, default=0.05),
+        alpha=_get(doc, "alpha", path, float, required=False,
+                   default=TestConfig.alpha),
         alpha_grid=_get_list(doc, "alpha_grid", path, float),
     )
     if not 0 < cfg.alpha < 1:
@@ -262,9 +264,10 @@ def _parse_mc(doc, path="mc") -> McConfig:
     doc = _require_mapping(doc, path)
     _reject_unknown(doc, {"trials", "seed", "workers"}, path)
     cfg = McConfig(
-        trials=_get(doc, "trials", path, int, required=False, default=100_000),
-        seed=_get(doc, "seed", path, int, required=False, default=0),
-        workers=_get(doc, "workers", path, int, required=False, default=1),
+        trials=_get(doc, "trials", path, int, required=False, default=McConfig.trials),
+        seed=_get(doc, "seed", path, int, required=False, default=McConfig.seed),
+        workers=_get(doc, "workers", path, int, required=False,
+                     default=McConfig.workers),
     )
     if cfg.trials < 1:
         raise SchemaError(f"{path}.trials must be >= 1")

@@ -20,9 +20,10 @@ released statistic under two neighboring laws, a Gaussian additive
 mechanism for the large-system regime with a numerically calibrated noise
 scale (the closed-form guarantee for stochastic queries is intentionally
 out of scope; the calibration searches the smallest noise scale whose
-leakage passes the probabilistic privacy condition), and the baseline
-that perturbs every measurement with the standard Gaussian mechanism at a
-per-element budget.
+leakage passes the probabilistic privacy condition Pr[|L| <= eps] >=
+1 - delta, an event read off the sorted roots of L = +-eps, since L is
+quadratic in the released value), and the baseline that perturbs every
+measurement with the standard Gaussian mechanism at a per-element budget.
 """
 
 from __future__ import annotations
@@ -411,67 +412,50 @@ def gaussian_output_release(law: ResidualLaw, q: float, nu_mean: float,
     return output_release(law, q, params, rng)
 
 
-def _quadratic_le_zero(a: float, b: float, c: float) -> list[tuple[float, float]]:
-    """Solution set of a u^2 + b u + c <= 0 as disjoint closed intervals."""
-    inf = math.inf
-    if a == 0.0:
-        if b == 0.0:
-            return [(-inf, inf)] if c <= 0 else []
-        root = -c / b
-        return [(-inf, root)] if b > 0 else [(root, inf)]
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        return [] if a > 0 else [(-inf, inf)]
-    s = math.sqrt(disc)
-    lo, hi = (-b - s) / (2.0 * a), (-b + s) / (2.0 * a)
-    if lo > hi:
-        lo, hi = hi, lo
-    if a > 0:
-        return [(lo, hi)]
-    return [(-inf, lo), (hi, inf)]
-
-
-def _intersect(sets_a: list[tuple[float, float]],
-               sets_b: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    out = []
-    for a_lo, a_hi in sets_a:
-        for b_lo, b_hi in sets_b:
-            lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-            if lo < hi:
-                out.append((lo, hi))
-    return out
-
-
 def gaussian_leakage_probability(law: ResidualLaw, neighbor_law: ResidualLaw,
                                  nu_sigma: float, epsilon: float) -> float:
     """Exact Pr[|L| <= epsilon] for the Gaussian release pair, worst direction.
 
-    L(u) is a quadratic in the released value u; the event is an
-    intersection of quadratic sub-level sets integrated in closed form
-    against each generating normal. Returns the minimum over the two
-    generating laws.
+    L(u) = a u^2 + b u + c is a quadratic in the released value u. Unless
+    it is constant, |L| grows without bound in both tails, so the sorted
+    real roots of L = -epsilon and L = +epsilon (two or four; one each
+    when the variances are equal) bound the event pairwise: it is
+    [r0, r1], plus [r2, r3] when there are four. With no roots L is the
+    constant c and the event is all of R or empty. Both generating normals
+    are integrated over the event in one ``gaussian_q`` call; returns the
+    minimum over the two generating laws.
     """
     if law.regime is not Regime.GAUSSIAN or neighbor_law.regime is not Regime.GAUSSIAN:
         raise ValueError("leakage probability needs gaussian-regime laws")
-    if nu_sigma < 0:
+    if not nu_sigma >= 0:
         raise ValueError(f"nu_sigma must be >= 0, got {nu_sigma}")
+    if not epsilon > 0:                    # the roots pair up only for -epsilon < epsilon
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     mu0, mu1 = law.mean, neighbor_law.mean
     s0 = math.sqrt(law.variance + nu_sigma**2)
     s1 = math.sqrt(neighbor_law.variance + nu_sigma**2)
     a = 0.5 / s1**2 - 0.5 / s0**2
     b = mu0 / s0**2 - mu1 / s1**2
     c = 0.5 * mu1**2 / s1**2 - 0.5 * mu0**2 / s0**2 + math.log(s1 / s0)
-    upper = _quadratic_le_zero(a, b, c - epsilon)          # L <= eps
-    lower = _quadratic_le_zero(-a, -b, -(c + epsilon))     # L >= -eps
-    region = _intersect(upper, lower)
-
-    def mass(mu: float, s: float) -> float:
-        total = 0.0
-        for lo, hi in region:
-            total += gaussian_q((lo - mu) / s) - gaussian_q((hi - mu) / s)
-        return min(1.0, max(0.0, total))
-
-    return min(mass(mu0, s0), mass(mu1, s1))
+    ends = []
+    for level in (-epsilon, epsilon):                      # roots of L = level
+        c_level = c - level
+        if a != 0.0:
+            disc = b * b - 4.0 * a * c_level
+            if disc >= 0.0:
+                s = math.sqrt(disc)
+                ends += ((-b - s) / (2.0 * a), (-b + s) / (2.0 * a))
+        elif b != 0.0:
+            ends.append(-c_level / b)
+    ends.sort()
+    if not ends:
+        if abs(c) > epsilon:
+            return 0.0
+        ends = [-math.inf, math.inf]
+    q = gaussian_q([(e - mu) / sd for mu, sd in ((mu0, s0), (mu1, s1)) for e in ends]).tolist()
+    mass = [q_lo - q_hi for q_lo, q_hi in zip(q[0::2], q[1::2])]   # per interval, per law
+    k = len(ends) // 2
+    return min(1.0, max(0.0, min(sum(mass[:k]), sum(mass[k:]))))
 
 
 def calibrate_gaussian_output_sigma(law: ResidualLaw, neighbor_law: ResidualLaw,

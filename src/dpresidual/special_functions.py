@@ -290,7 +290,9 @@ def bessel_i(order: float, x: float) -> float:
 def log_bessel_i(order: float, x) -> float:
     """log I_order(x), evaluated stably via the scaled Bessel function.
 
-    Defined for order > -1, where I_order is positive on x > 0.
+    Defined for order > -1, where I_order is positive on x > 0. Raises
+    OverflowError where the scaled function underflows to 0 (large order,
+    small x).
     """
     from scipy import special as sp
 
@@ -300,7 +302,8 @@ def log_bessel_i(order: float, x) -> float:
     scalar = x_arr.ndim == 0
     if np.any(x_arr <= 0):
         raise ValueError("x must be > 0")
-    out = np.log(sp.ive(order, x_arr)) + x_arr
+    with np.errstate(divide="ignore"):
+        out = np.log(sp.ive(order, x_arr)) + x_arr
     if np.any(~np.isfinite(out)):
         raise OverflowError(f"log_bessel_i underflowed at order={order}")
     return float(out) if scalar else out

@@ -647,6 +647,15 @@ class TestCliMisc:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_omitted_keys_take_the_defaults(self, tmp_path):
+        neighborhood = {"delta_h_bound": 0.1, "scan_count": 5, "theta_domain": [0.2, 1.2]}
+        doc = {**BASE_CONFIG, "test": {}, "mc": {},
+               "dp": {**BASE_CONFIG["dp"], "neighborhood": neighborhood}}
+        config = load_config(write_config(tmp_path, doc))
+        assert (config.mc.trials, config.mc.seed, config.mc.workers) == (100_000, 0, 1)
+        assert config.test.alpha == 0.05
+        assert config.dp.neighborhood.grid_points == 33
+
     def test_missing_section_reported(self, tmp_path, capsys):
         path = write_config(tmp_path, {"test": {"alpha": 0.5}})
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])

@@ -43,6 +43,7 @@ from dpresidual import (
     residual_law,
     roc,
 )
+from dpresidual.dp_mechanism import _CALIBRATION_MARGIN, _CALIBRATION_REL_TOL
 from dpresidual.special_functions import ABS_TOL
 from conftest import random_model
 
@@ -68,6 +69,35 @@ def hockey_stick_delta(sigma, sensitivity, epsilon):
         lambda u: max(0.0, f0(u) - math.exp(epsilon) * f1(u)),
         -60 * sigma, 60 * sigma, limit=400)
     return value
+
+
+def roots_leakage_probability(mu0, v0, mu1, v1, nu_sigma, epsilon):
+    """Pr[|L| <= eps] of the Gaussian release pair, worst direction.
+
+    The roots of L = -eps and L = +eps come from ``np.roots`` on L's
+    polynomial, written out from the two log densities; each interval
+    between consecutive roots (and +-inf) is kept when |L| <= eps at an
+    interior point, and scipy's normal cdf integrates both laws over it.
+    """
+    s0, s1 = math.sqrt(v0 + nu_sigma**2), math.sqrt(v1 + nu_sigma**2)
+
+    def log_density(mu, s):          # log N(u; mu, s^2), highest power of u first
+        return np.array([-0.5, mu, -0.5 * mu * mu]) / (s * s) - [0.0, 0.0, math.log(s)]
+
+    poly = log_density(mu0, s0) - log_density(mu1, s1)
+    found = np.concatenate([np.roots(poly - [0.0, 0.0, level]) for level in (-epsilon, epsilon)])
+    roots = np.sort(found[found.imag == 0].real)
+    if roots.size:
+        points = np.concatenate([[roots[0] - 1.0], 0.5 * (roots[1:] + roots[:-1]),
+                                 [roots[-1] + 1.0]])
+    else:
+        points = np.array([0.0])
+    L = stats.norm.logpdf(points, mu0, s0) - stats.norm.logpdf(points, mu1, s1)
+    edges = np.concatenate([[-np.inf], roots, [np.inf]])
+    keep = np.abs(L) <= epsilon
+    lo, hi = edges[:-1][keep], edges[1:][keep]
+    return min(float(np.sum(stats.norm.cdf(hi, mu, s) - stats.norm.cdf(lo, mu, s)))
+               for mu, s in ((mu0, s0), (mu1, s1)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +444,11 @@ class TestLeakage:
         with pytest.raises(ValueError):
             leakage(0.0, 3.0, 1.0, 2.0)
 
+    def test_bessel_underflow_raises_overflow_error_only(self):
+        """At large r~ the scaled Bessel function underflows to 0: no numpy warning."""
+        with pytest.raises(OverflowError):
+            leakage(4801.0, 4801, 2.08, 2.10)
+
 
 ORACLE_EPSILONS = (0.5, 2.0, 8.0)
 
@@ -718,6 +753,59 @@ class TestGaussianLeakageProbability:
         assert large > 0.999
 
 
+class TestGaussianLeakageOracle:
+    """The sorted-roots event against ``roots_leakage_probability``.
+
+    a is the leakage's quadratic coefficient 1/(2 s1^2) - 1/(2 s0^2).
+    """
+
+    @pytest.mark.parametrize("mu0,v0,mu1,v1,nu_sigma,eps", [
+        (10.0, 4.0, 10.5, 4.0, 0.0, 1.0),     # equal variances, no noise
+        (10.0, 4.0, 10.5, 4.0, 1.5, 0.2),     # equal variances
+        (0.0, 1.0, 0.0, 2.0, 0.0, 0.4),       # equal means, a < 0
+        (0.0, 2.0, 0.0, 1.0, 0.3, 0.4),       # equal means, a > 0
+        (5.0, 9.0, 4.0, 1.0, 0.0, 0.7),       # a > 0, four roots
+        (4.0, 1.0, 5.0, 9.0, 0.0, 0.7),       # a < 0, four roots
+        (10.0, 1.0, 13.0, 16.0, 0.5, 2.0),    # a < 0, two roots
+        (-3.0, 0.5, 8.0, 0.2, 0.0, 0.05),     # far apart: mass near 0, four roots
+    ])
+    def test_degenerate_cases(self, mu0, v0, mu1, v1, nu_sigma, eps):
+        law0, law1 = ResidualLaw.gaussian(mu0, v0), ResidualLaw.gaussian(mu1, v1)
+        mine = gaussian_leakage_probability(law0, law1, nu_sigma, eps)
+        ref = roots_leakage_probability(mu0, v0, mu1, v1, nu_sigma, eps)
+        assert mine == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("nu_sigma", [0.0, 0.7])
+    def test_identical_laws(self, nu_sigma):
+        law = ResidualLaw.gaussian(3.0, 2.0)
+        assert gaussian_leakage_probability(law, law, nu_sigma, 0.1) == 1.0
+        assert roots_leakage_probability(3.0, 2.0, 3.0, 2.0, nu_sigma, 0.1) == 1.0
+
+    @pytest.mark.parametrize("nu_sigma,eps", [(math.nan, 1.0), (-0.1, 1.0),
+                                              (1.0, 0.0), (1.0, -1.0), (1.0, math.nan)])
+    def test_rejects_bad_knobs(self, nu_sigma, eps):
+        """A negative epsilon used to give 0.0 and a NaN nu_sigma 0.0, silently."""
+        law0, law1 = ResidualLaw.gaussian(0.0, 1.0), ResidualLaw.gaussian(1.0, 1.0)
+        with pytest.raises(ValueError):
+            gaussian_leakage_probability(law0, law1, nu_sigma, eps)
+
+    def test_random_tuples(self):
+        gen = np.random.default_rng(2018)
+        for k in range(400):
+            mu0, mu1 = gen.uniform(-20.0, 20.0, size=2)
+            v0, v1 = 10.0 ** gen.uniform(-2.0, 2.0, size=2)
+            nu_sigma = 0.0 if k % 5 == 0 else 10.0 ** gen.uniform(-3.0, 1.5)
+            eps = 10.0 ** gen.uniform(-2.0, 1.0)
+            if k % 5 == 1:
+                v1 = v0
+            elif k % 5 == 2:
+                mu1 = mu0
+            law0, law1 = ResidualLaw.gaussian(mu0, v0), ResidualLaw.gaussian(mu1, v1)
+            mine = gaussian_leakage_probability(law0, law1, nu_sigma, eps)
+            ref = roots_leakage_probability(mu0, v0, mu1, v1, nu_sigma, eps)
+            assert mine == pytest.approx(ref, abs=1e-9), (mu0, v0, mu1, v1, nu_sigma, eps)
+
+
 class TestGaussianCalibration:
     def test_calibrated_scale_passes_mc_leakage(self):
         """MC check of the probabilistic privacy condition at the calibrated scale."""
@@ -749,6 +837,34 @@ class TestGaussianCalibration:
     def test_identical_laws_need_no_noise(self):
         law = ResidualLaw.gaussian(10.0, 1.0)
         assert calibrate_gaussian_output_sigma(law, law, 1.0, 0.1) == 0.0
+
+
+GAUSSIAN_PAIRS = dict(mu0=st.floats(-20.0, 20.0), v0=st.floats(0.01, 100.0),
+                      mu1=st.floats(-20.0, 20.0), v1=st.floats(0.01, 100.0),
+                      eps=st.floats(0.05, 5.0))
+
+
+class TestGaussianCalibrationProperties:
+    """What the calibration's doubling and bisection rely on."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(**GAUSSIAN_PAIRS, nu_a=st.floats(0.0, 50.0), nu_b=st.floats(0.0, 50.0))
+    def test_probability_nondecreasing_in_nu_sigma(self, mu0, v0, mu1, v1, eps, nu_a, nu_b):
+        law0, law1 = ResidualLaw.gaussian(mu0, v0), ResidualLaw.gaussian(mu1, v1)
+        lo, hi = sorted((nu_a, nu_b))
+        assert gaussian_leakage_probability(law0, law1, lo, eps) \
+            <= gaussian_leakage_probability(law0, law1, hi, eps)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(**GAUSSIAN_PAIRS, delta=st.floats(0.01, 0.5))
+    def test_calibrated_scale_is_tight(self, mu0, v0, mu1, v1, eps, delta):
+        law0, law1 = ResidualLaw.gaussian(mu0, v0), ResidualLaw.gaussian(mu1, v1)
+        nu_sigma = calibrate_gaussian_output_sigma(law0, law1, eps, delta)
+        target = 1.0 - delta + _CALIBRATION_MARGIN
+        assert gaussian_leakage_probability(law0, law1, nu_sigma, eps) >= target
+        if nu_sigma > 0:
+            smaller = nu_sigma * (1.0 - 2.0 * _CALIBRATION_REL_TOL)
+            assert gaussian_leakage_probability(law0, law1, smaller, eps) < target
 
 
 # ---------------------------------------------------------------------------
