@@ -78,7 +78,6 @@ from .measurement_model import (
     stealth_attack,
 )
 from .special_functions import (
-    bessel_i,
     gaussian_q,
     gaussian_q_inverse,
     log_bessel_i,

@@ -45,8 +45,6 @@ from .detection import (
     TestSpec,
     monte_carlo_validate,
     pfa_pd,
-    write_auroc_csv,
-    write_roc_csv,
 )
 from .dp_mechanism import (
     Mechanism,
@@ -65,6 +63,8 @@ logger = logging.getLogger(__name__)
 MEASUREMENTS_SCHEMA = "dpresidual-measurements/1"
 DELTA_CURVE_CLI_SCHEMA = "dpresidual-delta-curve-cli/1"
 VALIDATION_SCHEMA = "dpresidual-validation/1"
+ROC_SCHEMA = "dpresidual-roc/1"
+AUROC_SCHEMA = "dpresidual-auroc/1"
 LOG_LEVELS = {"warning": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 FIGURE_SCHEMAS = {
     "fig3_roc": "dpresidual-fig3-roc/1",
@@ -86,7 +86,10 @@ def _effective(config: ExperimentConfig, args) -> tuple[ExperimentConfig, int]:
     return config, config.mc.seed
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _write_json(path: Path, schema: str, config: ExperimentConfig, seed: int,
+                doc: dict) -> None:
+    """Write ``doc`` with the schema, config hash and seed that head every artifact."""
+    doc = {**doc, "schema": schema, **_meta(config, seed)}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -150,13 +153,10 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int) -> int:
               ["index", "z"], [[i, float(v)] for i, v in enumerate(z)],
               meta=_meta(config, seed))
     truth = {
-        "schema": "dpresidual-truth/1",
-        "config_hash": config.config_hash,
-        "seed": seed,
         "x_true": [float(v) for v in x_true],
         "attack": [float(v) for v in attack.a],
     }
-    _write_json(out / "truth.json", truth)
+    _write_json(out / "truth.json", "dpresidual-truth/1", config, seed, truth)
     return 0
 
 
@@ -169,9 +169,6 @@ def cmd_estimate(config: ExperimentConfig, out: Path, seed: int,
     q = wssr(model, z)
     law = residual_law(model, x_star, None)  # analyst view: plug-in state
     result = {
-        "schema": "dpresidual-estimate/1",
-        "config_hash": config.config_hash,
-        "seed": seed,
         "x_star": [float(v) for v in x_star.x],
         "wssr": float(q),
         "dof": law.dof,
@@ -179,7 +176,7 @@ def cmd_estimate(config: ExperimentConfig, out: Path, seed: int,
         # plug-in value since the true state is unknown to the analyst.
         "noncentrality_plugin": law.noncentrality,
     }
-    _write_json(out / "estimate.json", result)
+    _write_json(out / "estimate.json", "dpresidual-estimate/1", config, seed, result)
     return 0
 
 
@@ -195,7 +192,6 @@ def cmd_privatize(config: ExperimentConfig, out: Path, seed: int,
         result = input_perturbation_release(model, z, params.epsilon, params.delta,
                                             dp_stream)
         payload = {
-            "schema": "dpresidual-release/1",
             "mechanism": "gaussian_input",
             "epsilon": params.epsilon,
             "delta": params.delta,
@@ -217,16 +213,13 @@ def cmd_privatize(config: ExperimentConfig, out: Path, seed: int,
             "variance": release.law.variance,
         }
         payload = {
-            "schema": "dpresidual-release/1",
             **vars(params),  # the budget and every knob field, unset ones null
             "mechanism": params.mechanism.value,
             "value": release.value,
             "law": law_doc,
             "seed_record": release.seed,
         }
-    payload["config_hash"] = config.config_hash
-    payload["seed"] = seed
-    _write_json(out / "release.json", payload)
+    _write_json(out / "release.json", "dpresidual-release/1", config, seed, payload)
     return 0
 
 
@@ -309,10 +302,12 @@ def cmd_roc(config: ExperimentConfig, out: Path, seed: int) -> int:
         f"{k}={v}" for k, v in vars(params).items()
         if k != "mechanism" and v is not None
     )
-    write_roc_csv(out / "roc.csv", [(label, params_str, alphas, zip(pfa, pd))],
-                  meta=_meta(config, seed))
-    write_auroc_csv(out / "auroc.csv", [[label, params_str, curve.auroc]],
-                    meta=_meta(config, seed))
+    rows = [[*point, label, params_str]
+            for point in np.column_stack((alphas, pfa, pd)).tolist()]
+    write_csv(out / "roc.csv", ROC_SCHEMA, ["alpha", "pfa", "pd", "mechanism", "params"],
+              rows, meta=_meta(config, seed))
+    write_csv(out / "auroc.csv", AUROC_SCHEMA, ["mechanism", "params", "auroc"],
+              [[label, params_str, curve.auroc]], meta=_meta(config, seed))
     return 0
 
 

@@ -97,19 +97,28 @@ def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
     if unknown:
         raise SchemaError(f"unknown key {path}.{sorted(unknown)[0]}")
 
+def _value(value, kind, where: str):
+    """``value`` as ``kind``: an int widens to float, a bool is no int, and a
+    float must be finite. ``where`` is the key path the message names."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the double range
+            value = math.inf
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise SchemaError(f"{where} must be an integer")
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where} must be of type {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise SchemaError(f"{where} must be finite, got {value}")
+    return value
+
 def _get(doc: dict, key: str, path: str, kind, required: bool = True, default=None):
     if key not in doc or doc[key] is None:
         if required:
             raise SchemaError(f"missing required key {path}.{key}")
         return default
-    value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise SchemaError(f"{path}.{key} must be an integer")
-    if not isinstance(value, kind):
-        raise SchemaError(f"{path}.{key} must be of type {kind.__name__}")
-    return value
+    return _value(doc[key], kind, f"{path}.{key}")
 
 def _get_list(doc: dict, key: str, path: str, kind, required: bool = False):
     if key not in doc or doc[key] is None:
@@ -119,23 +128,7 @@ def _get_list(doc: dict, key: str, path: str, kind, required: bool = False):
     value = doc[key]
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{path}.{key} must be a nonempty list")
-    out = []
-    for i, v in enumerate(value):
-        if kind is float and isinstance(v, int) and not isinstance(v, bool):
-            v = float(v)
-        if kind is int and (isinstance(v, bool) or not isinstance(v, int)):
-            raise SchemaError(f"{path}.{key}[{i}] must be an integer")
-        if not isinstance(v, kind):
-            raise SchemaError(f"{path}.{key}[{i}] must be of type {kind.__name__}")
-        out.append(v)
-    return tuple(out)
-
-
-def _require_finite(path: str, lists: dict) -> None:
-    for key, values in lists.items():
-        for i, v in enumerate(values or ()):
-            if not math.isfinite(v):
-                raise SchemaError(f"{path}.{key}[{i}] must be finite, got {v}")
+    return tuple(_value(v, kind, f"{path}.{key}[{i}]") for i, v in enumerate(value))
 
 
 def _parse_model(doc, path="model") -> ModelConfig:
@@ -153,10 +146,10 @@ def _parse_model(doc, path="model") -> ModelConfig:
         raise SchemaError(f"{path}.m must be >= 1")
     if cfg.n < 1:
         raise SchemaError(f"{path}.n must be >= 1")
-    if not 0 < cfg.sigma < math.inf:
-        raise SchemaError(f"{path}.sigma must be finite and > 0, got {cfg.sigma}")
-    if not 0 <= cfg.lam < math.inf:
-        raise SchemaError(f"{path}.lambda must be finite and >= 0, got {cfg.lam}")
+    if not cfg.sigma > 0:
+        raise SchemaError(f"{path}.sigma must be > 0, got {cfg.sigma}")
+    if not cfg.lam >= 0:
+        raise SchemaError(f"{path}.lambda must be >= 0, got {cfg.lam}")
     return cfg
 
 
@@ -176,7 +169,6 @@ def _parse_attack(doc, path="attack") -> AttackConfig:
         raise SchemaError(f"{path}.indices must be distinct, got {indices}")
     if stealth is None and indices is None:
         raise SchemaError(f"{path}: give either indices/values or stealth_coeffs")
-    _require_finite(path, {"values": values, "stealth_coeffs": stealth})
     return AttackConfig(indices=indices, values=values, stealth_coeffs=stealth)
 
 
@@ -287,7 +279,6 @@ def _parse_figures(doc, path="figures") -> FiguresConfig:
         epsilon_values=_get_list(doc, "epsilon_values", path, float),
     )
     # fig3 sweeps signed mean gaps; fig4 rejects negative noncentralities.
-    _require_finite(path, vars(cfg))
     if cfg.nu_sigma_values is not None and any(v < 0 for v in cfg.nu_sigma_values):
         raise SchemaError(f"{path}.nu_sigma_values must be >= 0")
     if cfg.epsilon_values is not None and any(v <= 0 for v in cfg.epsilon_values):

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .csvio import write_csv
 from .estimation import Regime, ResidualLaw, wssr
 from .exceptions import NoResidualError, ValidationFailure
 from .dp_mechanism import PrivacyParams, release_noise, released_law
@@ -296,29 +295,3 @@ def sample_law(law: ResidualLaw, rng, size: int) -> np.ndarray:
     gen = as_generator(rng)
     return gen.normal(law.mean, math.sqrt(law.variance), size=size)
 
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-ROC_SCHEMA = "dpresidual-roc/1"
-AUROC_SCHEMA = "dpresidual-auroc/1"
-
-
-def write_roc_csv(path, labelled_curves, meta: dict | None = None) -> None:
-    """Write (alpha, pfa, pd, mechanism, params) rows for labelled curves.
-
-    ``labelled_curves`` is an iterable of (mechanism, params, alphas,
-    points) with points aligned to alphas.
-    """
-    rows = []
-    for mechanism, params, alphas, points in labelled_curves:
-        for alpha, (pfa, pd) in zip(alphas, points):
-            rows.append([float(alpha), float(pfa), float(pd), mechanism, params])
-    write_csv(path, ROC_SCHEMA, ["alpha", "pfa", "pd", "mechanism", "params"],
-              rows, meta=meta)
-
-
-def write_auroc_csv(path, rows, meta: dict | None = None) -> None:
-    """Write (mechanism, params, auroc) summary rows."""
-    write_csv(path, AUROC_SCHEMA, ["mechanism", "params", "auroc"], rows, meta=meta)

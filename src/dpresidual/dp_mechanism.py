@@ -203,13 +203,15 @@ class NeighborhoodSpec:
     grid_points: int = 33
 
     def __post_init__(self):
-        if not self.delta_h_bound > 0:
-            raise ValueError(f"delta_h_bound must be > 0, got {self.delta_h_bound}")
+        if not 0 < self.delta_h_bound < math.inf:
+            raise ValueError(f"delta_h_bound must be finite and > 0, got "
+                             f"{self.delta_h_bound}")
         if self.scan_count < 1:
             raise ValueError(f"scan_count must be >= 1, got {self.scan_count}")
         lo, hi = self.theta_domain
-        if not (0 <= lo < hi):
-            raise ValueError(f"theta_domain must satisfy 0 <= lo < hi, got {self.theta_domain}")
+        if not 0 <= lo < hi < math.inf:
+            raise ValueError(f"theta_domain must satisfy 0 <= lo < hi < inf, got "
+                             f"{self.theta_domain}")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
 
@@ -290,8 +292,8 @@ def delta_max_over_neighborhood(epsilon, model: MeasurementModel,
     perturbation bound, drawn row then direction per probe, gets every
     neighbour's noncentrality root in one ``neighbor_roots`` call, and
     additionally sweeps all pairs i < j of a deterministic grid over
-    ``spec.theta_domain``; one array ``delta_for_epsilon`` call covers
-    epsilon x probes and one epsilon x pairs. ``epsilon`` is a scalar or a
+    ``spec.theta_domain``; one array ``delta_for_epsilon`` call scores
+    epsilon x (probes, then grid pairs). ``epsilon`` is a scalar or a
     1-D array; every element is maximized over the same neighbours, so
     delta is nonincreasing along an increasing epsilon array, and each
     element equals a scalar call on a fresh stream of the same seed. The
@@ -300,7 +302,9 @@ def delta_max_over_neighborhood(epsilon, model: MeasurementModel,
     lam = 0 (the update path is unregularized). Probes whose neighbour
     Gram is numerically singular are skipped and counted, and a theta
     outside ``spec.theta_domain`` is named, each with one logged warning
-    per call.
+    per call. One INFO line per epsilon names the source of delta (scan,
+    grid, or none at zero), the argmax roots, ``scan_max``, ``grid_max``
+    and the skipped count.
     """
     if model.lam != 0:
         raise ValueError("the sensitivity scan requires lambda = 0")
@@ -328,25 +332,33 @@ def delta_max_over_neighborhood(epsilon, model: MeasurementModel,
         logger.warning("skipped %d of %d neighbour probes with a numerically "
                        "singular Gram", skipped, spec.scan_count)
 
+    # One candidate list, probes first and grid pairs after, so argmax's first
+    # maximum prefers a probe on a tie.
     probes = np.flatnonzero(~np.isnan(roots))
-    e = eps.reshape(-1, 1)                   # one row per epsilon
-    scan = delta_for_epsilon(e, r_tilde, theta, roots[probes])
     grid = np.linspace(lo, hi, spec.grid_points)
     i, j = np.triu_indices(spec.grid_points, 1)
-    pairs = delta_for_epsilon(e, r_tilde, grid[i], grid[j])
-    scan_max = scan.max(axis=1, initial=0.0)
-    grid_max = pairs.max(axis=1, initial=0.0)
+    cand_theta = np.concatenate([np.full(probes.size, theta), grid[i]])
+    cand_prime = np.concatenate([roots[probes], grid[j]])
+    scores = delta_for_epsilon(eps.reshape(-1, 1), r_tilde, cand_theta, cand_prime)
+    best = scores.argmax(axis=1)
+    delta = scores[np.arange(best.size), best]
+    scan_max = scores[:, :probes.size].max(axis=1, initial=0.0)
+    grid_max = scores[:, probes.size:].max(axis=1)
 
     # A zero delta is maximized by no neighbour in particular: report theta.
-    grid_wins = grid_max > scan_max
-    scan_wins = ~grid_wins & (scan_max > 0.0)
-    g = pairs.argmax(axis=1)
-    k = probes[scan.argmax(axis=1)] if probes.size else np.zeros(len(e), dtype=np.intp)
-    delta = np.where(grid_wins, grid_max, scan_max)
-    th = np.where(grid_wins, grid[i[g]], theta)
-    thp = np.where(grid_wins, grid[j[g]], np.where(scan_wins, roots[k], theta))
-    perts = tuple(NeighborPerturbation(row_index=int(rows[p]), delta_h=deltas[p])
-                  if won else None for p, won in zip(k, scan_wins))
+    won = delta > 0.0
+    th = np.where(won, cand_theta[best], theta)
+    thp = np.where(won, cand_prime[best], theta)
+    from_scan = won & (best < probes.size)
+    perts = tuple(NeighborPerturbation(row_index=int(rows[probes[b]]),
+                                       delta_h=deltas[probes[b]])
+                  if scanned else None for b, scanned in zip(best, from_scan))
+    for e, d, t, tp, s_max, g_max, scanned in zip(eps.reshape(-1), delta, th, thp,
+                                                 scan_max, grid_max, from_scan):
+        logger.info("delta at epsilon=%g from %s: theta=%.6g theta_prime=%.6g "
+                    "scan_max=%.3g grid_max=%.3g skipped=%d", e,
+                    "scan" if scanned else "grid" if d > 0.0 else "none",
+                    t, tp, s_max, g_max, skipped)
     if eps.ndim == 0:
         delta, th, thp, scan_max, grid_max = (float(v[0]) for v in
                                               (delta, th, thp, scan_max, grid_max))

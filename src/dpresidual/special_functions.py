@@ -266,27 +266,6 @@ def gaussian_q_inverse(p):
 # Modified Bessel functions of the first kind
 # ---------------------------------------------------------------------------
 
-def bessel_i(order: float, x: float) -> float:
-    """Modified Bessel function of the first kind, I_order(x), x > 0.
-
-    Evaluated in scaled form internally; raises OverflowError when the
-    unscaled value exceeds the double range (use ``log_bessel_i`` there).
-    """
-    from scipy import special as sp
-
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    if not x > 0:
-        raise ValueError(f"x must be > 0, got {x}")
-    scaled = float(sp.ive(order, x))
-    value = scaled * math.exp(x) if x < 700.0 else math.inf
-    if not math.isfinite(value):
-        raise OverflowError(
-            f"bessel_i({order}, {x}) overflows a double; use log_bessel_i"
-        )
-    return value
-
-
 def log_bessel_i(order: float, x) -> float:
     """log I_order(x), evaluated stably via the scaled Bessel function.
 

@@ -308,10 +308,20 @@ class TestRocAndValidate:
     def test_roc_outputs(self, tmp_path, config_path):
         out = tmp_path / "o"
         assert main(["roc", "--config", str(config_path), "--out", str(out)]) == 0
-        _, columns, rows = read_csv(out / "roc.csv")
+        labels = ("chi_square", "epsilon=2.0;delta=0.1;r_prime=1")
+        meta, columns, rows = read_csv(out / "roc.csv")
+        assert meta["schema"] == "dpresidual-roc/1"
         assert columns == ["alpha", "pfa", "pd", "mechanism", "params"]
-        _, _, auroc_rows = read_csv(out / "auroc.csv")
-        assert 0.0 <= float(auroc_rows[0][2]) <= 1.0
+        assert [float(r[0]) for r in rows] == DEFAULT_ALPHA_GRID.tolist()
+        assert {tuple(r[3:]) for r in rows} == {labels}
+        meta, columns, auroc_rows = read_csv(out / "auroc.csv")
+        assert meta["schema"] == "dpresidual-auroc/1"
+        assert columns == ["mechanism", "params", "auroc"]
+        (*row_labels, auroc), = auroc_rows
+        assert tuple(row_labels) == labels
+        points = np.array([[float(r[1]), float(r[2])] for r in rows])
+        assert float(auroc) == RocCurve.from_points(points).auroc
+        assert 0.0 <= float(auroc) <= 1.0
 
     def test_validate_passes_consistent_config(self, tmp_path, config_path):
         out = tmp_path / "o"
@@ -557,7 +567,8 @@ class TestDpSection:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         assert main(["privatize", "--config", str(path), "--out", str(out)]) == 0
-        release = json.loads((out / "release.json").read_text())
+        release = json.loads((out / "release.json").read_text(),
+                             parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
         assert set(release) == keys | {"schema", "seed_record", "config_hash", "seed"}
         assert release["mechanism"] == mechanism
         for key, value in DP_BY_MECHANISM[mechanism].items():
@@ -633,6 +644,34 @@ class TestLogLevel:
                      "--seed", "-1", "--log-level", "debug"]) == 2
         assert (package.level, package.handlers) == before
 
+    def test_info_names_each_delta_source(self, tmp_path, capsys):
+        """One line per epsilon names what set delta: a probe, a grid pair, or
+        nothing at delta = 0, where theta is the model root on both sides."""
+        doc = {**SCAN_WINNING_CONFIG,
+               "dp": {**SCAN_WINNING_CONFIG["dp"], "epsilon_grid": [0.05, 0.5, 1000.0],
+                      "neighborhood": {"delta_h_bound": 0.5, "scan_count": 300,
+                                       "theta_domain": [1.0, 3.0], "grid_points": 9}}}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["delta-curve", "--config", str(path), "--out", str(out),
+                     "--log-level", "info"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("stage load_config: ")
+        assert lines[-1].startswith("stage delta-curve: ")
+        _, _, rows = read_csv(out / "delta_curve.csv")
+        sources = []
+        for line, row in zip(lines[1:-1], rows, strict=True):
+            eps, delta, theta, theta_prime = (float(v) for v in row[:4])
+            match = re.fullmatch(r"delta at epsilon=(\S+) from (scan|grid|none): "
+                                 r"theta=(\S+) theta_prime=(\S+) scan_max=(\S+) "
+                                 r"grid_max=(\S+) skipped=0", line)
+            assert match is not None, line
+            assert match[1] == f"{eps:g}"
+            assert match.group(3, 4) == (f"{theta:.6g}", f"{theta_prime:.6g}")
+            assert max(float(match[5]), float(match[6])) == float(f"{delta:.3g}")
+            sources.append(match[2])
+        assert sources == ["scan", "grid", "none"]
+
     def test_unknown_level_is_a_usage_error(self, tmp_path, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o"),
@@ -679,6 +718,48 @@ class TestCliMisc:
         body = {key: value} if key == "stealth_coeffs" else {**BASE_CONFIG[section],
                                                              key: value}
         path = write_config(tmp_path, {**BASE_CONFIG, section: body})
+        out = tmp_path / "o"
+        for args in ALL_COMMANDS:
+            assert main(args + ["--config", str(path), "--out", str(out)]) == 2, args
+            assert capsys.readouterr().err.startswith(f"error: {named} must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan,
+                                       pytest.param(10**400, id="int_past_double")])
+    @pytest.mark.parametrize("key", [
+        "model.sigma", "model.lambda", "attack.values", "attack.stealth_coeffs",
+        "dp.epsilon", "dp.delta", "dp.nu_mean", "dp.nu_sigma", "dp.epsilon_grid",
+        "dp.neighborhood.delta_h_bound", "dp.neighborhood.theta_domain", "test.alpha",
+        "test.alpha_grid", "figures.delta_theta_values", "figures.nu_sigma_values",
+        "figures.epsilon_values",
+    ])
+    def test_nonfinite_float_rejected(self, tmp_path, capsys, key, value):
+        """Every float key, set to inf, nan or an integer no double holds (a list
+        at its last element), exits 2 naming it before any artifact.
+        dp.epsilon = inf used to exit 0 on privatize with "epsilon": Infinity
+        in release.json, an infinite theta_domain end or delta_h_bound to
+        reach delta-curve, and a huge integer to end in an OverflowError."""
+        doc = {**BASE_CONFIG,
+               "dp": {**DP_BY_MECHANISM["gaussian_output"], "r_prime": 1,
+                      "epsilon_grid": [0.5, 1.0],
+                      "neighborhood": {"delta_h_bound": 0.1, "scan_count": 10,
+                                       "theta_domain": [0.2, 1.5]}},
+               "test": {"alpha": 0.05, "alpha_grid": [0.01, 0.1]},
+               "figures": {"delta_theta_values": [0.5, 1.0], "nu_sigma_values": [0.0, 1.0],
+                           "epsilon_values": [1.0, 2.0]}}
+        if key == "attack.stealth_coeffs":
+            doc["attack"] = {"stealth_coeffs": [0.0, 1.0, 0.0, 0.0]}
+        *sections, leaf = key.split(".")
+        section = doc
+        for name in sections:
+            section[name] = section = dict(section[name])
+        named = key
+        if isinstance(section[leaf], list):
+            section[leaf] = [*section[leaf][:-1], value]
+            named = f"{key}[{len(section[leaf]) - 1}]"
+        else:
+            section[leaf] = value
+        path = write_config(tmp_path, doc)
         out = tmp_path / "o"
         for args in ALL_COMMANDS:
             assert main(args + ["--config", str(path), "--out", str(out)]) == 2, args

@@ -37,10 +37,8 @@ from dpresidual.special_functions import (
     noncentral_chisq_sample,
     regularized_gamma_q_inverse,
 )
-from dpresidual.detection import write_auroc_csv, write_roc_csv
 from dpresidual.dp_mechanism import Mechanism
 from dpresidual.estimation import wssr
-from dpresidual.csvio import read_csv
 from conftest import random_model
 
 
@@ -544,25 +542,3 @@ class TestSampleLaw:
     def test_zero_dof_rejected(self, stream):
         with pytest.raises(NoResidualError):
             sample_law(ResidualLaw.chi_square(0.0), stream, 10)
-
-
-class TestCsvExports:
-    def test_roc_csv(self, tmp_path):
-        spec = chi_spec(5.0, nc1=3.0)
-        alphas = [0.01, 0.05, 0.1]
-        points = [pfa_pd(TestSpec(alpha=a, law0=spec.law0, law1=spec.law1))
-                  for a in alphas]
-        path = tmp_path / "roc.csv"
-        write_roc_csv(path, [("chi_square", "r_prime=1", alphas, points)],
-                      meta={"seed": 0})
-        meta, columns, rows = read_csv(path)
-        assert columns == ["alpha", "pfa", "pd", "mechanism", "params"]
-        assert len(rows) == 3
-        assert rows[0][3] == "chi_square"
-
-    def test_auroc_csv(self, tmp_path):
-        path = tmp_path / "auroc.csv"
-        write_auroc_csv(path, [["none", "", 0.87]], meta={"seed": 0})
-        _, columns, rows = read_csv(path)
-        assert columns == ["mechanism", "params", "auroc"]
-        assert float(rows[0][2]) == 0.87

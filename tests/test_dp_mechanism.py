@@ -645,6 +645,16 @@ class TestDeltaScan:
         with pytest.raises(ValueError):
             NeighborhoodSpec(delta_h_bound=1.0, scan_count=10, theta_domain=(1.0, 0.5))
 
+    @pytest.mark.parametrize("bound,domain", [
+        (math.inf, (0.2, 1.5)), (math.nan, (0.2, 1.5)),
+        (0.1, (0.2, math.inf)), (0.1, (math.nan, 1.5)),
+    ])
+    def test_spec_rejects_nonfinite(self, bound, domain):
+        """An infinite bound used to skip every probe with a numpy warning, and
+        an infinite domain end to fail later inside the grid."""
+        with pytest.raises(ValueError, match="delta_h_bound|theta_domain"):
+            NeighborhoodSpec(delta_h_bound=bound, scan_count=10, theta_domain=domain)
+
 
 class TestNeighborRoots:
     """The batched Woodbury roots against a fresh SVD of each neighbour."""

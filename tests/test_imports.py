@@ -28,7 +28,7 @@ EXPORTED = (
     "NoisyRelease", "NumericError", "PrivacyParams", "Projection",
     "RankDeficiencyError", "Regime", "ResidualLaw", "RocCurve", "SchemaError",
     "SeedStream", "SingularUpdateError", "StateVector", "TestSpec",
-    "ValidationFailure", "__version__", "apply_neighbor", "bessel_i",
+    "ValidationFailure", "__version__", "apply_neighbor",
     "calibrate_gaussian_output_sigma", "chi_mixture", "chi_square_release",
     "cumulant", "delta_for_epsilon", "delta_max_over_neighborhood", "gaussian_law",
     "gaussian_leakage_probability", "gaussian_mechanism_sigma",
