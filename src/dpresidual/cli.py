@@ -58,7 +58,9 @@ from .exceptions import NumericError, SchemaError, ValidationFailure
 from .measurement_model import MeasurementModel, simulate_measurements
 from .special_functions import ABS_TOL
 
-logger = logging.getLogger(__name__)
+# Named, not __name__: under ``python -m dpresidual.cli`` that is __main__,
+# outside the "dpresidual" logger that _stderr_logging configures.
+logger = logging.getLogger("dpresidual.cli")
 
 MEASUREMENTS_SCHEMA = "dpresidual-measurements/1"
 DELTA_CURVE_CLI_SCHEMA = "dpresidual-delta-curve-cli/1"
@@ -319,8 +321,9 @@ def cmd_validate(config: ExperimentConfig, out: Path, seed: int) -> int:
     streams, model, x_true, attack = _build_instance(config, seed)
     law0, law1, params, label, sim_model = _laws_for_roc(config, model, x_true, attack)
     spec = TestSpec(alpha=config.test.alpha, law0=law0, law1=law1, dp=params)
-    result = monte_carlo_validate(sim_model, attack, spec, config.mc.trials,
-                                  streams[STREAM_MC], x_true=x_true, check=False)
+    with _stage("monte_carlo"):
+        result = monte_carlo_validate(sim_model, attack, spec, config.mc.trials,
+                                      streams[STREAM_MC], x_true=x_true, check=False)
     rows = [
         ["pfa", result.pfa_analytic, result.pfa_hat, result.pfa_se],
         ["pd", result.pd_analytic, result.pd_hat, result.pd_se],

@@ -22,7 +22,7 @@ import numpy as np
 from .estimation import Regime, ResidualLaw, wssr
 from .exceptions import NoResidualError, ValidationFailure
 from .dp_mechanism import PrivacyParams, release_noise, released_law
-from .measurement_model import MeasurementModel, simulate_measurements
+from .measurement_model import MeasurementModel, _attack_dense, simulate_measurements
 from .special_functions import (
     gaussian_q,
     gaussian_q_inverse,
@@ -230,20 +230,25 @@ def _released_wssr(model: MeasurementModel, attack, x_true, spec: TestSpec,
                    trials: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Released statistics (H0, H1) of ``trials`` simulated measurement pairs.
 
-    Each hypothesis is simulated in blocks of ``MC_BLOCK_ELEMS // m``
-    trials drawn into one reused buffer, all H0 blocks before all H1
-    blocks and the release noise last, so memory does not grow with
-    ``trials``. The normal draws do not depend on how they are chunked,
-    so the block size does not change the result.
+    Each trial draws its measurement noise once: a block of
+    ``MC_BLOCK_ELEMS // m`` trials ``z0 = H x + sigma N`` is drawn into one
+    reused buffer and scored with ``wssr`` for H0, then the attack is added
+    in place, ``z1 = z0 + a``, and the block is scored again for H1. Each
+    rate keeps its own distribution; the shared noise only correlates the
+    two. The release noise is drawn last, H0's then H1's. Memory does not
+    grow with ``trials``, and since the normal draws do not depend on how
+    they are chunked, the block size does not change the result.
     """
     rows = max(1, MC_BLOCK_ELEMS // model.m)
     block = np.empty((min(rows, trials), model.m))
+    a = _attack_dense(attack, model.m)
     q0, q1 = np.empty(trials), np.empty(trials)
-    for a, q in ((None, q0), (attack, q1)):
-        for start in range(0, trials, rows):
-            z = block[:min(rows, trials - start)]
-            simulate_measurements(model, x_true, a, gen, trials=len(z), out=z)
-            q[start:start + len(z)] = wssr(model, z)
+    for start in range(0, trials, rows):
+        z = block[:min(rows, trials - start)]
+        simulate_measurements(model, x_true, rng=gen, trials=len(z), out=z)
+        q0[start:start + len(z)] = wssr(model, z)
+        z += a
+        q1[start:start + len(z)] = wssr(model, z)
     if spec.dp is not None:
         q0 += release_noise(spec.dp, gen, trials)
         q1 += release_noise(spec.dp, gen, trials)
@@ -255,12 +260,14 @@ def monte_carlo_validate(model: MeasurementModel, attack, spec: TestSpec,
                          check: bool = True) -> McValidation:
     """Simulate the full pipeline and compare empirical rates to analytics.
 
-    Simulates ``trials`` measurement vectors under each hypothesis from
-    the model (state defaults to zero; pass the state used to build the
-    laws when lam > 0), applies the configured release noise, thresholds,
-    and compares against ``pfa_pd``. With ``check`` set, the result's
-    ``check`` gate runs before it is returned. Trials are simulated in
-    fixed-size blocks, so memory is bounded independently of ``trials``.
+    Simulates ``trials`` measurement vectors from the model (state
+    defaults to zero; pass the state used to build the laws when lam > 0)
+    and scores each twice, as drawn (H0) and with the attack added (H1),
+    so both hypotheses share one noise draw per trial. It applies the
+    configured release noise to each, thresholds, and compares against
+    ``pfa_pd``. With ``check`` set, the result's ``check`` gate runs
+    before it is returned. Trials are simulated in fixed-size blocks, so
+    memory is bounded independently of ``trials``.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")

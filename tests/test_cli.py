@@ -3,7 +3,11 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from dpresidual import (
     roc,
     wssr,
 )
+import dpresidual
 from dpresidual import figures as figs
 from dpresidual.detection import DEFAULT_ALPHA_GRID
 from dpresidual.cli import _build_instance, _laws_for_roc, main
@@ -671,6 +676,40 @@ class TestLogLevel:
             assert max(float(match[5]), float(match[6])) == float(f"{delta:.3g}")
             sources.append(match[2])
         assert sources == ["scan", "grid", "none"]
+
+    def test_info_times_monte_carlo_apart(self, tmp_path, capsys, config_path):
+        """validate logs the simulation's own stage inside its command stage,
+        and writes the same validation.csv columns and rows as ever."""
+        out = tmp_path / "o"
+        assert main(["validate", "--config", str(config_path), "--out", str(out),
+                     "--log-level", "info"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["stage load_config",
+                                                          "stage monte_carlo",
+                                                          "stage validate"]
+        assert all(re.fullmatch(r"stage \w+: \d+\.\d{3} s", line) for line in lines)
+        seconds = [float(line.split()[-2]) for line in lines]
+        assert seconds[1] <= seconds[2]
+        _, columns, rows = read_csv(out / "validation.csv")
+        assert columns == ["quantity", "analytic", "empirical", "se"]
+        assert [r[0] for r in rows] == ["pfa", "pd"]
+
+    def test_python_m_logs_stages(self, tmp_path):
+        """Run as ``python -m dpresidual.cli``, the module is __main__, yet its
+        stage lines still reach --log-level's stderr handler."""
+        demo = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
+        config = tmp_path / "demo.yaml"
+        config.write_text(demo.read_text())
+        src = str(Path(dpresidual.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpresidual.cli", "validate", "--config", str(config),
+             "--out", str(tmp_path / "o"), "--log-level", "info"],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        stages = [line.split(":")[0] for line in proc.stderr.splitlines()]
+        assert stages == ["stage load_config", "stage monte_carlo", "stage validate"]
 
     def test_unknown_level_is_a_usage_error(self, tmp_path, config_path):
         with pytest.raises(SystemExit) as exc:

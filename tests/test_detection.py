@@ -460,20 +460,23 @@ class TestMonteCarloValidate:
             monte_carlo_validate(model, None, spec, 999, SeedStream(0))
 
 
+def oracle_release_noise(dp, gen, trials):
+    """One hypothesis's release noise, drawn without the package's helper."""
+    if dp.mechanism is Mechanism.CHI_SQUARE:
+        return noncentral_chisq_sample(float(dp.r_prime), 0.0, gen, size=trials)
+    return gen.normal(dp.nu_mean, dp.nu_sigma, size=trials)
+
+
 def two_array_wssr(model, attack, x, spec, trials, gen):
-    """Released statistics with both trials x m batches drawn at once."""
-    mean = model.H @ x
-    z0 = mean[None, :] + model.sigma * gen.standard_normal((trials, model.m))
-    z1 = (mean + attack.a)[None, :] + model.sigma * gen.standard_normal((trials, model.m))
+    """Released statistics from one un-blocked trials x m noise draw: H1's
+    measurements are H0's plus the attack, then H0's and H1's release noise."""
+    z0 = (model.H @ x)[None, :] + model.sigma * gen.standard_normal((trials, model.m))
+    z1 = z0 + attack.a
     q0, q1 = wssr(model, z0), wssr(model, z1)
     if spec.dp is None:
         return q0, q1
-    if spec.dp.mechanism is Mechanism.CHI_SQUARE:
-        r = float(spec.dp.r_prime)
-        return (q0 + noncentral_chisq_sample(r, 0.0, gen, size=trials),
-                q1 + noncentral_chisq_sample(r, 0.0, gen, size=trials))
-    return (q0 + gen.normal(spec.dp.nu_mean, spec.dp.nu_sigma, size=trials),
-            q1 + gen.normal(spec.dp.nu_mean, spec.dp.nu_sigma, size=trials))
+    return (q0 + oracle_release_noise(spec.dp, gen, trials),
+            q1 + oracle_release_noise(spec.dp, gen, trials))
 
 
 class TestStreamedSimulation:
@@ -512,6 +515,39 @@ class TestStreamedSimulation:
         tau = result.threshold
         assert counts == (np.count_nonzero(r0 > tau), np.count_nonzero(r1 > tau))
         assert 0 < counts[0] < trials and 0 < counts[1] < trials
+
+    @pytest.mark.parametrize("dp", [
+        None,
+        PrivacyParams.chi_square(r_prime=2),
+        PrivacyParams.gaussian_output(nu_mean=0.3, nu_sigma=1.5),
+    ], ids=["none", "chi_square", "gaussian_output"])
+    def test_one_noise_draw_per_trial(self, rng, monkeypatch, dp):
+        """The trials consume one trials x m normal draw between them, then
+        the release noise; with no attack and no release, H1 is H0 exactly."""
+        m, n, trials = 12, 4, 1001
+        model = random_model(rng, m, n)
+        x = rng.normal(size=n)
+        attack = AttackVector.sparse(m, [1, m - 2], [2.0, -1.5])
+        if dp is not None and dp.mechanism is Mechanism.GAUSSIAN_OUTPUT:
+            spec = gaussian_spec(float(m), 2.0 * m, float(m) + 4.0, 2.0 * m, dp=dp)
+        else:
+            law = residual_law(model, x, None)
+            spec = TestSpec(alpha=0.05, law0=law, law1=law, dp=dp)
+        monkeypatch.setattr(detection, "MC_BLOCK_ELEMS", 7 * m + 3)
+
+        gen = SeedStream(6).generator
+        detection._released_wssr(model, attack, x, spec, trials, gen)
+        ref = SeedStream(6).generator
+        ref.standard_normal((trials, m))
+        if dp is not None:
+            oracle_release_noise(dp, ref, trials)
+            oracle_release_noise(dp, ref, trials)
+        assert gen.standard_normal(8).tobytes() == ref.standard_normal(8).tobytes()
+
+        if dp is None:
+            q0, q1 = detection._released_wssr(model, None, x, spec, trials,
+                                              SeedStream(6).generator)
+            assert q1.tobytes() == q0.tobytes()
 
     def test_memory_bounded_by_block(self, rng):
         """Peak traced memory stays far below one trials x m batch."""
