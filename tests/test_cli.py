@@ -634,7 +634,8 @@ class TestLogLevel:
         assert main(["roc", "--config", str(config_path), "--out", str(tmp_path / "o"),
                      "--log-level", "debug"]) == 0
         lines = capsys.readouterr().err.splitlines()
-        assert any(re.fullmatch(r"marcum_q: \d+ terms over \d+ elements", line)
+        assert any(re.fullmatch(r"marcum_q: \d+ terms over \d+ elements, \d+ gamma-tail seeds",
+                                 line)
                    for line in lines)
         assert lines[-1].startswith("stage roc: ")
 

@@ -445,9 +445,27 @@ class TestLeakage:
             leakage(0.0, 3.0, 1.0, 2.0)
 
     def test_bessel_underflow_raises_overflow_error_only(self):
-        """At large r~ the scaled Bessel function underflows to 0: no numpy warning."""
+        """Below Bessel order 50 at tiny q the scaled Bessel function
+        underflows to 0: no numpy warning."""
         with pytest.raises(OverflowError):
-            leakage(4801.0, 4801, 2.08, 2.10)
+            leakage(1e-14, 99.0, 2.08, 2.10)
+
+    @pytest.mark.parametrize("q,r_tilde", [(4801.0, 4801.0), (100.0, 4801.0),
+                                           (2e4, 4801.0), (1e-4, 181.0)])
+    def test_large_dof_against_mpmath_oracle(self, q, r_tilde):
+        """The 5000x200 rung's r~ = 4801 at its typical q, and r~ = 181 at
+        q = 1e-4: finite, and within 2e-11 of 50-digit densities. Each
+        log-density is about 1e4 in size, so its rounding is about 1e-12."""
+        mpmath = pytest.importorskip("mpmath")
+
+        def logpdf(th):
+            k, lam, qq = mpmath.mpf(r_tilde), mpmath.mpf(th) ** 2, mpmath.mpf(q)
+            return (-(qq + lam) / 2 + (k / 4 - mpmath.mpf(1) / 2) * mpmath.log(qq / lam)
+                    + mpmath.log(mpmath.besseli(k / 2 - 1, mpmath.sqrt(lam * qq)) / 2))
+
+        with mpmath.workdps(50):
+            ref = float(logpdf(2.08) - logpdf(2.10))
+        assert leakage(q, r_tilde, 2.08, 2.10) == pytest.approx(ref, rel=0, abs=2e-11)
 
 
 ORACLE_EPSILONS = (0.5, 2.0, 8.0)

@@ -28,7 +28,7 @@ from dpresidual import (
     regularized_gamma_q_inverse,
 )
 from dpresidual import special_functions
-from dpresidual.special_functions import _poisson_window
+from dpresidual.special_functions import _gamma_tails, _poisson_window
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +208,28 @@ class TestMarcumQ:
         with pytest.raises(ConvergenceError, match="cover"):
             marcum_q(3.5, a, b)
 
+    def test_restarts_are_canonical(self):
+        """Windows of means 5, 400, 450 and 5e4 start at different k, and
+        those of 400 and 450 merge into one run: each element still equals
+        its scalar call, whose run starts at its own window."""
+        a = np.sqrt(2.0 * np.array([5.0, 400.0, 450.0, 5e4]))[:, None]
+        b = np.sqrt(2.0 * np.concatenate([[0.0, 3.0, 380.0, 470.0, 4.9e4, 5.1e4],
+                                          np.linspace(1.0, 6e4, 30)]))
+        out = marcum_q(3.5, a, b)
+        for i, ai in enumerate(a[:, 0]):
+            scalar = [marcum_q(3.5, float(ai), float(bj)) for bj in b]
+            assert out[i].tobytes() == np.array(scalar).tobytes()
+
+    @pytest.mark.parametrize("noncentrality", [1.0, 10.0, 100.0, 1e3])
+    def test_large_order_against_scipy_noncentral_tail(self, noncentrality):
+        """dof 4801, the 5000x200 rung's WSSR law, within ABS_TOL over +-6 sd."""
+        dof = 4801.0
+        mean, sd = dof + noncentrality, math.sqrt(2.0 * (dof + 2.0 * noncentrality))
+        x = mean + sd * np.linspace(-6.0, 6.0, 41)
+        out = marcum_q(0.5 * dof, math.sqrt(noncentrality), np.sqrt(x))
+        ref = stats.ncx2.sf(x, dof, noncentrality)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=special_functions.ABS_TOL)
+
     def test_empty_broadcast(self):
         assert marcum_q(1.0, np.array([1.0, 2.0]), np.empty((0, 1))).shape == (0, 2)
 
@@ -239,13 +261,16 @@ class TestMarcumQ:
         np.testing.assert_array_equal(marcum_q(2.0, np.array([0.0, 3.0]), math.inf), [0.0, 0.0])
 
     def test_debug_log_reports_window(self, caplog):
-        """Term count and element count go to the DEBUG log."""
+        """Term, element and gamma-tail seed counts go to the DEBUG log: one
+        seed per multiple of 32 in the run, and one at its start."""
         a = np.array([0.5, 3.0, 9.0])
         with caplog.at_level(logging.DEBUG, logger="dpresidual.special_functions"):
             marcum_q(2.0, a, 4.0)
         k_lo, k_hi = _poisson_window(0.5 * a * a, 0.5 * special_functions.ABS_TOL)
+        lo, hi = int(k_lo.min()), int(k_hi.max())
+        seeds = len(range(lo - lo % 32, hi + 1, 32))
         assert [r.getMessage() for r in caplog.records] == [
-            f"marcum_q: {int(k_hi.max() - k_lo.min()) + 1} terms over 3 elements"]
+            f"marcum_q: {hi - lo + 1} terms over 3 elements, {seeds} gamma-tail seeds"]
 
     @pytest.mark.parametrize("order,a,b", [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
                                            (1.0, -0.5, 1.0), (1.0, 1.0, -2.0),
@@ -256,6 +281,39 @@ class TestMarcumQ:
     def test_domain_errors(self, order, a, b):
         with pytest.raises(ValueError):
             marcum_q(order, a, b)
+
+
+class TestGammaTails:
+    @pytest.mark.parametrize("order", [0.5, 10.0, 90.5, 2400.5, 1e4, 1e5])
+    def test_recurrence_against_scipy_gamma_tail(self, order):
+        """Runs of 64 terms from k0 <= 3000, against gammaincc at every k.
+
+        x sits within 3 sd of the run's middle s, where the tails move
+        most, plus 0, 1e-300 and inf. The bound 5e-14 holds only with the
+        seeds' saddle-point t: the direct exponent drifts past 1e-12.
+        """
+        rng = np.random.default_rng(19)
+        for k0 in rng.integers(0, 3001, 8).astype(float):
+            k = k0 + np.arange(64.0)
+            s = order + k0 + 32.0
+            x = np.concatenate([np.abs(s + 3.0 * math.sqrt(s) * rng.uniform(-1.0, 1.0, 40)),
+                                [0.0, 1e-300, np.inf]])
+            got = np.array(list(_gamma_tails(order, k, x)))
+            ref = special.gammaincc(order + k[:, None], x)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=5e-14)
+
+    def test_seeds_are_scipy_values(self):
+        """At multiples of 32 and at a run's start the tail is gammaincc
+        itself, or its walk up from the multiple below."""
+        x = np.array([0.0, 0.3, 40.0, 70.0, np.inf])
+        k = np.array([5.0, 6.0, 31.0, 32.0, 33.0, 64.0, 90.0])
+        got = list(_gamma_tails(7.5, k, x))
+        for k_i in (32.0, 64.0):
+            assert got[list(k).index(k_i)].tobytes() == \
+                special.gammaincc(7.5 + k_i, x).tobytes()
+        walked = list(_gamma_tails(7.5, np.arange(0.0, 6.0), x))[5]
+        assert got[0].tobytes() == walked.tobytes()
+        assert list(_gamma_tails(7.5, np.array([90.0]), x))[0].tobytes() == got[-1].tobytes()
 
 
 def pdtrik_window(mu, p):
@@ -423,11 +481,33 @@ class TestBesselI:
             assert lower < log_ratio < upper
 
     def test_overflow_reported(self):
-        """Where the scaled function underflows the log form reports it; where
-        I itself overflows a double the log form stays finite."""
+        """Below order 50, where the scaled function underflows the log form
+        reports it; where I itself overflows a double the log form stays finite."""
         with pytest.raises(OverflowError):
-            log_bessel_i(4800.0, 1.0)
+            log_bessel_i(49.5, 1e-6)
         assert log_bessel_i(0.0, 1000.0) == pytest.approx(1000.0 + math.log(special.ive(0, 1000.0)))
+
+    @pytest.mark.parametrize("order", [50.0, 50.5, 64.0, 89.5, 200.0, 474.5, 1000.0, 2399.5])
+    def test_debye_agrees_with_scaled_bessel(self, order):
+        """From order 50 on, the Debye expansion against log(ive) + x wherever
+        ive exceeds 1e-300, to 1e-13 of max(1, |log I|)."""
+        x = order * 10.0 ** np.random.default_rng(50).uniform(-4.0, 1.5, 200)
+        x = x[special.ive(order, x) > 1e-300]
+        assert x.size >= 20
+        ref = np.log(special.ive(order, x)) + x
+        mine = log_bessel_i(order, x)
+        assert np.all(np.abs(mine - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("order,x", [(4800.0, 1.0), (2399.5, 144.1), (2399.5, 1e-3),
+                                         (89.5, 0.021), (50.0, 1e-6), (474.5, 62.0),
+                                         (1000.0, 3e4)])
+    def test_debye_against_mpmath(self, order, x):
+        """Where ive underflows (all but the last), against mpmath's besseli
+        at 40 digits, to 1e-14 of max(1, |log I|)."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.besseli(order, x)))
+        assert log_bessel_i(order, x) == pytest.approx(ref, rel=1e-14, abs=1e-14)
 
     @pytest.mark.parametrize("order,x", [(-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_domain_errors(self, order, x):
