@@ -289,7 +289,7 @@ def delta_max_over_neighborhood(epsilon, model: MeasurementModel,
     """Maximize delta over row perturbations and the configured grid.
 
     Scans ``spec.scan_count`` random rows and unit directions scaled to the
-    perturbation bound, drawn row then direction per probe, gets every
+    perturbation bound, every row drawn before every direction, gets each
     neighbour's noncentrality root in one ``neighbor_roots`` call, and
     additionally sweeps all pairs i < j of a deterministic grid over
     ``spec.theta_domain``; one array ``delta_for_epsilon`` call scores
@@ -320,11 +320,8 @@ def delta_max_over_neighborhood(epsilon, model: MeasurementModel,
                        "the grid sweeps roots this model does not have", theta, lo, hi)
 
     gen = as_generator(rng)
-    rows = np.empty(spec.scan_count, dtype=np.intp)
-    deltas = np.empty((spec.scan_count, model.n))
-    for k in range(spec.scan_count):
-        rows[k] = gen.integers(model.m)
-        deltas[k] = gen.standard_normal(model.n)
+    rows = gen.integers(model.m, size=spec.scan_count)
+    deltas = gen.standard_normal((spec.scan_count, model.n))
     deltas *= (spec.delta_h_bound / np.linalg.norm(deltas, axis=1))[:, None]
     roots = neighbor_roots(model, a, rows, deltas)
     skipped = int(np.count_nonzero(np.isnan(roots)))

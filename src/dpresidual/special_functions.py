@@ -19,18 +19,22 @@ the left-out mass bounds the truncation error directly, so every value
 is within the fixed ABS_TOL = 1e-12 of the full series. ``a`` and ``b``
 broadcast; a call loops over the terms of the union of its elements'
 windows, never over the elements, and raises ``ConvergenceError`` past
-MAX_TERMS = 10^6 of them. The gamma tails come from the upward
-recurrence Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1) (DLMF 8.8),
-seeded from ``scipy.special.gammaincc`` every 32 terms and at the start
-of each run of consecutive terms, with each seed's Poisson term in
-Loader's saddle-point form; each tail is within 1e-14 of
-``gammaincc``'s over orders 0.5 to 1e5, far inside ABS_TOL. A tail
-depends only on its order, its term and its boundary, so every element
-of an array call equals its scalar call bit for bit.
+MAX_TERMS = 10^6 of them. Each run of terms starts at a multiple of 32,
+where the Poisson weight and the gamma tail are seeded: the weight and
+the tail's step x^s e^-x / Gamma(s + 1) from one Poisson term in Loader's
+saddle-point form, the tail from ``scipy.special.gammaincc``. Between
+seeds the weight steps by w_k = w_(k-1) mu / k and the tail by the upward
+recurrence Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1) (DLMF 8.8).
+Each tail is within 5e-14 of ``gammaincc``'s over orders 0.5 to 1e5 and
+each weight within a relative 1e-13 of the exact one up to mean 2e5, far
+inside ABS_TOL. A value depends only on its 32-block and its term, mean
+or boundary, so every element of an array call equals its scalar call
+bit for bit.
 
 ``log_bessel_i`` is the log of scipy's scaled Bessel function below
-order 50 and the Debye uniform expansion (DLMF 10.41(ii)) from there on,
-where the scaled function underflows at the orders of large models.
+order 50, or its power series where that underflows, and the Debye
+uniform expansion (DLMF 10.41(ii)) from order 50 on, where the scaled
+function underflows at the orders of large models.
 
 Every function that calls ``scipy.special`` imports it on first use, not
 at module import, so a process that only simulates, estimates or releases
@@ -112,8 +116,8 @@ def _poisson_window(mu, p: float):
     return k_lo, k_hi
 
 
-# Every _RESTART-th gamma tail, and the first of each run of terms, is
-# seeded from scipy; the ones between come from the upward recurrence.
+# Every _RESTART-th Poisson weight and gamma tail is seeded; the ones
+# between come from the recurrences.
 _RESTART = 32
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Stirling series coefficients 1/12, 1/360, 1/1260, 1/1680, 1/1188.
@@ -155,45 +159,45 @@ def _bd0(s: float, x):
     return np.where(near, series, direct)
 
 
-def _tail_seeds(k):
-    """Which of the ascending terms ``k`` restart the gamma-tail recurrence."""
-    return (k % _RESTART == 0.0) | np.append(True, np.diff(k) != 1.0)
+def _poisson_term(s: float, x):
+    """The Poisson term x^s e^(-x) / Gamma(s + 1), for s >= 0 and x >= 0.
+
+    At s = 0 it is e^(-x). Above, it is 0 where x is 0 or infinite and
+    elsewhere Loader's saddle-point form exp(-stirlerr(s) - bd0(s, x)) /
+    sqrt(2 pi s) ("Fast and Accurate Computation of Binomial
+    Probabilities", 2000), since the direct exponent
+    s log x - x - log Gamma(s + 1) cancels digits at large s.
+    """
+    if s == 0.0:
+        return np.exp(-x)
+    finite = (x > 0.0) & (x < np.inf)
+    t = np.exp(-_stirlerr(s) - _bd0(s, np.where(finite, x, 1.0))) / math.sqrt(2.0 * math.pi * s)
+    return np.where(finite, t, 0.0)
 
 
-def _gamma_tails(order: float, k, x):
-    """Yield the regularized gamma tails Q(order + k_i, x) over ascending k.
+def _poisson_series(order: float, k, mu, x):
+    """Yield (w_k(mu), Q(order + k, x)) over the ascending terms ``k``.
 
-    Upward recurrence (DLMF 8.8): Q(s + 1, x) = Q(s, x) + t_s with
-    t_s = x^s e^(-x) / Gamma(s + 1) and t_(s+1) = t_s x / (s + 1). Every
-    k that is a multiple of _RESTART, and the first k of each run of
-    consecutive terms, is seeded from ``scipy.special.gammaincc``; a run
-    that starts between two multiples walks up from the one below it. So
-    each value depends on (order, k_i, x) alone, whichever terms sit
-    beside it, and a seed at k = 0 is ``gammaincc(order, x)`` itself.
-    A seed's t is the Poisson probability in Loader's saddle-point form
-    exp(-stirlerr(s) - bd0(s, x)) / sqrt(2 pi s) ("Fast and Accurate
-    Computation of Binomial Probabilities", 2000): the direct exponent
-    s log x - x - log Gamma(s + 1) cancels digits at large s. Where x is
-    0 or infinite, t is 0 and the seed's value is exact.
+    w_k(mu) = mu^k e^(-mu) / k! is the Poisson weight and Q the regularized
+    upper gamma tail. At every k that is a multiple of _RESTART the weight
+    is ``_poisson_term(k, mu)``, the tail is ``scipy.special.gammaincc`` and
+    its step is t = ``_poisson_term(order + k, x)``. Between those seeds
+    w <- w mu / k, and the tail takes the upward recurrence (DLMF 8.8)
+    Q(s + 1, x) = Q(s, x) + t_s with t_(s+1) = t_s x / (s + 1). Each run of
+    consecutive terms must start at a multiple of _RESTART, so each value
+    depends on its 32-block and (k, mu) or (order, k, x) alone, whichever
+    terms sit beside it.
     """
     from scipy import special as sp
 
-    finite = (x > 0.0) & (x < np.inf)
-    x_seed = np.where(finite, x, 1.0)  # a stand-in where t is 0 anyway
-    x_step = np.where(finite, x, 0.0)
-    q = t = None
-    for k_i, seed in zip(k, _tail_seeds(k)):
-        if seed:
-            base = k_i - k_i % _RESTART
-            s = order + base
-            q = sp.gammaincc(s, x)
-            t = np.where(finite, np.exp(-_stirlerr(s) - _bd0(s, x_seed)), 0.0) \
-                / math.sqrt(2.0 * math.pi * s)
-            for j in np.arange(base + 1.0, k_i + 1.0):
-                q, t = q + t, t * (x_step / (order + j))
+    x_step = np.where(x < np.inf, x, 0.0)  # t is 0 at x = inf and stays 0
+    for k_i in k:
+        if k_i % _RESTART == 0.0:
+            s = order + k_i
+            w, q, t = _poisson_term(k_i, mu), sp.gammaincc(s, x), _poisson_term(s, x)
         else:
-            q, t = q + t, t * (x_step / (order + k_i))
-        yield q
+            w, q, t = w * (mu / k_i), q + t, t * (x_step / (order + k_i))
+        yield w, q
 
 
 def marcum_q(order: float, a, b):
@@ -219,20 +223,18 @@ def marcum_q(order: float, a, b):
     mu = a^2 / 2. With p = ABS_TOL / 2, both ends come in closed
     form from the Poisson tail bounds of ``_poisson_window``: the terms
     below k_lo weigh at most p together, and so do the terms above k_hi.
-    The call sums the union of the windows in ascending k, skipping the
-    gaps between them, each element's terms outside its own window
-    weighing exactly zero, and elements with far apart means cost the
-    sum of their windows, not the span between them. The gamma tails
-    Q(order + k, b^2 / 2) come from ``_gamma_tails``: an upward
-    recurrence, seeded from ``scipy.special.gammaincc`` at every k that
-    is a multiple of 32 and at the first k of each run of the union, a
-    run starting between multiples walking up from the one below, each
-    seed's Poisson term in Loader's saddle-point form. A tail so depends
-    only on (order, k, b), whatever the other elements' windows, so every
-    element of an array call equals the scalar call bit for bit, and at
-    a = 0 the value is ``gammaincc(order, b^2 / 2)`` itself. The term,
-    element and seed counts (seeds times boundaries, one ``gammaincc``
-    evaluation each) are logged at DEBUG.
+    The call sums the union of the windows in ascending k, each window
+    widened down to a multiple of 32, skipping the gaps between them, each
+    element's terms outside its own window weighing exactly zero, so
+    elements with far apart means cost the sum of their windows, not the
+    span between them. Weights and tails come from ``_poisson_series``:
+    seeded at every k that is a multiple of 32, where every run starts,
+    and stepped by recurrence between seeds. A value so depends only on its
+    32-block and (k, mu) or (order, k, b), whatever the other elements'
+    windows, so every element of an array call equals the scalar call bit
+    for bit, and at a = 0 the value is ``gammaincc(order, b^2 / 2)``
+    itself. The term, element and seed counts (seeds times boundaries,
+    one ``gammaincc`` evaluation each) are logged at DEBUG.
 
     Raises
     ------
@@ -241,8 +243,6 @@ def marcum_q(order: float, a, b):
         integers are no longer distinct floats, or if the union of the
         windows holds more than MAX_TERMS = 10^6 terms.
     """
-    from scipy import special as sp
-
     if not order > 0:
         raise ValueError(f"order must be > 0, got {order}")
     a_arr = np.asarray(a, dtype=float)
@@ -261,10 +261,12 @@ def marcum_q(order: float, a, b):
     if not (mu < 2.0**53).all():
         raise ConvergenceError(f"marcum_q Poisson mean a^2/2 reaches 2^53 at a = {a_arr.max()}")
     k_lo, k_hi = _poisson_window(mu, 0.5 * ABS_TOL)
-    # The union of the windows: sort them by k_lo and merge each window
-    # into the run before it unless a gap separates them.
+    # The union of the windows, each starting at the seed below it: sort
+    # them by k_lo and merge each window into the run before it unless a
+    # gap separates them.
     by_lo = np.argsort(k_lo, axis=None)
     lo = np.ravel(k_lo)[by_lo]
+    lo -= lo % _RESTART
     hi = np.maximum.accumulate(np.ravel(k_hi)[by_lo])
     opens = np.append(True, lo[1:] > hi[:-1] + 1.0)
     lo, hi = lo[opens], hi[np.append(opens[1:], True)]
@@ -277,13 +279,10 @@ def marcum_q(order: float, a, b):
     counts = counts.astype(np.int64)
     k = np.arange(counts.sum(), dtype=float) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     logger.debug("marcum_q: %d terms over %d elements, %d gamma-tail seeds",
-                 k.size, mu.size, np.count_nonzero(_tail_seeds(k)) * x.size)
-    kk = k.reshape((-1,) + (1,) * mu.ndim)
-    w = np.exp(sp.xlogy(kk, mu) - mu - sp.gammaln(kk + 1.0))
-    w[(kk < k_lo) | (kk > k_hi)] = 0.0
+                 k.size, mu.size, np.count_nonzero(k % _RESTART == 0.0) * x.size)
     total = np.zeros(shape)
-    for w_i, q_i in zip(w, _gamma_tails(order, k, x)):
-        total += w_i * q_i
+    for k_i, (w, q) in zip(k, _poisson_series(order, k, mu, x)):
+        total += np.where((k_lo <= k_i) & (k_i <= k_hi), w, 0.0) * q
 
     # Truncated Poisson mass never reaches 1 exactly; the b = 0 boundary
     # carries full mass by definition.
@@ -312,10 +311,10 @@ def noncentral_chisq_cdf(x, dof: float, noncentrality: float):
 
 
 def noncentral_chisq_sample(dof: float, noncentrality: float, rng, size=None):
-    """Draw from chi2_dof(noncentrality) by the constructive definition.
+    """Draw from chi2_dof(noncentrality) with numpy's ``noncentral_chisquare``.
 
-    Integer dof: the sum of ``dof`` squared unit normals with one mean
-    shifted by sqrt(noncentrality). Fractional dof: a Poisson(nc/2) mixture
+    It samples the constructive law: a central chi-square of dof - 1 plus
+    one squared shifted normal where dof > 1, else a Poisson(nc/2) mixture
     of central chi-squares with dof + 2K degrees of freedom.
 
     Parameters
@@ -328,19 +327,8 @@ def noncentral_chisq_sample(dof: float, noncentrality: float, rng, size=None):
         raise ValueError(f"dof must be > 0, got {dof}")
     if noncentrality < 0:
         raise ValueError(f"noncentrality must be >= 0, got {noncentrality}")
-    gen = as_generator(rng)
-    n = 1 if size is None else int(size)
-
-    k = int(round(dof))
-    if abs(dof - k) < 1e-12 and k >= 1:
-        shifted = gen.standard_normal(n) + math.sqrt(noncentrality)
-        out = shifted**2
-        if k > 1:
-            out = out + gen.chisquare(k - 1, size=n)
-    else:
-        mix = gen.poisson(0.5 * noncentrality, size=n) if noncentrality > 0 else 0
-        out = gen.chisquare(dof + 2 * mix, size=n)
-    return float(out[0]) if size is None else out
+    out = as_generator(rng).noncentral_chisquare(dof, noncentrality, size)
+    return float(out) if size is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +399,14 @@ def _log_bessel_i_debye(order: float, x):
 def log_bessel_i(order: float, x) -> float:
     """log I_order(x), defined for order > -1, where I_order is positive on x > 0.
 
-    Below order 50, the log of the scaled Bessel function ``ive`` plus x; this
-    raises OverflowError where ``ive`` underflows to 0 (at order 49.5, for x
-    below about 2.3e-5). From order 50 on, the Debye uniform expansion in log
-    form, finite for every finite x > 0; where ``ive`` is a normal double
-    the two agree to 1e-13 of max(1, |log I|).
+    Below order 50, the log of the scaled Bessel function ``ive`` plus x;
+    where ``ive`` is below the smallest normal double (at order 49.5, for x
+    below about 2.3e-5), the first two terms of the power series (DLMF
+    10.25.2), order log(x/2) - lgamma(order + 1) + log1p((x/2)^2 / (order + 1)),
+    whose first left-out term is below 1e-19 there. From order 50 on, the
+    Debye uniform expansion in log form. The value is finite for every
+    finite x > 0; where ``ive`` is a normal double the Debye expansion
+    and ``log(ive) + x`` agree to 1e-13 of max(1, |log I|).
     """
     from scipy import special as sp
 
@@ -428,8 +419,11 @@ def log_bessel_i(order: float, x) -> float:
     if order >= _DEBYE_ORDER:
         out = _log_bessel_i_debye(order, x_arr)
     else:
-        with np.errstate(divide="ignore"):
-            out = np.log(sp.ive(order, x_arr)) + x_arr
-        if np.any(~np.isfinite(out)):
-            raise OverflowError(f"log_bessel_i underflowed at order={order}")
+        ive = sp.ive(order, x_arr)
+        under = ive < np.finfo(float).tiny
+        half = 0.5 * np.where(under, x_arr, 1.0)  # a stand-in where ive is normal
+        out = np.where(under,
+                       order * np.log(half) - math.lgamma(order + 1.0)
+                       + np.log1p(half * half / (order + 1.0)),
+                       np.log(np.where(under, 1.0, ive)) + x_arr)
     return float(out) if scalar else out

@@ -28,7 +28,7 @@ from dpresidual import (
     regularized_gamma_q_inverse,
 )
 from dpresidual import special_functions
-from dpresidual.special_functions import _gamma_tails, _poisson_window
+from dpresidual.special_functions import _poisson_series, _poisson_term, _poisson_window
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +256,16 @@ class TestMarcumQ:
         with pytest.raises(ConvergenceError, match="cover"):  # finite window ends below 2^53
             marcum_q(2.0, math.sqrt(2.0 * 0.99 * 2.0**53), 1.0)
 
+    @pytest.mark.parametrize("noncentrality", [1e4, 1e5])
+    def test_large_mean_against_scipy_noncentral_tail(self, noncentrality):
+        """Order 1.5 with b^2 within 3% of the noncentrality, within ABS_TOL of
+        scipy's ncx2.sf. The direct Poisson weight missed it by 1.8e-12 at
+        1e4 and 1.9e-11 at 1e5."""
+        x = noncentrality * np.linspace(0.97, 1.03, 61)
+        out = marcum_q(1.5, math.sqrt(noncentrality), np.sqrt(x))
+        ref = stats.ncx2.sf(x, 3.0, noncentrality)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=special_functions.ABS_TOL)
+
     def test_infinite_boundary(self):
         assert marcum_q(2.0, 1.0, math.inf) == 0.0
         np.testing.assert_array_equal(marcum_q(2.0, np.array([0.0, 3.0]), math.inf), [0.0, 0.0])
@@ -284,36 +294,63 @@ class TestMarcumQ:
 
 
 class TestGammaTails:
+    """The gamma tails, Poisson weights and seeds of ``_poisson_series``."""
+
     @pytest.mark.parametrize("order", [0.5, 10.0, 90.5, 2400.5, 1e4, 1e5])
     def test_recurrence_against_scipy_gamma_tail(self, order):
-        """Runs of 64 terms from k0 <= 3000, against gammaincc at every k.
+        """Runs of 64 terms from multiples of 32 below 3000, against gammaincc
+        at every k.
 
         x sits within 3 sd of the run's middle s, where the tails move
         most, plus 0, 1e-300 and inf. The bound 5e-14 holds only with the
         seeds' saddle-point t: the direct exponent drifts past 1e-12.
         """
         rng = np.random.default_rng(19)
-        for k0 in rng.integers(0, 3001, 8).astype(float):
+        for k0 in 32.0 * rng.integers(0, 94, 8):
             k = k0 + np.arange(64.0)
             s = order + k0 + 32.0
             x = np.concatenate([np.abs(s + 3.0 * math.sqrt(s) * rng.uniform(-1.0, 1.0, 40)),
                                 [0.0, 1e-300, np.inf]])
-            got = np.array(list(_gamma_tails(order, k, x)))
+            got = np.array([q for _, q in _poisson_series(order, k, 1.0, x)])
             ref = special.gammaincc(order + k[:, None], x)
             np.testing.assert_allclose(got, ref, rtol=0, atol=5e-14)
 
+    def test_weights_against_mpmath(self):
+        """Each mean's whole window, run from the multiple of 32 below it,
+        against 30-digit mpmath Poisson weights to a relative 1e-13. The
+        direct exp(k log mu - mu - lgamma(k + 1)) drifts to 8.6e-10 at 2e5."""
+        mpmath = pytest.importorskip("mpmath")
+        mu = np.array([0.0, 0.3, 7.0, 300.0, 4e3, 5e4, 2e5])
+        k_lo, k_hi = _poisson_window(mu, 0.5 * special_functions.ABS_TOL)
+        with mpmath.workdps(30):
+            for m, lo, hi in zip(mu, k_lo, k_hi):
+                k = np.arange(lo - lo % 32, hi + 1.0)
+                got = np.array([float(w) for w, _ in _poisson_series(1.5, k, m, 1.0)])
+                ref = np.array([float(mpmath.exp(int(k_i) * mpmath.log(m) - m
+                                                 - mpmath.loggamma(int(k_i) + 1)))
+                                if m > 0 else float(k_i == 0) for k_i in k])
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
     def test_seeds_are_scipy_values(self):
-        """At multiples of 32 and at a run's start the tail is gammaincc
-        itself, or its walk up from the multiple below."""
+        """At multiples of 32 the tail is gammaincc itself, and a run that
+        starts at a later multiple repeats the values of the longer run."""
         x = np.array([0.0, 0.3, 40.0, 70.0, np.inf])
-        k = np.array([5.0, 6.0, 31.0, 32.0, 33.0, 64.0, 90.0])
-        got = list(_gamma_tails(7.5, k, x))
-        for k_i in (32.0, 64.0):
-            assert got[list(k).index(k_i)].tobytes() == \
-                special.gammaincc(7.5 + k_i, x).tobytes()
-        walked = list(_gamma_tails(7.5, np.arange(0.0, 6.0), x))[5]
-        assert got[0].tobytes() == walked.tobytes()
-        assert list(_gamma_tails(7.5, np.array([90.0]), x))[0].tobytes() == got[-1].tobytes()
+        mu = np.array([0.0, 0.3, 40.0])
+        got = list(_poisson_series(7.5, np.arange(96.0), mu, x))
+        for k_i in (0, 32, 64):
+            assert got[k_i][1].tobytes() == special.gammaincc(7.5 + k_i, x).tobytes()
+        assert got[0][0].tobytes() == np.exp(-mu).tobytes()
+        later = list(_poisson_series(7.5, np.arange(64.0, 96.0), mu, x))
+        for (w, q), (w_ref, q_ref) in zip(later, got[64:]):
+            assert w.tobytes() == w_ref.tobytes() and q.tobytes() == q_ref.tobytes()
+
+    def test_poisson_term_edges(self):
+        """e^-x at s = 0, and 0 where x is 0 or infinite above it."""
+        x = np.array([0.0, 2.5, np.inf])
+        assert _poisson_term(0.0, x).tobytes() == np.exp(-x).tobytes()
+        np.testing.assert_array_equal(_poisson_term(3.5, x)[[0, 2]], [0.0, 0.0])
+        assert _poisson_term(3.5, x)[1] == pytest.approx(
+            math.exp(3.5 * math.log(2.5) - 2.5 - math.lgamma(4.5)), rel=1e-14)
 
 
 def pdtrik_window(mu, p):
@@ -480,11 +517,17 @@ class TestBesselI:
             upper = (y - x) + a * math.log(x / y)
             assert lower < log_ratio < upper
 
-    def test_overflow_reported(self):
-        """Below order 50, where the scaled function underflows the log form
-        reports it; where I itself overflows a double the log form stays finite."""
-        with pytest.raises(OverflowError):
-            log_bessel_i(49.5, 1e-6)
+    def test_power_series_where_scaled_bessel_underflows(self):
+        """Below order 50, where ive is below the smallest normal double, the
+        two-term power series against mpmath's besseli at 50 digits; where I
+        itself overflows a double the log form stays finite."""
+        mpmath = pytest.importorskip("mpmath")
+        for order, x in [(49.5, 1e-6), (49.5, 2e-5), (49.0, 1e-300), (30.0, 1e-9),
+                         (10.0, 1e-40), (5.0, 1e-70), (2.5, 1e-130), (1.0, 1e-310)]:
+            assert special.ive(order, x) < np.finfo(float).tiny
+            with mpmath.workdps(50):
+                ref = float(mpmath.log(mpmath.besseli(order, mpmath.mpf(x))))
+            assert log_bessel_i(order, x) == pytest.approx(ref, rel=1e-15, abs=0)
         assert log_bessel_i(0.0, 1000.0) == pytest.approx(1000.0 + math.log(special.ive(0, 1000.0)))
 
     @pytest.mark.parametrize("order", [50.0, 50.5, 64.0, 89.5, 200.0, 474.5, 1000.0, 2399.5])
