@@ -9,6 +9,7 @@ lives here too so the CLI commands stay thin.
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +21,18 @@ from .dp_mechanism import Mechanism, NeighborhoodSpec, PrivacyParams
 from .exceptions import SchemaError
 from .measurement_model import AttackVector, MeasurementModel, load_model_csv, stealth_attack
 from .streams import SeedStream
+
+logger = logging.getLogger(__name__)
+
+# libyaml's C parser and emitter, where PyYAML was built with them. The C
+# parser builds the documents the pure-Python one builds, and where it fails
+# _parse has the pure-Python one read the text again; the C emitter writes
+# config_hash's text only where _c_dump_refusal finds no reason not to.
+_LIBYAML = yaml.__with_libyaml__
+# libyaml writes a mapping key inline up to another length than PyYAML (they
+# part near 123 characters), and writes an empty key inline where PyYAML
+# writes "? ''"; keys of 1 to this many characters they write alike.
+_MAX_C_KEY = 64
 
 
 @dataclass(frozen=True)
@@ -286,11 +299,56 @@ def _parse_figures(doc, path="figures") -> FiguresConfig:
     return cfg
 
 
+def _c_dump_refusal(doc) -> str | None:
+    """Why libyaml's emitter might not write ``doc`` as ``yaml.safe_dump`` does,
+    or None. Past printable ASCII it folds long double-quoted strings at other
+    places, so every string must be printable ASCII. Anything but strings,
+    numbers, bools, None, lists and mappings, each list or mapping met once
+    (a repeated one is written as an anchor), is left to PyYAML too."""
+    seen: set[int] = set()
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            if not (node.isascii() and node.isprintable()):
+                return "a string outside printable ASCII"
+        elif isinstance(node, (dict, list)):
+            if id(node) in seen:
+                return "a list or mapping met twice"
+            seen.add(id(node))
+            if isinstance(node, dict):
+                if not all(isinstance(k, str) and 0 < len(k) <= _MAX_C_KEY for k in node):
+                    return f"a mapping key that is no string of 1 to {_MAX_C_KEY} characters"
+                stack.extend(node.keys())
+                stack.extend(node.values())
+            else:
+                stack.extend(node)
+        elif node is not None and type(node) not in (bool, int, float):
+            return f"a {type(node).__name__} value"
+    return None
+
+
+def _hash_dumper(doc) -> tuple[type, str]:
+    """The dumper that writes ``doc``'s canonical text, and its name for the log."""
+    if not _LIBYAML:
+        return yaml.SafeDumper, "pure-Python (PyYAML has no libyaml)"
+    why = _c_dump_refusal(doc)
+    if why:
+        return yaml.SafeDumper, f"pure-Python ({why})"
+    return yaml.CSafeDumper, "libyaml"
+
+
+def _canonical_text(doc) -> str:
+    """``yaml.safe_dump(doc, sort_keys=True)``, the text config_hash digests:
+    written by libyaml's emitter where that gives the same text."""
+    return yaml.dump(doc, Dumper=_hash_dumper(doc)[0], sort_keys=True)
+
+
 def validate_config(doc) -> ExperimentConfig:
     """Validate a parsed YAML document against the experiment schema."""
     doc = _require_mapping(doc, "config")
     _reject_unknown(doc, {"model", "attack", "dp", "test", "mc", "figures"}, "config")
-    canonical = yaml.safe_dump(doc, sort_keys=True)
+    canonical = _canonical_text(doc)
     model = _parse_model(doc["model"]) if doc.get("model") is not None else None
     attack = _parse_attack(doc["attack"]) if doc.get("attack") is not None else None
     dp = _parse_dp(doc["dp"]) if doc.get("dp") is not None else None
@@ -311,16 +369,33 @@ def validate_config(doc) -> ExperimentConfig:
     )
 
 
+def _parse(text: str) -> tuple[object, str]:
+    """The YAML document in ``text``, and the parser that read it for the log."""
+    if not _LIBYAML:
+        return yaml.safe_load(text), "pure-Python (PyYAML has no libyaml)"
+    try:
+        return yaml.load(text, Loader=yaml.CSafeLoader), "libyaml"
+    except yaml.YAMLError:
+        # PyYAML words the error as it always has, quoting the line at
+        # fault; and it reads a few texts libyaml refuses, such as an
+        # escaped lone surrogate "\uD800".
+        return yaml.safe_load(text), "pure-Python (libyaml's parser failed)"
+
+
 def load_config(path) -> ExperimentConfig:
     """Load and validate a YAML experiment configuration."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"config file not found: {path}")
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc, parser = _parse(path.read_text())
     except yaml.YAMLError as exc:
         raise SchemaError(f"config is not valid YAML: {exc}") from exc
-    return validate_config(doc)
+    config = validate_config(doc)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("config %s: parsed by %s, config_hash dumped by %s",
+                     path, parser, _hash_dumper(doc)[1])
+    return config
 
 
 # ---------------------------------------------------------------------------

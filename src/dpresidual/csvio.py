@@ -29,22 +29,29 @@ def write_csv(path, schema: str, columns: list[str], rows, meta: dict | None = N
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
-    """Read a CSV written by ``write_csv``: (meta, columns, string rows)."""
-    meta: dict[str, str] = {}
-    columns: list[str] | None = None
-    rows: list[list[str]] = []
+def split_header(path) -> tuple[dict[str, str], list[str]]:
+    """Split a file into its '# key: value' header and its body lines.
+
+    Lines are stripped and blank ones dropped; a '#' line is a header line
+    wherever it stands.
+    """
+    header: dict[str, str] = {}
+    body: list[str] = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
             key, _, value = line[1:].partition(":")
-            meta[key.strip()] = value.strip()
-        elif columns is None:
-            columns = line.split(",")
+            header[key.strip()] = value.strip()
         else:
-            rows.append(line.split(","))
-    if columns is None:
+            body.append(line)
+    return header, body
+
+
+def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
+    """Read a CSV written by ``write_csv``: (meta, columns, string rows)."""
+    meta, body = split_header(path)
+    if not body:
         raise ValueError(f"no column header found in {path}")
-    return meta, columns, rows
+    return meta, body[0].split(","), [line.split(",") for line in body[1:]]

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csvio import split_header
 from .exceptions import RankDeficiencyError, SingularUpdateError
 from .streams import as_generator
 
@@ -465,25 +466,17 @@ def save_model_csv(model: MeasurementModel, path) -> None:
 
 def load_model_csv(path) -> MeasurementModel:
     """Read a model written by ``save_model_csv``, validating the header."""
-    path = Path(path)
-    header: dict[str, str] = {}
-    rows: list[list[float]] = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            header[key.strip()] = value.strip()
-        else:
-            rows.append([float(v) for v in line.split(",")])
+    header, body = split_header(path)
     if header.get("schema") != MODEL_SCHEMA:
         raise ValueError(f"unsupported model schema {header.get('schema')!r} in {path}")
     for key in ("m", "n", "sigma", "lambda"):
         if key not in header:
             raise ValueError(f"model header missing key {key!r} in {path}")
-    H = np.array(rows, dtype=float)
     m, n = int(header["m"]), int(header["n"])
+    if not body:
+        raise ValueError(f"model body is empty, header declares ({m}, {n})")
+    # comments=None: a '#' inside a row is a bad cell, as it is to float().
+    H = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     if H.shape != (m, n):
         raise ValueError(f"model body is {H.shape}, header declares ({m}, {n})")
     return MeasurementModel(H=H, sigma=float(header["sigma"]), lam=float(header["lambda"]))

@@ -639,6 +639,15 @@ class TestLogLevel:
                    for line in lines)
         assert lines[-1].startswith("stage roc: ")
 
+    def test_debug_names_yaml_parser_and_hash_dumper(self, tmp_path, capsys, config_path):
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                     "--log-level", "debug"]) == 0
+        first = capsys.readouterr().err.splitlines()[0]
+        libyaml = "libyaml" if yaml.__with_libyaml__ else \
+            "pure-Python (PyYAML has no libyaml)"
+        assert first == (f"config {config_path}: parsed by {libyaml}, "
+                         f"config_hash dumped by {libyaml}")
+
     def test_logger_restored_after_main(self, tmp_path, capsys, config_path):
         package = logging.getLogger("dpresidual")
         before = (package.level, list(package.handlers))
@@ -725,6 +734,18 @@ class TestCliMisc:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_invalid_yaml(self, tmp_path, capsys):
+        """Exit 2 with PyYAML's own wording of the error, and no artifact."""
+        text = "model: {m: 20, n: 5\nattack: [1, 2\n"
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(yaml.YAMLError) as exc:
+            yaml.safe_load(text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config is not valid YAML: {exc.value}\n"
+        assert not out.exists()
 
     def test_omitted_keys_take_the_defaults(self, tmp_path):
         neighborhood = {"delta_h_bound": 0.1, "scan_count": 5, "theta_domain": [0.2, 1.2]}
@@ -956,7 +977,12 @@ class TestInputErrors:
         None,
         MODEL_HEADER + "1.0,2.0\n2.0,5.0\n",
         MODEL_HEADER + "1.0,2.0\n2.0,abc\n3.0,7.0\n",
-    ], ids=["missing", "two_rows_of_three", "non_numeric"])
+        MODEL_HEADER + "1.0,2.0\n2.0\n3.0,7.0\n",
+        MODEL_HEADER + "1.0,2.0\n2.0,\n3.0,7.0\n",
+        MODEL_HEADER,
+        MODEL_HEADER.replace("# sigma: 1.0\n", "") + "1.0,2.0\n2.0,5.0\n3.0,7.0\n",
+    ], ids=["missing", "two_rows_of_three", "non_numeric", "ragged", "empty_cell",
+            "empty_body", "no_sigma"])
     def test_bad_model_csv(self, tmp_path, capsys, body):
         model_csv = tmp_path / "H.csv"
         if body is not None:

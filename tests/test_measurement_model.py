@@ -1,11 +1,14 @@
 """Measurement models, projectors, neighbors, reductions, and attacks."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dpresidual import (
     AttackVector,
@@ -371,6 +374,9 @@ class TestStealthAttack:
             stealth_attack(model, np.zeros(3))
 
 
+MODEL_HEADER = "# schema: dpresidual-model/1\n# m: 3\n# n: 2\n# sigma: 1.0\n# lambda: 0.0\n"
+
+
 class TestModelCsv:
     def test_round_trip(self, rng, tmp_path):
         model = random_model(rng, 5, 3, sigma=0.4, lam=0.7)
@@ -395,3 +401,51 @@ class TestModelCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match="header declares"):
             load_model_csv(path)
+
+    @pytest.mark.parametrize("text,named", [
+        (MODEL_HEADER + "1.0,2.0\n3.0\n4.0,5.0\n", "number of columns changed"),
+        (MODEL_HEADER + "1.0,2.0\n3.0,x\n4.0,5.0\n", "could not convert string 'x'"),
+        (MODEL_HEADER + "1.0,2.0\n3.0,\n4.0,5.0\n", "could not convert string ''"),
+        (MODEL_HEADER + "\n", "model body is empty, header declares"),
+        (MODEL_HEADER.replace("# sigma: 1.0\n", "") + "1.0,2.0\n3.0,4.0\n4.0,5.0\n",
+         "missing key 'sigma'"),
+    ], ids=["ragged", "non_numeric", "empty_cell", "empty_body", "no_sigma"])
+    def test_malformed_rejected(self, tmp_path, text, named):
+        path = tmp_path / "model.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on an empty body
+            with pytest.raises(ValueError, match=re.escape(named)):
+                load_model_csv(path)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (1, 3), (4, 1)])
+    @pytest.mark.parametrize("layout", ["lf", "crlf", "blank_lines"])
+    def test_layouts_load(self, rng, tmp_path, shape, layout):
+        model = random_model(rng, *shape, lam=0.5)
+        path = tmp_path / "model.csv"
+        save_model_csv(model, path)
+        text = path.read_text()
+        if layout == "crlf":
+            path.write_bytes(text.replace("\n", "\r\n").encode())
+        elif layout == "blank_lines":
+            path.write_text("\n\n" + text.replace("\n", "\n  \n") + "\n")
+        np.testing.assert_array_equal(load_model_csv(path).H, model.H)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.one_of(
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+                                           1e308, -1e308]))),
+           st.sampled_from(["{!r}", "{:.17e}", "{:.6g}", "{:+.12E}"]))
+    def test_body_parse_matches_float(self, tmp_path_factory, H, cell):
+        """The body parses bit for bit as per-cell float() does, in several
+        float formats: subnormals, signed zeros and values near the double
+        range too. (A format that rounds past the range would read inf.)"""
+        body = [",".join(cell.format(float(v)) for v in row) for row in H]
+        path = tmp_path_factory.mktemp("csv") / "model.csv"
+        path.write_text(f"# schema: dpresidual-model/1\n# m: {H.shape[0]}\n"
+                        f"# n: {H.shape[1]}\n# sigma: 1.0\n# lambda: 1.0\n"
+                        + "\n".join(body) + "\n")
+        oracle = np.array([[float(v) for v in line.split(",")] for line in body])
+        assert load_model_csv(path).H.tobytes() == oracle.tobytes()
