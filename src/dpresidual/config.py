@@ -388,7 +388,13 @@ def load_config(path) -> ExperimentConfig:
     if not path.exists():
         raise SchemaError(f"config file not found: {path}")
     try:
-        doc, parser = _parse(path.read_text())
+        text = path.read_text()
+    except OSError as exc:
+        raise SchemaError(f"config {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"config {path}: {exc}") from exc
+    try:
+        doc, parser = _parse(text)
     except yaml.YAMLError as exc:
         raise SchemaError(f"config is not valid YAML: {exc}") from exc
     config = validate_config(doc)

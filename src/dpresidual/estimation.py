@@ -146,6 +146,30 @@ def _residual_sq(model: MeasurementModel, Z: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", C, C) + np.einsum("ij,ij->i", R, R)
 
 
+def _shift_terms(model: MeasurementModel, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """g = P^T P a and ||P a||^2 of a shift a, from the factor of ``_residual_sq``.
+
+    The residual map is linear, so ||P (z + a)||^2 = ||P z||^2 + 2 z.g +
+    ||P a||^2: a batch shifted by a is scored from its unshifted squares by
+    one matrix-vector product. P is I - U diag(w) U^T, symmetric, so
+    g = U ((1 - w)^2 * c) + (a - U c) with c = U^T a; the second term is
+    kept only where U is not square (m > n), as in ``_residual_sq``. That
+    remainder is projected off col(U) twice: the rounding of one pass lies
+    partly in col(H), where z's mean H x can be far larger than P z.
+    """
+    f = model.factor
+    c = f.u.T @ a
+    pc = (1.0 - f.w) * c
+    g = f.u @ ((1.0 - f.w) * pc)
+    sq = float(pc @ pc)
+    if model.m > model.n:
+        r = a - f.u @ c
+        r -= f.u @ (f.u.T @ r)
+        g += r
+        sq += float(r @ r)
+    return g, sq
+
+
 def wssr(model: MeasurementModel, z) -> float | np.ndarray:
     """Weighted sum of squared residuals sigma^{-2} ||z - H x*||^2.
 

@@ -704,6 +704,21 @@ class TestLogLevel:
         assert columns == ["quantity", "analytic", "empirical", "se"]
         assert [r[0] for r in rows] == ["pfa", "pd"]
 
+    def test_debug_splits_monte_carlo_time(self, tmp_path, capsys, config_path):
+        """One DEBUG line gives the trials, the block layout and the seconds
+        spent drawing against scoring, inside the monte_carlo stage."""
+        assert main(["validate", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                     "--log-level", "debug"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        found = [re.fullmatch(r"monte carlo: (\d+) trials in (\d+) blocks of (\d+) rows; "
+                              r"drawing \d+\.\d{3} s, scoring \d+\.\d{3} s", line)
+                 for line in lines]
+        (i, match), = [(i, f) for i, f in enumerate(found) if f]
+        trials, blocks, rows = (int(v) for v in match.groups())
+        assert trials == load_config(config_path).mc.trials
+        assert blocks == -(-trials // rows)
+        assert lines[i + 1].startswith("stage monte_carlo: ")
+
     def test_python_m_logs_stages(self, tmp_path):
         """Run as ``python -m dpresidual.cli``, the module is __main__, yet its
         stage lines still reach --log-level's stderr handler."""
@@ -745,6 +760,25 @@ class TestCliMisc:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: config is not valid YAML: {exc.value}\n"
+        assert not out.exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        """Exit 2 naming the path and the decode error, and no artifact."""
+        path = tmp_path / "latin.yaml"
+        path.write_bytes(b"model: \xff\xfe\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path}: ") and "can't decode" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        path = tmp_path / "configs"
+        path.mkdir()
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config {path}: Is a directory\n"
         assert not out.exists()
 
     def test_omitted_keys_take_the_defaults(self, tmp_path):

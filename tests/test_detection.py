@@ -1,12 +1,13 @@
 """Threshold-test analytics, ROC curves, and Monte Carlo validation."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
@@ -549,6 +550,40 @@ class TestStreamedSimulation:
                                               SeedStream(6).generator)
             assert q1.tobytes() == q0.tobytes()
 
+    def test_one_projection_per_block(self, rng, monkeypatch):
+        """H0's wssr is the only projection of a block; H1 reuses it."""
+        m, n, trials = 12, 4, 2003
+        model = random_model(rng, m, n)
+        attack = AttackVector.sparse(m, [1, m - 2], [2.0, -1.5])
+        law = residual_law(model, np.zeros(n), None)
+        spec = TestSpec(alpha=0.05, law0=law, law1=law)
+        monkeypatch.setattr(detection, "MC_BLOCK_ELEMS", 7 * m + 3)
+        calls = []
+
+        def counted(model, z):
+            calls.append(len(z))
+            return wssr(model, z)
+
+        monkeypatch.setattr(detection, "wssr", counted)
+        detection._released_wssr(model, attack, np.zeros(n), spec, trials,
+                                 SeedStream(8).generator)
+        assert len(calls) == math.ceil(trials / 7)
+        assert sum(calls) == trials
+
+    def test_logs_block_layout_and_times(self, rng, monkeypatch, caplog):
+        m, n, trials = 12, 4, 1001
+        model = random_model(rng, m, n)
+        law = residual_law(model, np.zeros(n), None)
+        spec = TestSpec(alpha=0.05, law0=law, law1=law,
+                        dp=PrivacyParams.chi_square(r_prime=1))
+        monkeypatch.setattr(detection, "MC_BLOCK_ELEMS", 7 * m + 3)
+        with caplog.at_level("DEBUG", logger="dpresidual.detection"):
+            detection._released_wssr(model, None, np.zeros(n), spec, trials,
+                                     SeedStream(8).generator)
+        line, = [r.getMessage() for r in caplog.records]
+        assert re.fullmatch(r"monte carlo: 1001 trials in 143 blocks of 7 rows; "
+                            r"drawing \d+\.\d{3} s, scoring \d+\.\d{3} s", line)
+
     def test_memory_bounded_by_block(self, rng):
         """Peak traced memory stays far below one trials x m batch."""
         trials, m, n = 50_000, 200, 20
@@ -563,6 +598,52 @@ class TestStreamedSimulation:
         finally:
             tracemalloc.stop()
         assert peak < trials * m * 8 / 4
+
+
+class TestShiftedScoring:
+    """H1's statistic from H0's plus the attack's cross term against a
+    second projection of the shifted measurements."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=st.sampled_from([("m<=n", 1e-3, 10.0), ("m>n", 0.0, 0.0),
+                              ("m>n", 1e-3, 10.0)]),
+        shape=st.tuples(st.integers(1, 12), st.integers(0, 8)),
+        sigma=st.floats(0.1, 10.0),
+        lam_unit=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        attack=hnp.arrays(float, 21, elements=st.floats(-1e3, 1e3)),
+    )
+    # An attack almost inside col(H): one projection of its off-column part
+    # leaves rounding in col(H) that z's mean H x amplifies past the bound.
+    @example(case=("m>n", 0.0, 0.0), shape=(11, 0), sigma=1.0, lam_unit=0.0, seed=0,
+             attack=np.array([0.0] * 5 + [-130.0, -607.0] + [0.0] * 14))
+    def test_cross_term_matches_second_projection(self, case, shape, sigma, lam_unit,
+                                                  seed, attack):
+        branch, lam_lo, lam_hi = case
+        small, extra = shape
+        m, n = (small, small + extra) if branch == "m<=n" else (small + extra + 1, small)
+        lam = lam_lo + (lam_hi - lam_lo) * lam_unit
+        gen = np.random.default_rng(seed)
+        model = random_model(gen, m, n, sigma=sigma, lam=lam)
+        x = gen.normal(size=n)
+        a = attack[:m]
+        law = ResidualLaw.chi_square(1.0)
+        spec = TestSpec(alpha=0.05, law0=law, law1=law)
+        trials = 53
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detection, "MC_BLOCK_ELEMS", 7 * m + 3)
+            q0, q1 = detection._released_wssr(model, a, x, spec, trials,
+                                              SeedStream(seed).generator)
+            zero0, zero1 = detection._released_wssr(model, np.zeros(m), x, spec, trials,
+                                                    SeedStream(seed).generator)
+        z0 = model.H @ x + sigma * SeedStream(seed).generator.standard_normal((trials, m))
+        np.testing.assert_allclose(q0, wssr(model, z0), rtol=1e-12)
+        ref = wssr(model, z0 + a)
+        slack = 1e-12 * (q0 + wssr(model, a))
+        assert np.all(np.abs(q1 - ref) <= 1e-12 * ref + slack)
+        assert zero0.tobytes() == q0.tobytes()
+        assert zero1.tobytes() == zero0.tobytes()
 
 
 class TestSampleLaw:

@@ -26,6 +26,7 @@ from dpresidual import (
     wls_estimate,
     wssr,
 )
+from dpresidual.estimation import _shift_terms
 from conftest import random_model
 
 
@@ -98,6 +99,17 @@ class TestWssr:
     def test_nonnegative(self, rng):
         model = random_model(rng, 8, 3, lam=0.5)
         assert np.all(wssr(model, rng.normal(size=(50, 8))) >= 0.0)
+
+    @pytest.mark.parametrize("m, n, lam", [(6, 9, 0.7), (6, 6, 0.7), (6, 6, 0.0),
+                                           (12, 5, 0.0), (12, 5, 0.7)])
+    def test_shift_terms_from_dense_projector(self, rng, m, n, lam):
+        """g = P^T P a and ||P a||^2 agree with the dense projector."""
+        model = random_model(rng, m, n, sigma=0.6, lam=lam)
+        P = projection_matrix(model).matrix
+        a = rng.normal(size=m)
+        g, sq = _shift_terms(model, a)
+        np.testing.assert_allclose(g, P.T @ P @ a, rtol=1e-10, atol=1e-12)
+        assert sq == pytest.approx(np.sum((P @ a) ** 2), rel=1e-10, abs=1e-12)
 
 
 @st.composite
