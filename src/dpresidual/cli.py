@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Subcommands: simulate, estimate, privatize, delta-curve, roc, validate,
-figures. Every command is driven by a YAML configuration (see config
-module) and writes CSV/JSON artifacts whose headers record the schema
-version, config hash, and seed; under a fixed seed the outputs are
-byte-identical.
+Subcommands: one per ``COMMANDS`` entry. Every command is driven by a YAML
+configuration (see config module) and writes CSV/JSON artifacts whose
+headers record the schema version, config hash, and seed; under a fixed
+seed the outputs are byte-identical.
 
 Exit codes: 0 success, 2 schema/usage error, 3 numeric failure, 4 Monte
 Carlo validation failure.
@@ -68,12 +67,19 @@ VALIDATION_SCHEMA = "dpresidual-validation/1"
 ROC_SCHEMA = "dpresidual-roc/1"
 AUROC_SCHEMA = "dpresidual-auroc/1"
 LOG_LEVELS = {"warning": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
-FIGURE_SCHEMAS = {
-    "fig3_roc": "dpresidual-fig3-roc/1",
-    "fig3_auroc": "dpresidual-fig3-auroc/1",
-    "fig4": "dpresidual-fig4-auroc/1",
-    "fig5": "dpresidual-fig5-auroc/1",
-    "fig6": "dpresidual-fig6-metrics/1",
+# Per figure: a builder returning its tables, and the (file, schema) of each
+# table. The builders look each function up on the figures module when
+# called, so a wrapper bound there (perfbench's tracer) is the one that runs.
+FIGURES = {
+    "fig3": (lambda config, seed: figs.attack_strength_roc(config),
+             (("fig3_roc.csv", "dpresidual-fig3-roc/1"),
+              ("fig3_auroc.csv", "dpresidual-fig3-auroc/1"))),
+    "fig4": (lambda config, seed: (figs.input_perturbation_auroc(config),),
+             (("fig4_auroc.csv", "dpresidual-fig4-auroc/1"),)),
+    "fig5": (lambda config, seed: (figs.output_noise_auroc(config),),
+             (("fig5_auroc.csv", "dpresidual-fig5-auroc/1"),)),
+    "fig6": (lambda config, seed: (figs.output_noise_metrics(config, seed=seed),),
+             (("fig6_metrics.csv", "dpresidual-fig6-metrics/1"),)),
 }
 
 
@@ -147,7 +153,7 @@ def _load_measurements(path: Path | None, out: Path, config: ExperimentConfig,
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config: ExperimentConfig, out: Path, seed: int) -> int:
+def cmd_simulate(config: ExperimentConfig, out: Path, seed: int, args) -> int:
     _require(config, "model")
     streams, model, x_true, attack = _build_instance(config, seed)
     z = simulate_measurements(model, x_true, attack, streams[STREAM_NOISE])
@@ -162,11 +168,10 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_estimate(config: ExperimentConfig, out: Path, seed: int,
-                 measurements: Path | None) -> int:
+def cmd_estimate(config: ExperimentConfig, out: Path, seed: int, args) -> int:
     _require(config, "model")
     streams, model, _, _ = _build_instance(config, seed)
-    z = _load_measurements(measurements, out, config, seed, model.m)
+    z = _load_measurements(args.measurements, out, config, seed, model.m)
     x_star = wls_estimate(model, z)
     q = wssr(model, z)
     law = residual_law(model, x_star, None)  # analyst view: plug-in state
@@ -182,11 +187,10 @@ def cmd_estimate(config: ExperimentConfig, out: Path, seed: int,
     return 0
 
 
-def cmd_privatize(config: ExperimentConfig, out: Path, seed: int,
-                  measurements: Path | None) -> int:
+def cmd_privatize(config: ExperimentConfig, out: Path, seed: int, args) -> int:
     _require(config, "model", "dp")
     streams, model, x_true, attack = _build_instance(config, seed)
-    z = _load_measurements(measurements, out, config, seed, model.m)
+    z = _load_measurements(args.measurements, out, config, seed, model.m)
     dp_stream = streams[STREAM_DP]
     params = config.dp.params
 
@@ -207,25 +211,18 @@ def cmd_privatize(config: ExperimentConfig, out: Path, seed: int,
         q = float(wssr(model, z))
         law = _laws_for_roc(config, model, x_true, attack)[1]
         release = output_release(law, q, params, dp_stream)
-        law_doc = {
-            "regime": release.law.regime.value,
-            "dof": release.law.dof,
-            "noncentrality": release.law.noncentrality,
-            "mean": release.law.mean,
-            "variance": release.law.variance,
-        }
         payload = {
             **vars(params),  # the budget and every knob field, unset ones null
             "mechanism": params.mechanism.value,
             "value": release.value,
-            "law": law_doc,
+            "law": {**vars(release.law), "regime": release.law.regime.value},
             "seed_record": release.seed,
         }
     _write_json(out / "release.json", "dpresidual-release/1", config, seed, payload)
     return 0
 
 
-def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int) -> int:
+def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int, args) -> int:
     _require(config, "model", "dp")
     dp = config.dp
     if dp.epsilon_grid is None or dp.neighborhood is None:
@@ -292,7 +289,7 @@ def _laws_for_roc(config: ExperimentConfig, model, x_true, attack):
     return law0, law1, params, label, sim_model
 
 
-def cmd_roc(config: ExperimentConfig, out: Path, seed: int) -> int:
+def cmd_roc(config: ExperimentConfig, out: Path, seed: int, args) -> int:
     _require(config, "model")
     streams, model, x_true, attack = _build_instance(config, seed)
     law0, law1, params, label, _ = _laws_for_roc(config, model, x_true, attack)
@@ -313,7 +310,11 @@ def cmd_roc(config: ExperimentConfig, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_validate(config: ExperimentConfig, out: Path, seed: int) -> int:
+def cmd_validate(config: ExperimentConfig, out: Path, seed: int, args) -> int:
+    workers = args.workers if args.workers is not None else config.mc.workers
+    if workers > 1:
+        logger.warning("workers=%d ignored: the Monte Carlo trials run in one "
+                       "process", workers)
     _require(config, "model")
     if config.mc.trials < MIN_TRIALS:
         raise SchemaError(f"validate needs mc.trials >= {MIN_TRIALS}, "
@@ -321,9 +322,8 @@ def cmd_validate(config: ExperimentConfig, out: Path, seed: int) -> int:
     streams, model, x_true, attack = _build_instance(config, seed)
     law0, law1, params, label, sim_model = _laws_for_roc(config, model, x_true, attack)
     spec = TestSpec(alpha=config.test.alpha, law0=law0, law1=law1, dp=params)
-    with _stage("monte_carlo"):
-        result = monte_carlo_validate(sim_model, attack, spec, config.mc.trials,
-                                      streams[STREAM_MC], x_true=x_true, check=False)
+    result = monte_carlo_validate(sim_model, attack, spec, config.mc.trials,
+                                  streams[STREAM_MC], x_true=x_true, check=False)
     rows = [
         ["pfa", result.pfa_analytic, result.pfa_hat, result.pfa_se],
         ["pd", result.pd_analytic, result.pd_hat, result.pd_se],
@@ -337,30 +337,28 @@ def cmd_validate(config: ExperimentConfig, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_figures(which: str, config: ExperimentConfig | None, out: Path, seed: int) -> int:
+def cmd_figures(config: ExperimentConfig | None, out: Path, seed: int, args) -> int:
+    build, tables = FIGURES[args.which]
     meta = {"config_hash": config.config_hash if config else "default", "seed": seed}
-    if which == "fig3":
-        (roc_cols, roc_rows), (auroc_cols, auroc_rows) = figs.attack_strength_roc(config)
-        write_csv(out / "fig3_roc.csv", FIGURE_SCHEMAS["fig3_roc"], roc_cols, roc_rows, meta=meta)
-        write_csv(out / "fig3_auroc.csv", FIGURE_SCHEMAS["fig3_auroc"], auroc_cols,
-                  auroc_rows, meta=meta)
-    elif which == "fig4":
-        cols, rows = figs.input_perturbation_auroc(config)
-        write_csv(out / "fig4_auroc.csv", FIGURE_SCHEMAS["fig4"], cols, rows, meta=meta)
-    elif which == "fig5":
-        cols, rows = figs.output_noise_auroc(config)
-        write_csv(out / "fig5_auroc.csv", FIGURE_SCHEMAS["fig5"], cols, rows, meta=meta)
-    elif which == "fig6":
-        cols, rows = figs.output_noise_metrics(config, seed=seed)
-        write_csv(out / "fig6_metrics.csv", FIGURE_SCHEMAS["fig6"], cols, rows, meta=meta)
-    else:
-        raise SchemaError(f"unknown figure {which!r}")
+    for (name, schema), (cols, rows) in zip(tables, build(config, seed), strict=True):
+        write_csv(out / name, schema, cols, rows, meta=meta)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+COMMANDS = (
+    ("simulate", cmd_simulate, "draw measurements and a truth sidecar"),
+    ("estimate", cmd_estimate, "state estimate and residual statistic"),
+    ("privatize", cmd_privatize, "release the residual under the configured mechanism"),
+    ("delta-curve", cmd_delta_curve, "guarantee curve over the epsilon grid"),
+    ("roc", cmd_roc, "analytic ROC and AUROC"),
+    ("validate", cmd_validate, "Monte Carlo check of the analytics"),
+    ("figures", cmd_figures, "figure-reproduction CSVs"),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -369,9 +367,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "state-estimation residual statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config_required=True):
-        p.add_argument("--config", type=Path, required=config_required,
+    for name, run, help_text in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        if name == "figures":
+            p.add_argument("--which", required=True, choices=list(FIGURES))
+        p.add_argument("--config", type=Path, required=name != "figures",
                        help="YAML experiment configuration")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override mc.seed")
@@ -380,22 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log-level", choices=sorted(LOG_LEVELS), default="warning",
                        help="stderr logging: warning (default), info (stage times) "
                             "or debug (also Marcum-Q term counts)")
-
-    common(sub.add_parser("simulate", help="draw measurements and a truth sidecar"))
-    p_est = sub.add_parser("estimate", help="state estimate and residual statistic")
-    common(p_est)
-    p_est.add_argument("--measurements", type=Path, default=None,
-                       help="measurements CSV (default: OUT/measurements.csv)")
-    p_priv = sub.add_parser("privatize", help="release the residual under the configured mechanism")
-    common(p_priv)
-    p_priv.add_argument("--measurements", type=Path, default=None,
-                        help="measurements CSV (default: OUT/measurements.csv)")
-    common(sub.add_parser("delta-curve", help="guarantee curve over the epsilon grid"))
-    common(sub.add_parser("roc", help="analytic ROC and AUROC"))
-    common(sub.add_parser("validate", help="Monte Carlo check of the analytics"))
-    p_fig = sub.add_parser("figures", help="figure-reproduction CSVs")
-    p_fig.add_argument("--which", required=True, choices=["fig3", "fig4", "fig5", "fig6"])
-    common(p_fig, config_required=False)
+        if name in ("estimate", "privatize"):
+            p.add_argument("--measurements", type=Path, default=None,
+                           help="measurements CSV (default: OUT/measurements.csv)")
     return parser
 
 
@@ -424,28 +412,6 @@ def _stage(name: str):
     logger.info("stage %s: %.3f s", name, time.perf_counter() - start)
 
 
-def _dispatch(args, config: ExperimentConfig | None, out: Path, seed: int) -> int:
-    if args.command == "simulate":
-        return cmd_simulate(config, out, seed)
-    if args.command == "estimate":
-        return cmd_estimate(config, out, seed, args.measurements)
-    if args.command == "privatize":
-        return cmd_privatize(config, out, seed, args.measurements)
-    if args.command == "delta-curve":
-        return cmd_delta_curve(config, out, seed)
-    if args.command == "roc":
-        return cmd_roc(config, out, seed)
-    if args.command == "validate":
-        workers = args.workers if args.workers is not None else config.mc.workers
-        if workers > 1:
-            logger.warning("workers=%d ignored: the Monte Carlo trials run in one "
-                           "process", workers)
-        return cmd_validate(config, out, seed)
-    if args.command == "figures":
-        return cmd_figures(args.which, config, out, seed)
-    raise SchemaError(f"unknown command {args.command!r}")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     with _stderr_logging(LOG_LEVELS[args.log_level]):
@@ -463,7 +429,7 @@ def main(argv=None) -> int:
             else:
                 seed = args.seed if args.seed is not None else 0
             with _stage(args.command):
-                return _dispatch(args, config, out, seed)
+                return args.run(config, out, seed, args)
         except SchemaError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

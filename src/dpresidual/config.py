@@ -159,8 +159,9 @@ def _parse_model(doc, path="model") -> ModelConfig:
         raise SchemaError(f"{path}.m must be >= 1")
     if cfg.n < 1:
         raise SchemaError(f"{path}.n must be >= 1")
-    if not cfg.sigma > 0:
-        raise SchemaError(f"{path}.sigma must be > 0, got {cfg.sigma}")
+    if not (cfg.sigma > 0 and 0 < cfg.sigma * cfg.sigma < math.inf):
+        raise SchemaError(f"{path}.sigma must be > 0 with a positive finite square, "
+                          f"got {cfg.sigma}")
     if not cfg.lam >= 0:
         raise SchemaError(f"{path}.lambda must be >= 0, got {cfg.lam}")
     return cfg
@@ -292,8 +293,10 @@ def _parse_figures(doc, path="figures") -> FiguresConfig:
         epsilon_values=_get_list(doc, "epsilon_values", path, float),
     )
     # fig3 sweeps signed mean gaps; fig4 rejects negative noncentralities.
-    if cfg.nu_sigma_values is not None and any(v < 0 for v in cfg.nu_sigma_values):
-        raise SchemaError(f"{path}.nu_sigma_values must be >= 0")
+    if cfg.nu_sigma_values is not None and not all(
+            v == 0 or (v > 0 and 0 < v * v < math.inf) for v in cfg.nu_sigma_values):
+        raise SchemaError(f"{path}.nu_sigma_values must be >= 0, and a nonzero one "
+                          "needs a positive finite square")
     if cfg.epsilon_values is not None and any(v <= 0 for v in cfg.epsilon_values):
         raise SchemaError(f"{path}.epsilon_values must be > 0")
     return cfg

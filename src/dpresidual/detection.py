@@ -245,7 +245,8 @@ def _released_wssr(model: MeasurementModel, attack, x_true, spec: TestSpec,
     release noise is drawn last, H0's then H1's. Memory does not grow
     with ``trials``, and since the normal draws do not depend on how they
     are chunked, the block size does not change the result. The split of
-    wall time between drawing and scoring is logged at DEBUG.
+    wall time between drawing and scoring is logged at DEBUG, and their sum
+    as the ``monte_carlo`` stage at INFO.
     """
     rows = max(1, MC_BLOCK_ELEMS // model.m)
     block = np.empty((min(rows, trials), model.m))
@@ -268,6 +269,7 @@ def _released_wssr(model: MeasurementModel, attack, x_true, spec: TestSpec,
         draw_s += time.perf_counter() - t0
     logger.debug("monte carlo: %d trials in %d blocks of %d rows; drawing %.3f s, "
                  "scoring %.3f s", trials, math.ceil(trials / rows), rows, draw_s, score_s)
+    logger.info("stage monte_carlo: %.3f s", draw_s + score_s)
     return q0, q1
 
 

@@ -107,8 +107,10 @@ class PrivacyParams:
             raise ValueError(f"r_prime must be >= 1, got {self.r_prime}")
         if self.nu_mean is not None and not math.isfinite(self.nu_mean):
             raise ValueError(f"nu_mean must be finite, got {self.nu_mean}")
-        if self.nu_sigma is not None and not 0 < self.nu_sigma < math.inf:
-            raise ValueError(f"nu_sigma must be finite and > 0, got {self.nu_sigma}")
+        if self.nu_sigma is not None and not (
+                self.nu_sigma > 0 and 0 < self.nu_sigma * self.nu_sigma < math.inf):
+            raise ValueError(f"nu_sigma must be finite and > 0 with a positive finite "
+                             f"square, got {self.nu_sigma}")
 
     @classmethod
     def chi_square(cls, r_prime: int = 1, epsilon: float | None = None,

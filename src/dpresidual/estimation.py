@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import NumericError
 from .measurement_model import (
     MeasurementModel,
     StateVector,
@@ -43,7 +44,8 @@ class ResidualLaw:
     """Distribution descriptor of a WSSR-type query.
 
     Chi-square regime: degrees of freedom and noncentrality.
-    Gaussian regime: mean and variance.
+    Gaussian regime: mean and variance. A noncentrality, mean or variance
+    that is not finite (an input that overflowed it) raises NumericError.
     """
 
     regime: Regime
@@ -53,6 +55,11 @@ class ResidualLaw:
     variance: float | None = None
 
     def __post_init__(self):
+        for name in ("noncentrality", "mean", "variance"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise NumericError(f"the {self.regime.value} law's {name} is {value}: "
+                                   "an input is too large or too small for a double")
         if self.regime is Regime.CHI_SQUARE:
             if self.dof is None or self.dof < 0:
                 raise ValueError(f"chi-square law needs dof >= 0, got {self.dof}")

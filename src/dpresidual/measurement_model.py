@@ -90,8 +90,9 @@ class MeasurementModel:
             raise ValueError(f"H must be a 2-D matrix, got shape {H.shape}")
         if not np.all(np.isfinite(H)):
             raise ValueError("H must have finite entries")
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < np.inf):
+            raise ValueError(f"sigma must be finite and > 0 with a positive finite "
+                             f"square, got {self.sigma}")
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         object.__setattr__(self, "H", _readonly(H))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,20 @@ class TestRocAndValidate:
 
 
 class TestFigures:
+    @pytest.mark.parametrize("which, schemas", [
+        ("fig3", {"fig3_roc.csv": "dpresidual-fig3-roc/1",
+                  "fig3_auroc.csv": "dpresidual-fig3-auroc/1"}),
+        ("fig4", {"fig4_auroc.csv": "dpresidual-fig4-auroc/1"}),
+        ("fig5", {"fig5_auroc.csv": "dpresidual-fig5-auroc/1"}),
+        ("fig6", {"fig6_metrics.csv": "dpresidual-fig6-metrics/1"}),
+    ])
+    def test_each_figure_writes_exactly_its_tables(self, tmp_path, which, schemas):
+        out = tmp_path / which
+        assert main(["figures", "--which", which, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(schemas)
+        for name, schema in schemas.items():
+            assert read_csv(out / name)[0]["schema"] == schema
+
     def test_attack_strength_outputs(self, tmp_path):
         out = tmp_path / "f3"
         assert main(["figures", "--which", "fig3", "--out", str(out)]) == 0
@@ -460,6 +475,7 @@ class TestFigures:
         ("fig4", {"epsilon_values": [math.inf]}, "figures.epsilon_values[0]"),
         ("fig4", {"delta_theta_values": [-1.0, 2.0]}, "figures.delta_theta_values"),
         ("fig3", {"delta_theta_values": [1.0, math.nan]}, "figures.delta_theta_values[1]"),
+        ("fig5", {"nu_sigma_values": [0.0, 1.0e200]}, "figures.nu_sigma_values"),
     ])
     def test_invalid_sweep_rejected(self, tmp_path, capsys, which, figures_doc, key):
         path = write_config(tmp_path, {"figures": figures_doc})
@@ -578,6 +594,22 @@ class TestDpSection:
         assert release["mechanism"] == mechanism
         for key, value in DP_BY_MECHANISM[mechanism].items():
             assert release[key] == value
+
+    @pytest.mark.parametrize("mechanism, regime, unset", [
+        ("chi_square", "chi_square", ("mean", "variance")),
+        ("gaussian_output", "gaussian", ("dof", "noncentrality")),
+    ])
+    def test_release_law_block(self, tmp_path, mechanism, regime, unset):
+        """The law block holds every field of the released law, the other
+        regime's as null."""
+        path = write_config(tmp_path, {**BASE_CONFIG, "dp": DP_BY_MECHANISM[mechanism]})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["privatize", "--config", str(path), "--out", str(out)]) == 0
+        law = json.loads((out / "release.json").read_text())["law"]
+        assert set(law) == {"regime", "dof", "noncentrality", "mean", "variance"}
+        assert law["regime"] == regime
+        assert {k for k, v in law.items() if v is None} == set(unset)
 
     def test_validate_needs_enough_trials(self, tmp_path, capsys):
         """validate refuses mc.trials below its Monte Carlo floor up front;
@@ -718,6 +750,24 @@ class TestLogLevel:
         assert trials == load_config(config_path).mc.trials
         assert blocks == -(-trials // rows)
         assert lines[i + 1].startswith("stage monte_carlo: ")
+
+    def test_monte_carlo_stage_times_the_simulation_alone(self, tmp_path, capsys,
+                                                          config_path, monkeypatch):
+        """The stage sums the drawing and scoring: the analytics around the
+        simulation (here a threshold slowed by 0.5 s) are not in it."""
+        threshold = dpresidual.detection.threshold
+
+        def slow_threshold(spec):
+            time.sleep(0.5)
+            return threshold(spec)
+
+        monkeypatch.setattr(dpresidual.detection, "threshold", slow_threshold)
+        assert main(["validate", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                     "--log-level", "info"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        stage, = [line for line in lines if line.startswith("stage monte_carlo: ")]
+        command, = [line for line in lines if line.startswith("stage validate: ")]
+        assert float(stage.split()[-2]) < 0.5 <= float(command.split()[-2])
 
     def test_python_m_logs_stages(self, tmp_path):
         """Run as ``python -m dpresidual.cli``, the module is __main__, yet its
@@ -877,6 +927,44 @@ class TestCliMisc:
             assert main(args + ["--config", str(path), "--out", str(out)]) == 2, args
             assert capsys.readouterr().err.startswith(f"error: {named}")
         assert not out.exists()
+
+    def test_help_lists_the_seven_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        choices, = re.findall(r"\{([\w,-]+)\}", capsys.readouterr().out)[:1]
+        assert choices.split(",") == ["simulate", "estimate", "privatize", "delta-curve",
+                                      "roc", "validate", "figures"]
+
+    @pytest.mark.parametrize("section, key, value, code", [
+        ("model", "sigma", 1.0e200, 2),  # sigma**2 overflowed
+        ("model", "sigma", 1.0e-200, 2),  # sigma**2 underflowed to 0
+        ("model", "sigma", 1.0e-160, 3),  # the noncentrality overflows
+        ("attack", "values", [1.0e200], 3),
+        ("dp", "nu_sigma", 1.0e200, 2),  # nu_sigma**2 overflowed
+    ])
+    def test_extreme_finite_values_exit_cleanly(self, tmp_path, capsys, section, key,
+                                                value, code):
+        """Finite numbers whose squares leave the double range used to end roc
+        and validate in an OverflowError, ZeroDivisionError or marcum_q
+        ValueError traceback (exit 1)."""
+        demo = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
+        doc = yaml.safe_load(demo.read_text())
+        if section == "dp":
+            doc["dp"] = {**DP_BY_MECHANISM["gaussian_output"]}
+        if section == "attack":
+            doc["attack"] = {"indices": [3], "values": value}
+        else:
+            doc[section][key] = value
+        path = write_config(tmp_path, doc)
+        prefix = "error: " if code == 2 else "numeric failure: "
+        for command in ("roc", "validate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) \
+                == code, command
+            err = capsys.readouterr().err
+            assert err.startswith(prefix) and "Traceback" not in err, err
+            if code == 2:
+                assert f"{section}.{key} " in err
 
     def test_workers_flag_accepted(self, tmp_path, config_path):
         out = tmp_path / "o"

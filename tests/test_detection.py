@@ -580,9 +580,13 @@ class TestStreamedSimulation:
         with caplog.at_level("DEBUG", logger="dpresidual.detection"):
             detection._released_wssr(model, None, np.zeros(n), spec, trials,
                                      SeedStream(8).generator)
-        line, = [r.getMessage() for r in caplog.records]
-        assert re.fullmatch(r"monte carlo: 1001 trials in 143 blocks of 7 rows; "
-                            r"drawing \d+\.\d{3} s, scoring \d+\.\d{3} s", line)
+        line, stage = [r.getMessage() for r in caplog.records]
+        match = re.fullmatch(r"monte carlo: 1001 trials in 143 blocks of 7 rows; "
+                             r"drawing (\d+\.\d{3}) s, scoring (\d+\.\d{3}) s", line)
+        assert match
+        # The stage is the sum of the two, each rounded on its own.
+        assert re.fullmatch(r"stage monte_carlo: \d+\.\d{3} s", stage)
+        assert abs(float(stage.split()[-2]) - sum(map(float, match.groups()))) <= 0.0015
 
     def test_memory_bounded_by_block(self, rng):
         """Peak traced memory stays far below one trials x m batch."""

@@ -147,6 +147,10 @@ class TestPrivacyParams:
          "nu_sigma"),
         ({"mechanism": Mechanism.GAUSSIAN_INPUT, "r_prime": 1}, "r_prime"),
         ({"mechanism": Mechanism.GAUSSIAN_INPUT, "epsilon": -1.0}, "epsilon"),
+        ({"mechanism": Mechanism.GAUSSIAN_OUTPUT, "nu_mean": 0.0, "nu_sigma": 1e200},
+         "nu_sigma"),  # its square overflows
+        ({"mechanism": Mechanism.GAUSSIAN_OUTPUT, "nu_mean": 0.0, "nu_sigma": 1e-200},
+         "nu_sigma"),  # its square underflows to 0
     ])
     def test_message_begins_with_field(self, kwargs, name):
         """The config names the offending dp.<key> by this prefix."""

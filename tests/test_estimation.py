@@ -12,6 +12,7 @@ from dpresidual import (
     AttackVector,
     ChiMixture,
     MeasurementModel,
+    NumericError,
     Regime,
     ResidualLaw,
     SeedStream,
@@ -216,6 +217,17 @@ class TestResidualLaw:
             ResidualLaw.chi_square(dof=2.0, noncentrality=-0.5)
         with pytest.raises(ValueError):
             ResidualLaw.gaussian(mean=0.0, variance=0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: ResidualLaw.chi_square(dof=2.0, noncentrality=v),
+        lambda v: ResidualLaw.gaussian(mean=v, variance=1.0),
+        lambda v: ResidualLaw.gaussian(mean=0.0, variance=v),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_law_is_a_numeric_failure(self, make, value):
+        """A parameter that overflowed is a numeric failure (CLI exit 3)."""
+        with pytest.raises(NumericError):
+            make(value)
 
 
 class TestChiMixture:

@@ -37,7 +37,7 @@ class TestMeasurementModel:
         assert (model.m, model.n) == (8, 3)
         assert not model.H.flags.writeable
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan, 1e200, 1e-200])
     def test_sigma_positive(self, rng, sigma):
         with pytest.raises(ValueError):
             MeasurementModel(H=rng.normal(size=(4, 2)), sigma=sigma)
