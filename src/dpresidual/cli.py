@@ -54,7 +54,7 @@ from .dp_mechanism import (
 )
 from .estimation import chi_mixture, gaussian_law, residual_law, wls_estimate, wssr
 from .exceptions import NumericError, SchemaError, ValidationFailure
-from .measurement_model import MeasurementModel, simulate_measurements
+from .measurement_model import simulate_measurements
 from .special_functions import ABS_TOL
 
 # Named, not __name__: under ``python -m dpresidual.cli`` that is __main__,
@@ -96,9 +96,16 @@ def _effective(config: ExperimentConfig, args) -> tuple[ExperimentConfig, int]:
 
 def _write_json(path: Path, schema: str, config: ExperimentConfig, seed: int,
                 doc: dict) -> None:
-    """Write ``doc`` with the schema, config hash and seed that head every artifact."""
+    """Write ``doc`` with the schema, config hash and seed that head every artifact.
+
+    JSON has no inf or nan, so a number that is not finite (an input that
+    overflowed it) raises NumericError and writes nothing."""
     doc = {**doc, "schema": schema, **_meta(config, seed)}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path} not written: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def _require(config: ExperimentConfig, *sections: str) -> None:
@@ -227,15 +234,14 @@ def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int, args) -> int
     dp = config.dp
     if dp.epsilon_grid is None or dp.neighborhood is None:
         raise SchemaError("delta-curve requires dp.epsilon_grid and dp.neighborhood")
-    r_prime = dp.params.r_prime or dp.r_prime
-    if r_prime is None:
+    if dp.r_prime is None:
         raise SchemaError("delta-curve requires dp.r_prime")
     if config.model.lam > 0:
         raise SchemaError("delta-curve's neighbour scan assumes an unregularized "
                           "model (model.lambda = 0)")
     streams, model, x_true, attack = _build_instance(config, seed)
     eps = np.asarray(dp.epsilon_grid, dtype=float)
-    result = delta_max_over_neighborhood(eps, model, attack, r_prime,
+    result = delta_max_over_neighborhood(eps, model, attack, dp.r_prime,
                                          dp.neighborhood, streams[STREAM_SCAN])
     # Each of delta's two Marcum-Q tails sums nonnegative terms and leaves
     # out at most ABS_TOL, so the true delta lies in [delta, delta + 2 ABS_TOL].
@@ -272,8 +278,7 @@ def _laws_for_roc(config: ExperimentConfig, model, x_true, attack):
         # shrinks the noncentrality accordingly; the test itself stays clean.
         _, k = input_perturbation_noise(model.m, model.sigma, params.epsilon,
                                         params.delta)
-        sim_model = MeasurementModel(H=model.H, sigma=model.sigma * (1 + k) ** 0.5,
-                                     lam=model.lam)
+        sim_model = model._with_sigma(model.sigma * (1 + k) ** 0.5)
         params = None
     if model.lam > 0 or mechanism is Mechanism.GAUSSIAN_OUTPUT:
         approx = [gaussian_law(chi_mixture(sim_model, x_true, a)) for a in (None, attack)]

@@ -37,6 +37,8 @@ _MAX_C_KEY = 64
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The ``model`` section; its fields are its keys in order, ``lam`` for ``lambda``."""
+
     m: int
     n: int
     sigma: float
@@ -55,8 +57,10 @@ class AttackConfig:
 class DpConfig:
     """The ``dp`` section: the release's ``PrivacyParams`` plus delta-curve's inputs.
 
-    ``r_prime`` is set only on a gaussian_output config, for delta-curve's
-    chi-square guarantee scan; a chi_square config's r' is ``params.r_prime``.
+    ``r_prime`` is delta-curve's r' under either mechanism that has one: on a
+    chi_square config it is ``params.r_prime``, and on a gaussian_output
+    config it is the key kept for the chi-square guarantee scan alone, no
+    knob of the release (``params.r_prime`` is None there).
     """
 
     params: PrivacyParams
@@ -97,18 +101,11 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Validation helpers
+# Validation
 # ---------------------------------------------------------------------------
 
-def _require_mapping(doc, path: str) -> dict:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path} must be a mapping, got {type(doc).__name__}")
-    return doc
+_REQUIRED = object()  # the default of a key that must be given
 
-def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"unknown key {path}.{sorted(unknown)[0]}")
 
 def _value(value, kind, where: str):
     """``value`` as ``kind``: an int widens to float, a bool is no int, and a
@@ -126,35 +123,43 @@ def _value(value, kind, where: str):
         raise SchemaError(f"{where} must be finite, got {value}")
     return value
 
-def _get(doc: dict, key: str, path: str, kind, required: bool = True, default=None):
-    if key not in doc or doc[key] is None:
-        if required:
-            raise SchemaError(f"missing required key {path}.{key}")
-        return default
-    return _value(doc[key], kind, f"{path}.{key}")
 
-def _get_list(doc: dict, key: str, path: str, kind, required: bool = False):
-    if key not in doc or doc[key] is None:
-        if required:
-            raise SchemaError(f"missing required key {path}.{key}")
-        return None
-    value = doc[key]
-    if not isinstance(value, list) or not value:
-        raise SchemaError(f"{path}.{key} must be a nonempty list")
-    return tuple(_value(v, kind, f"{path}.{key}[{i}]") for i, v in enumerate(value))
+def _section(doc, path: str, spec: dict) -> dict:
+    """The mapping ``doc`` at ``path`` read by ``spec``: each allowed key, in
+    reading order, to (kind, default). A kind is a type read by ``_value``,
+    ``[type]`` for a nonempty list of it, or a parser called with the value
+    and its key path (a nested section's, say). An absent or null key takes
+    its default unless that is ``_REQUIRED``. Under the top level, "config",
+    a key path is the bare key."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path} must be a mapping, got {type(doc).__name__}")
+    unknown = doc.keys() - spec.keys()
+    if unknown:
+        raise SchemaError(f"unknown key {path}.{sorted(unknown)[0]}")
+    values = {}
+    for key, (kind, default) in spec.items():
+        where = key if path == "config" else f"{path}.{key}"
+        value = doc.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise SchemaError(f"missing required key {where}")
+            values[key] = default
+        elif isinstance(kind, list):
+            if not isinstance(value, list) or not value:
+                raise SchemaError(f"{where} must be a nonempty list")
+            values[key] = tuple(_value(v, kind[0], f"{where}[{i}]")
+                                for i, v in enumerate(value))
+        elif isinstance(kind, type):
+            values[key] = _value(value, kind, where)
+        else:
+            values[key] = kind(value, where)
+    return values
 
 
-def _parse_model(doc, path="model") -> ModelConfig:
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"m", "n", "sigma", "lambda", "matrix_source"}, path)
-    cfg = ModelConfig(
-        m=_get(doc, "m", path, int),
-        n=_get(doc, "n", path, int),
-        sigma=_get(doc, "sigma", path, float),
-        lam=_get(doc, "lambda", path, float),
-        matrix_source=_get(doc, "matrix_source", path, str, required=False,
-                           default="random_seeded"),
-    )
+def _parse_model(doc, path: str) -> ModelConfig:
+    cfg = ModelConfig(*_section(doc, path, {
+        "m": (int, _REQUIRED), "n": (int, _REQUIRED), "sigma": (float, _REQUIRED),
+        "lambda": (float, _REQUIRED), "matrix_source": (str, "random_seeded")}).values())
     if cfg.m < 1:
         raise SchemaError(f"{path}.m must be >= 1")
     if cfg.n < 1:
@@ -167,12 +172,10 @@ def _parse_model(doc, path="model") -> ModelConfig:
     return cfg
 
 
-def _parse_attack(doc, path="attack") -> AttackConfig:
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"indices", "values", "stealth_coeffs"}, path)
-    indices = _get_list(doc, "indices", path, int)
-    values = _get_list(doc, "values", path, float)
-    stealth = _get_list(doc, "stealth_coeffs", path, float)
+def _parse_attack(doc, path: str) -> AttackConfig:
+    indices, values, stealth = _section(doc, path, {
+        "indices": ([int], None), "values": ([float], None),
+        "stealth_coeffs": ([float], None)}).values()
     if stealth is not None and (indices is not None or values is not None):
         raise SchemaError(f"{path}: stealth_coeffs excludes indices/values")
     if (indices is None) != (values is None):
@@ -183,79 +186,62 @@ def _parse_attack(doc, path="attack") -> AttackConfig:
         raise SchemaError(f"{path}.indices must be distinct, got {indices}")
     if stealth is None and indices is None:
         raise SchemaError(f"{path}: give either indices/values or stealth_coeffs")
-    return AttackConfig(indices=indices, values=values, stealth_coeffs=stealth)
+    return AttackConfig(indices, values, stealth)
 
 
-def _parse_neighborhood(doc, path="dp.neighborhood") -> NeighborhoodSpec:
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"delta_h_bound", "scan_count", "theta_domain", "grid_points"}, path)
-    domain = _get_list(doc, "theta_domain", path, float, required=True)
+def _parse_neighborhood(doc, path: str) -> NeighborhoodSpec:
+    domain, bound, count, points = _section(doc, path, {
+        "theta_domain": ([float], _REQUIRED), "delta_h_bound": (float, _REQUIRED),
+        "scan_count": (int, _REQUIRED),
+        "grid_points": (int, NeighborhoodSpec.grid_points)}).values()
     if len(domain) != 2:
         raise SchemaError(f"{path}.theta_domain must be [lo, hi]")
     try:
-        return NeighborhoodSpec(
-            delta_h_bound=_get(doc, "delta_h_bound", path, float),
-            scan_count=_get(doc, "scan_count", path, int),
-            theta_domain=(domain[0], domain[1]),
-            grid_points=_get(doc, "grid_points", path, int, required=False,
-                             default=NeighborhoodSpec.grid_points),
-        )
+        return NeighborhoodSpec(delta_h_bound=bound, scan_count=count, theta_domain=domain,
+                                grid_points=points)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _parse_dp(doc, path="dp") -> DpConfig:
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"mechanism", "epsilon", "delta", "r_prime", "nu_mean",
-                          "nu_sigma", "epsilon_grid", "neighborhood"}, path)
-    mech_name = _get(doc, "mechanism", path, str)
+def _mechanism(name, where: str) -> Mechanism:
     try:
-        mechanism = Mechanism(mech_name)
+        return Mechanism(_value(name, str, where))
     except ValueError:
-        raise SchemaError(
-            f"{path}.mechanism must be one of "
-            f"{[m.value for m in Mechanism]}, got {mech_name!r}"
-        ) from None
-    knobs = dict(
-        epsilon=_get(doc, "epsilon", path, float),
-        delta=_get(doc, "delta", path, float),
-        r_prime=_get(doc, "r_prime", path, int, required=False),
-        nu_mean=_get(doc, "nu_mean", path, float, required=False),
-        nu_sigma=_get(doc, "nu_sigma", path, float, required=False),
-    )
+        raise SchemaError(f"{where} must be one of {[m.value for m in Mechanism]}, "
+                          f"got {name!r}") from None
+
+
+def _parse_dp(doc, path: str) -> DpConfig:
+    mechanism, epsilon, delta, r_prime, nu_mean, nu_sigma, grid, neighborhood = _section(
+        doc, path, {
+            "mechanism": (_mechanism, _REQUIRED), "epsilon": (float, _REQUIRED),
+            "delta": (float, _REQUIRED), "r_prime": (int, None),
+            "nu_mean": (float, None), "nu_sigma": (float, None),
+            "epsilon_grid": ([float], None),
+            "neighborhood": (_parse_neighborhood, None)}).values()
     # A gaussian_output config may carry r_prime for delta-curve's
     # chi-square guarantee scan alone: no knob of its release, but checked
     # as the chi-square mechanism's r_prime.
-    scan_r_prime = knobs.pop("r_prime") if mechanism is Mechanism.GAUSSIAN_OUTPUT else None
+    scan_only = mechanism is Mechanism.GAUSSIAN_OUTPUT
     try:
-        params = PrivacyParams(mechanism, **knobs)
-        if scan_r_prime is not None:
-            PrivacyParams.chi_square(r_prime=scan_r_prime)
+        params = PrivacyParams(mechanism, epsilon=epsilon, delta=delta,
+                               r_prime=None if scan_only else r_prime,
+                               nu_mean=nu_mean, nu_sigma=nu_sigma)
+        if scan_only and r_prime is not None:
+            PrivacyParams.chi_square(r_prime=r_prime)
     except ValueError as exc:
         raise SchemaError(f"{path}.{exc}") from exc
-    cfg = DpConfig(
-        params=params,
-        epsilon_grid=_get_list(doc, "epsilon_grid", path, float),
-        neighborhood=_parse_neighborhood(doc["neighborhood"])
-        if doc.get("neighborhood") is not None else None,
-        r_prime=scan_r_prime,
-    )
-    if cfg.epsilon_grid is not None:
-        if any(e <= 0 for e in cfg.epsilon_grid):
+    if grid is not None:
+        if any(e <= 0 for e in grid):
             raise SchemaError(f"{path}.epsilon_grid values must be > 0")
-        if any(b <= a for a, b in zip(cfg.epsilon_grid, cfg.epsilon_grid[1:])):
+        if any(b <= a for a, b in zip(grid, grid[1:])):
             raise SchemaError(f"{path}.epsilon_grid must be strictly increasing")
-    return cfg
+    return DpConfig(params, grid, neighborhood, r_prime)
 
 
-def _parse_test(doc, path="test") -> TestConfig:
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"alpha", "alpha_grid"}, path)
-    cfg = TestConfig(
-        alpha=_get(doc, "alpha", path, float, required=False,
-                   default=TestConfig.alpha),
-        alpha_grid=_get_list(doc, "alpha_grid", path, float),
-    )
+def _parse_test(doc, path: str) -> TestConfig:
+    cfg = TestConfig(**_section(doc, path, {
+        "alpha": (float, TestConfig.alpha), "alpha_grid": ([float], None)}))
     if not 0 < cfg.alpha < 1:
         raise SchemaError(f"{path}.alpha must be in (0, 1)")
     if cfg.alpha_grid is not None:
@@ -266,15 +252,10 @@ def _parse_test(doc, path="test") -> TestConfig:
     return cfg
 
 
-def _parse_mc(doc, path="mc") -> McConfig:
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"trials", "seed", "workers"}, path)
-    cfg = McConfig(
-        trials=_get(doc, "trials", path, int, required=False, default=McConfig.trials),
-        seed=_get(doc, "seed", path, int, required=False, default=McConfig.seed),
-        workers=_get(doc, "workers", path, int, required=False,
-                     default=McConfig.workers),
-    )
+def _parse_mc(doc, path: str) -> McConfig:
+    cfg = McConfig(**_section(doc, path, {
+        "trials": (int, McConfig.trials), "seed": (int, McConfig.seed),
+        "workers": (int, McConfig.workers)}))
     if cfg.trials < 1:
         raise SchemaError(f"{path}.trials must be >= 1")
     if cfg.seed < 0:
@@ -284,14 +265,10 @@ def _parse_mc(doc, path="mc") -> McConfig:
     return cfg
 
 
-def _parse_figures(doc, path="figures") -> FiguresConfig:
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"delta_theta_values", "nu_sigma_values", "epsilon_values"}, path)
-    cfg = FiguresConfig(
-        delta_theta_values=_get_list(doc, "delta_theta_values", path, float),
-        nu_sigma_values=_get_list(doc, "nu_sigma_values", path, float),
-        epsilon_values=_get_list(doc, "epsilon_values", path, float),
-    )
+def _parse_figures(doc, path: str) -> FiguresConfig:
+    cfg = FiguresConfig(**_section(doc, path, {
+        "delta_theta_values": ([float], None), "nu_sigma_values": ([float], None),
+        "epsilon_values": ([float], None)}))
     # fig3 sweeps signed mean gaps; fig4 rejects negative noncentralities.
     if cfg.nu_sigma_values is not None and not all(
             v == 0 or (v > 0 and 0 < v * v < math.inf) for v in cfg.nu_sigma_values):
@@ -349,27 +326,19 @@ def _canonical_text(doc) -> str:
 
 def validate_config(doc) -> ExperimentConfig:
     """Validate a parsed YAML document against the experiment schema."""
-    doc = _require_mapping(doc, "config")
-    _reject_unknown(doc, {"model", "attack", "dp", "test", "mc", "figures"}, "config")
-    canonical = _canonical_text(doc)
-    model = _parse_model(doc["model"]) if doc.get("model") is not None else None
-    attack = _parse_attack(doc["attack"]) if doc.get("attack") is not None else None
-    dp = _parse_dp(doc["dp"]) if doc.get("dp") is not None else None
+    model, attack, dp, test, mc, figures = _section(doc, "config", {
+        "model": (_parse_model, None), "attack": (_parse_attack, None),
+        "dp": (_parse_dp, None), "test": (_parse_test, TestConfig()),
+        "mc": (_parse_mc, McConfig()), "figures": (_parse_figures, None)}).values()
     if model and dp and model.lam > 0 and dp.params.mechanism is Mechanism.CHI_SQUARE:
         raise SchemaError("dp.mechanism chi_square assumes an unregularized model "
                           "(model.lambda = 0); use gaussian_output for ridge models")
     if model and attack and model.lam > 0 and attack.stealth_coeffs is not None:
         raise SchemaError("attack.stealth_coeffs builds an attack that only the "
                           "unregularized projector annihilates (model.lambda = 0)")
-    return ExperimentConfig(
-        model=model,
-        attack=attack,
-        dp=dp,
-        test=_parse_test(doc["test"]) if doc.get("test") is not None else TestConfig(),
-        mc=_parse_mc(doc["mc"]) if doc.get("mc") is not None else McConfig(),
-        figures=_parse_figures(doc["figures"]) if doc.get("figures") is not None else None,
-        config_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16],
-    )
+    canonical = _canonical_text(doc)
+    return ExperimentConfig(model, attack, dp, test, mc, figures,
+                            config_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16])
 
 
 def _parse(text: str) -> tuple[object, str]:

@@ -181,14 +181,16 @@ def wssr(model: MeasurementModel, z) -> float | np.ndarray:
     """Weighted sum of squared residuals sigma^{-2} ||z - H x*||^2.
 
     Accepts a single measurement vector or a (trials, m) batch; returns a
-    float or a length-trials array correspondingly. Always >= 0.
+    float or a length-trials array correspondingly. Always >= 0; a statistic
+    past the double range is inf, without a warning.
     """
     z = np.asarray(z, dtype=float)
     batch = z.ndim == 2
     Z = np.atleast_2d(z)
     if Z.shape[1] != model.m:
         raise ValueError(f"z has {Z.shape[1]} entries, expected m={model.m}")
-    out = _residual_sq(model, Z) / model.sigma**2
+    with np.errstate(over="ignore"):
+        out = _residual_sq(model, Z) / model.sigma**2
     return out if batch else float(out[0])
 
 

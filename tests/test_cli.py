@@ -40,6 +40,7 @@ from dpresidual.config import (
 from dpresidual.csvio import read_csv
 
 
+DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
 BASE_CONFIG = {
     "model": {"m": 12, "n": 4, "sigma": 1.0, "lambda": 0.0},
     "attack": {"indices": [2, 7], "values": [2.0, -1.5]},
@@ -139,6 +140,26 @@ class TestEstimate:
         z = np.array([float(r[1]) for r in rows])
         assert estimate["wssr"] == pytest.approx(float(wssr(model, z)), abs=1e-12)
         assert estimate["dof"] == 8
+
+    @pytest.mark.parametrize("section,key,value", [
+        # sigma**2 is subnormal, so wssr's division by it overflows.
+        pytest.param("model", "sigma", 1.0e-160, id="sigma"),
+        # The residual's square overflows.
+        pytest.param("attack", "values", [1.0e200, -1.5], id="values"),
+    ])
+    def test_overflowing_statistic_exits_3(self, tmp_path, capsys, section, key, value):
+        """An infinite WSSR used to be written as "wssr": Infinity, which is not
+        JSON, with exit 0; under RuntimeWarning errors the sigma case ended in
+        a traceback."""
+        doc = yaml.safe_load(DEMO.read_text())
+        doc[section][key] = value
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["estimate", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: {out / 'estimate.json'} not written")
+        assert not (out / "estimate.json").exists()
 
 
 class TestPrivatize:
@@ -295,6 +316,21 @@ class TestDeltaCurve:
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 1
         assert "lies outside theta_domain [0.2, 0.201]" in messages[0]
+
+    def test_gaussian_output_scans_with_its_r_prime(self, tmp_path):
+        """A gaussian_output config's r_prime drives the same scan as the
+        chi_square mechanism's: the curves differ only in the header."""
+        gaussian = {**SCAN_WINNING_CONFIG,
+                    "dp": {**SCAN_WINNING_CONFIG["dp"], "mechanism": "gaussian_output",
+                           "nu_mean": 0.3, "nu_sigma": 1.0}}
+        bodies = []
+        for name, doc in (("chi", SCAN_WINNING_CONFIG), ("gauss", gaussian)):
+            out = tmp_path / name
+            path = write_config(tmp_path, doc, f"{name}.yaml")
+            assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 0
+            lines = (out / "delta_curve.csv").read_text().splitlines()
+            bodies.append([line for line in lines if not line.startswith("#")])
+        assert bodies[0] == bodies[1] and len(bodies[0]) == 7
 
     def test_ridge_model_rejected(self, tmp_path, capsys):
         """A gaussian_output ridge config that carries r_prime still cannot
@@ -1066,6 +1102,22 @@ class TestLawSelection:
         assert (params is not None) == has_params
         assert sim_model.sigma == pytest.approx(sim_sigma, rel=1e-12)
         assert sim_model.lam == lam
+
+    @pytest.mark.parametrize("command", ["roc", "validate"])
+    def test_input_perturbation_factors_h_once(self, tmp_path, monkeypatch, command):
+        """The inflated-sigma model of gaussian_input at lambda = 0 keeps the
+        model's factor: H is factored once per command, not twice."""
+        doc = {**BASE_CONFIG, "dp": DP_BY_MECHANISM["gaussian_input"]}
+        path = write_config(tmp_path, doc)
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert calls == [(12, 4)]
 
     def test_unbounded_gaussian_law_warns(self, tmp_path, caplog):
         """A 20x30 ridge model has rho far above 1/8: the Gaussian law it

@@ -1,5 +1,6 @@
-"""Config parsing and config_hash under libyaml's parser and emitter.
+"""Config parsing: the schema reader, and config_hash under libyaml.
 
+Every section is read by one reader that names the key path at fault.
 config_hash digests ``yaml.safe_dump(doc, sort_keys=True)``. Where PyYAML
 has libyaml, its C emitter writes that text only on some documents, so the
 hash must come out the same whichever dumper runs.
@@ -7,6 +8,7 @@ hash must come out the same whichever dumper runs.
 
 import hashlib
 import logging
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpresidual import config as config_module
-from dpresidual.config import _canonical_text, load_config
+from dpresidual.config import _canonical_text, load_config, validate_config
+from dpresidual.exceptions import SchemaError
 
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
 DEMO_HASH = "0354d37abb4382de"
@@ -162,3 +165,123 @@ class TestParserLog:
         assert self._record(caplog, DEMO) == (
             f"config {DEMO}: parsed by pure-Python (PyYAML has no libyaml), "
             "config_hash dumped by pure-Python (PyYAML has no libyaml)")
+
+
+# Every key of the schema: (key path, kind, default). The kind is "int",
+# "float", "str", "section" or a list of one of the first two;
+# REQUIRED marks a key that must be given.
+REQUIRED = object()
+_DELETE = object()
+KEYS = [
+    ("model", "section", None),
+    ("attack", "section", None),
+    ("dp", "section", None),
+    ("test", "section", config_module.TestConfig()),
+    ("mc", "section", config_module.McConfig()),
+    ("figures", "section", None),
+    ("model.m", "int", REQUIRED),
+    ("model.n", "int", REQUIRED),
+    ("model.sigma", "float", REQUIRED),
+    ("model.lambda", "float", REQUIRED),
+    ("model.matrix_source", "str", "random_seeded"),
+    ("attack.indices", ["int"], None),
+    ("attack.values", ["float"], None),
+    ("attack.stealth_coeffs", ["float"], None),
+    ("dp.mechanism", "str", REQUIRED),
+    ("dp.epsilon", "float", REQUIRED),
+    ("dp.delta", "float", REQUIRED),
+    ("dp.r_prime", "int", None),
+    ("dp.nu_mean", "float", None),
+    ("dp.nu_sigma", "float", None),
+    ("dp.epsilon_grid", ["float"], None),
+    ("dp.neighborhood", "section", None),
+    ("dp.neighborhood.delta_h_bound", "float", REQUIRED),
+    ("dp.neighborhood.scan_count", "int", REQUIRED),
+    ("dp.neighborhood.theta_domain", ["float"], REQUIRED),
+    ("dp.neighborhood.grid_points", "int", 33),
+    ("test.alpha", "float", 0.05),
+    ("test.alpha_grid", ["float"], None),
+    ("mc.trials", "int", 100_000),
+    ("mc.seed", "int", 0),
+    ("mc.workers", "int", 1),
+    ("figures.delta_theta_values", ["float"], None),
+    ("figures.nu_sigma_values", ["float"], None),
+    ("figures.epsilon_values", ["float"], None),
+]
+# Where ExperimentConfig keeps a key whose path is not its attribute path.
+ATTRIBUTES = {"model.lambda": "model.lam", "dp.nu_mean": "dp.params.nu_mean",
+              "dp.nu_sigma": "dp.params.nu_sigma"}
+WRONG_TYPE = {"int": ("x", "must be an integer"), "float": ("x", "must be of type float"),
+              "str": (1, "must be of type str"),
+              "section": ("x", "must be a mapping, got str")}
+GOOD_ELEMENT = {"int": 1, "float": 0.5}
+
+
+def _full_demo() -> dict:
+    """The demo document with a figures section, so every section is present."""
+    doc = yaml.safe_load(DEMO.read_text())
+    doc["figures"] = {"delta_theta_values": [0.0, 1.0]}
+    return doc
+
+
+def _schema_error(doc) -> str:
+    with pytest.raises(SchemaError) as exc:
+        validate_config(doc)
+    return str(exc.value)
+
+
+def _with(key, value) -> dict:
+    """The full demo with ``key`` set to ``value``, or removed for _DELETE."""
+    doc = _full_demo()
+    *sections, leaf = key.split(".")
+    section = doc
+    for name in sections:
+        section = section[name]
+    if value is _DELETE:
+        section.pop(leaf, None)
+    else:
+        section[leaf] = value
+    return doc
+
+
+class TestSchema:
+    @pytest.mark.parametrize("key,kind,default", KEYS, ids=[k for k, _, _ in KEYS])
+    def test_key(self, key, kind, default):
+        """Each key's type error, list rules, absence and section's unknown key."""
+        section = key.rpartition(".")[0] or "config"
+        unknown = "zz" if section == "config" else f"{section}.zz"
+        assert _schema_error(_with(unknown, 1)) == f"unknown key {section}.zz"
+
+        if isinstance(kind, list):
+            for value in ("x", [], {}):
+                assert _schema_error(_with(key, value)) == f"{key} must be a nonempty list"
+            bad_element = _with(key, [GOOD_ELEMENT[kind[0]], "x"])
+            assert _schema_error(bad_element) == f"{key}[1] {WRONG_TYPE[kind[0]][1]}"
+        else:
+            value, message = WRONG_TYPE[kind]
+            assert _schema_error(_with(key, value)) == f"{key} {message}"
+
+        for absent in (_DELETE, None):
+            doc = _with(key, absent)
+            if default is REQUIRED:
+                assert _schema_error(doc) == f"missing required key {key}"
+            elif key not in ("dp.r_prime", "attack.indices", "attack.values"):
+                # The demo's chi_square mechanism requires r_prime, and
+                # indices and values come together.
+                read = attrgetter(ATTRIBUTES.get(key, key))(validate_config(doc))
+                assert read == default
+
+
+class TestDpRPrime:
+    """DpConfig.r_prime is delta-curve's r' under either mechanism that has one."""
+
+    def test_is_the_chi_square_knob(self):
+        dp = load_config(DEMO).dp
+        assert dp.r_prime == dp.params.r_prime == 1
+
+    def test_is_the_scan_key_on_gaussian_output(self):
+        doc = _full_demo()
+        doc["dp"].update(mechanism="gaussian_output", nu_mean=0.3, nu_sigma=1.0,
+                         r_prime=2)
+        dp = validate_config(doc).dp
+        assert dp.r_prime == 2 and dp.params.r_prime is None
