@@ -119,7 +119,7 @@ class MeasurementModel:
         """
         if self.lam > 0:
             return MeasurementModel(self.H, sigma, self.lam)
-        model = copy.copy(self)  # shares H and the cached factor
+        model = copy.copy(self)  # carries the cached factor over
         object.__setattr__(model, "sigma", sigma)
         model.__post_init__()
         return model

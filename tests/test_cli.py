@@ -149,8 +149,8 @@ class TestEstimate:
     ])
     def test_overflowing_statistic_exits_3(self, tmp_path, capsys, section, key, value):
         """An infinite WSSR used to be written as "wssr": Infinity, which is not
-        JSON, with exit 0; under RuntimeWarning errors the sigma case ended in
-        a traceback."""
+        JSON, with exit 0; under RuntimeWarning errors the sigma case ended
+        estimate and privatize in a traceback."""
         doc = yaml.safe_load(DEMO.read_text())
         doc[section][key] = value
         path = write_config(tmp_path, doc)
@@ -160,6 +160,9 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith(f"numeric failure: {out / 'estimate.json'} not written")
         assert not (out / "estimate.json").exists()
+        assert main(["privatize", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: ")
+        assert not (out / "release.json").exists()
 
 
 class TestPrivatize:
