@@ -54,7 +54,7 @@ from .dp_mechanism import (
 )
 from .estimation import chi_mixture, gaussian_law, residual_law, wls_estimate, wssr
 from .exceptions import NumericError, SchemaError, ValidationFailure
-from .measurement_model import simulate_measurements
+from .measurement_model import MeasurementModel, simulate_measurements
 from .special_functions import ABS_TOL
 
 # Named, not __name__: under ``python -m dpresidual.cli`` that is __main__,
@@ -278,7 +278,8 @@ def _laws_for_roc(config: ExperimentConfig, model, x_true, attack):
         # shrinks the noncentrality accordingly; the test itself stays clean.
         _, k = input_perturbation_noise(model.m, model.sigma, params.epsilon,
                                         params.delta)
-        sim_model = model._with_sigma(model.sigma * (1 + k) ** 0.5)
+        sim_model = MeasurementModel(H=model.H, sigma=model.sigma * (1 + k) ** 0.5,
+                                     lam=model.lam)
         params = None
     if model.lam > 0 or mechanism is Mechanism.GAUSSIAN_OUTPUT:
         approx = [gaussian_law(chi_mixture(sim_model, x_true, a)) for a in (None, attack)]

@@ -37,7 +37,6 @@ _MAX_C_KEY = 64
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """The ``model`` section; its fields are its keys in order, ``lam`` for ``lambda``."""
 
     m: int
     n: int
@@ -57,16 +56,19 @@ class AttackConfig:
 class DpConfig:
     """The ``dp`` section: the release's ``PrivacyParams`` plus delta-curve's inputs.
 
-    ``r_prime`` is delta-curve's r' under either mechanism that has one: on a
-    chi_square config it is ``params.r_prime``, and on a gaussian_output
-    config it is the key kept for the chi-square guarantee scan alone, no
-    knob of the release (``params.r_prime`` is None there).
+    ``scan_r_prime`` is a gaussian_output config's r_prime, kept for
+    delta-curve's chi-square guarantee scan alone: no knob of its release.
     """
 
     params: PrivacyParams
     epsilon_grid: tuple[float, ...] | None = None
     neighborhood: NeighborhoodSpec | None = None
-    r_prime: int | None = None
+    scan_r_prime: int | None = None
+
+    @property
+    def r_prime(self) -> int | None:
+        """delta-curve's r': the release's on chi_square, else the scan's."""
+        return self.params.r_prime if self.params.r_prime is not None else self.scan_r_prime
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ def _section(doc, path: str, spec: dict) -> dict:
         raise SchemaError(f"{path} must be a mapping, got {type(doc).__name__}")
     unknown = doc.keys() - spec.keys()
     if unknown:
-        raise SchemaError(f"unknown key {path}.{sorted(unknown)[0]}")
+        raise SchemaError(f"unknown key {path}.{min(unknown, key=str)}")
     values = {}
     for key, (kind, default) in spec.items():
         where = key if path == "config" else f"{path}.{key}"
@@ -157,9 +159,10 @@ def _section(doc, path: str, spec: dict) -> dict:
 
 
 def _parse_model(doc, path: str) -> ModelConfig:
-    cfg = ModelConfig(*_section(doc, path, {
+    values = _section(doc, path, {
         "m": (int, _REQUIRED), "n": (int, _REQUIRED), "sigma": (float, _REQUIRED),
-        "lambda": (float, _REQUIRED), "matrix_source": (str, "random_seeded")}).values())
+        "lambda": (float, _REQUIRED), "matrix_source": (str, "random_seeded")})
+    cfg = ModelConfig(lam=values.pop("lambda"), **values)
     if cfg.m < 1:
         raise SchemaError(f"{path}.m must be >= 1")
     if cfg.n < 1:
@@ -173,9 +176,10 @@ def _parse_model(doc, path: str) -> ModelConfig:
 
 
 def _parse_attack(doc, path: str) -> AttackConfig:
-    indices, values, stealth = _section(doc, path, {
+    cfg = AttackConfig(**_section(doc, path, {
         "indices": ([int], None), "values": ([float], None),
-        "stealth_coeffs": ([float], None)}).values()
+        "stealth_coeffs": ([float], None)}))
+    indices, values, stealth = cfg.indices, cfg.values, cfg.stealth_coeffs
     if stealth is not None and (indices is not None or values is not None):
         raise SchemaError(f"{path}: stealth_coeffs excludes indices/values")
     if (indices is None) != (values is None):
@@ -186,19 +190,18 @@ def _parse_attack(doc, path: str) -> AttackConfig:
         raise SchemaError(f"{path}.indices must be distinct, got {indices}")
     if stealth is None and indices is None:
         raise SchemaError(f"{path}: give either indices/values or stealth_coeffs")
-    return AttackConfig(indices, values, stealth)
+    return cfg
 
 
 def _parse_neighborhood(doc, path: str) -> NeighborhoodSpec:
-    domain, bound, count, points = _section(doc, path, {
+    values = _section(doc, path, {
         "theta_domain": ([float], _REQUIRED), "delta_h_bound": (float, _REQUIRED),
         "scan_count": (int, _REQUIRED),
-        "grid_points": (int, NeighborhoodSpec.grid_points)}).values()
-    if len(domain) != 2:
+        "grid_points": (int, NeighborhoodSpec.grid_points)})
+    if len(values["theta_domain"]) != 2:
         raise SchemaError(f"{path}.theta_domain must be [lo, hi]")
     try:
-        return NeighborhoodSpec(delta_h_bound=bound, scan_count=count, theta_domain=domain,
-                                grid_points=points)
+        return NeighborhoodSpec(**values)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -212,23 +215,21 @@ def _mechanism(name, where: str) -> Mechanism:
 
 
 def _parse_dp(doc, path: str) -> DpConfig:
-    mechanism, epsilon, delta, r_prime, nu_mean, nu_sigma, grid, neighborhood = _section(
-        doc, path, {
-            "mechanism": (_mechanism, _REQUIRED), "epsilon": (float, _REQUIRED),
-            "delta": (float, _REQUIRED), "r_prime": (int, None),
-            "nu_mean": (float, None), "nu_sigma": (float, None),
-            "epsilon_grid": ([float], None),
-            "neighborhood": (_parse_neighborhood, None)}).values()
+    knobs = _section(doc, path, {
+        "mechanism": (_mechanism, _REQUIRED), "epsilon": (float, _REQUIRED),
+        "delta": (float, _REQUIRED), "r_prime": (int, None),
+        "nu_mean": (float, None), "nu_sigma": (float, None),
+        "epsilon_grid": ([float], None), "neighborhood": (_parse_neighborhood, None)})
+    grid, neighborhood = knobs.pop("epsilon_grid"), knobs.pop("neighborhood")
     # A gaussian_output config may carry r_prime for delta-curve's
     # chi-square guarantee scan alone: no knob of its release, but checked
     # as the chi-square mechanism's r_prime.
-    scan_only = mechanism is Mechanism.GAUSSIAN_OUTPUT
+    scan_r_prime = (knobs.pop("r_prime") if knobs["mechanism"] is Mechanism.GAUSSIAN_OUTPUT
+                    else None)
     try:
-        params = PrivacyParams(mechanism, epsilon=epsilon, delta=delta,
-                               r_prime=None if scan_only else r_prime,
-                               nu_mean=nu_mean, nu_sigma=nu_sigma)
-        if scan_only and r_prime is not None:
-            PrivacyParams.chi_square(r_prime=r_prime)
+        params = PrivacyParams(**knobs)
+        if scan_r_prime is not None:
+            PrivacyParams.chi_square(r_prime=scan_r_prime)
     except ValueError as exc:
         raise SchemaError(f"{path}.{exc}") from exc
     if grid is not None:
@@ -236,7 +237,8 @@ def _parse_dp(doc, path: str) -> DpConfig:
             raise SchemaError(f"{path}.epsilon_grid values must be > 0")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise SchemaError(f"{path}.epsilon_grid must be strictly increasing")
-    return DpConfig(params, grid, neighborhood, r_prime)
+    return DpConfig(params, epsilon_grid=grid, neighborhood=neighborhood,
+                    scan_r_prime=scan_r_prime)
 
 
 def _parse_test(doc, path: str) -> TestConfig:
@@ -326,10 +328,11 @@ def _canonical_text(doc) -> str:
 
 def validate_config(doc) -> ExperimentConfig:
     """Validate a parsed YAML document against the experiment schema."""
-    model, attack, dp, test, mc, figures = _section(doc, "config", {
+    sections = _section(doc, "config", {
         "model": (_parse_model, None), "attack": (_parse_attack, None),
         "dp": (_parse_dp, None), "test": (_parse_test, TestConfig()),
-        "mc": (_parse_mc, McConfig()), "figures": (_parse_figures, None)}).values()
+        "mc": (_parse_mc, McConfig()), "figures": (_parse_figures, None)})
+    model, attack, dp = sections["model"], sections["attack"], sections["dp"]
     if model and dp and model.lam > 0 and dp.params.mechanism is Mechanism.CHI_SQUARE:
         raise SchemaError("dp.mechanism chi_square assumes an unregularized model "
                           "(model.lambda = 0); use gaussian_output for ridge models")
@@ -337,7 +340,7 @@ def validate_config(doc) -> ExperimentConfig:
         raise SchemaError("attack.stealth_coeffs builds an attack that only the "
                           "unregularized projector annihilates (model.lambda = 0)")
     canonical = _canonical_text(doc)
-    return ExperimentConfig(model, attack, dp, test, mc, figures,
+    return ExperimentConfig(**sections,
                             config_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16])
 
 

@@ -16,7 +16,6 @@ fixtures.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -109,20 +108,6 @@ class MeasurementModel:
         w = np.ones_like(s) if self.lam == 0 \
             else s**2 / (s**2 + self.lam * self.sigma**2)
         return Factor(u=_readonly(u), s=_readonly(s), vt=_readonly(vt), w=_readonly(w))
-
-    def _with_sigma(self, sigma: float) -> "MeasurementModel":
-        """This model at noise scale ``sigma``, checked as the constructor checks it.
-
-        At lam = 0 the factor (H's thin SVD, all-ones weights) does not
-        depend on sigma, so the new model keeps this one's rather than
-        factoring H again; at lam > 0 the shrink weights do.
-        """
-        if self.lam > 0:
-            return MeasurementModel(self.H, sigma, self.lam)
-        model = copy.copy(self)  # carries the cached factor over
-        object.__setattr__(model, "sigma", sigma)
-        model.__post_init__()
-        return model
 
     @property
     def m(self) -> int:

@@ -1106,22 +1106,6 @@ class TestLawSelection:
         assert sim_model.sigma == pytest.approx(sim_sigma, rel=1e-12)
         assert sim_model.lam == lam
 
-    @pytest.mark.parametrize("command", ["roc", "validate"])
-    def test_input_perturbation_factors_h_once(self, tmp_path, monkeypatch, command):
-        """The inflated-sigma model of gaussian_input at lambda = 0 keeps the
-        model's factor: H is factored once per command, not twice."""
-        doc = {**BASE_CONFIG, "dp": DP_BY_MECHANISM["gaussian_input"]}
-        path = write_config(tmp_path, doc)
-        svd, calls = np.linalg.svd, []
-
-        def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-        assert calls == [(12, 4)]
-
     def test_unbounded_gaussian_law_warns(self, tmp_path, caplog):
         """A 20x30 ridge model has rho far above 1/8: the Gaussian law it
         gets carries no sup-density bound, and roc says so once."""

@@ -271,6 +271,24 @@ class TestSchema:
                 read = attrgetter(ATTRIBUTES.get(key, key))(validate_config(doc))
                 assert read == default
 
+    @pytest.mark.parametrize("section", ["config", "model"])
+    def test_unknown_keys_of_mixed_types(self, section):
+        """An unknown integer key beside an unknown string key is named, not
+        compared: sorting them used to end in a TypeError."""
+        doc = _full_demo()
+        (doc if section == "config" else doc[section]).update({1: 2, "zz": 3})
+        assert _schema_error(doc) == f"unknown key {section}.1"
+
+    def test_every_section_is_read_before_cross_section_rules(self):
+        """Of several faults, each section's key types are read before its
+        range rules, and every section before the rules that join sections."""
+        doc = _with("model.lambda", 1.0)  # a ridge model under chi_square
+        doc["test"] = {"alpha": 2.0}
+        assert _schema_error(doc) == "test.alpha must be in (0, 1)"
+        doc = _with("dp.epsilon", -1.0)
+        doc["dp"]["neighborhood"] = "x"
+        assert _schema_error(doc) == "dp.neighborhood must be a mapping, got str"
+
 
 class TestDpRPrime:
     """DpConfig.r_prime is delta-curve's r' under either mechanism that has one."""

@@ -68,21 +68,6 @@ class TestMeasurementModel:
         with pytest.raises(ValueError):
             MeasurementModel(H=np.array([[1.0], [np.nan]]), sigma=1.0)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.5])
-    def test_with_sigma_is_the_model_at_that_scale(self, rng, lam):
-        """At lam = 0 the rescaled model keeps the factor; at lam > 0 its
-        shrink weights are those of a model built at the new sigma."""
-        model = random_model(rng, 8, 3, sigma=0.7, lam=lam)
-        rescaled = model._with_sigma(2.0)
-        built = MeasurementModel(H=model.H, sigma=2.0, lam=lam)
-        assert (rescaled.sigma, rescaled.lam) == (2.0, lam)
-        assert np.array_equal(rescaled.H, model.H)
-        assert (rescaled.factor is model.factor) == (lam == 0)
-        assert np.array_equal(rescaled.factor.w, built.factor.w)
-        assert model.sigma == 0.7
-        with pytest.raises(ValueError, match="sigma must be finite"):
-            model._with_sigma(1e-200)
-
 
 class TestAttackVector:
     def test_sparse_construction(self):
