@@ -31,7 +31,6 @@ from .dp_mechanism import (
     delta_max_over_neighborhood,
     gaussian_leakage_probability,
     gaussian_mechanism_sigma,
-    gaussian_output_release,
     input_perturbation_noise,
     input_perturbation_release,
     leakage,

@@ -202,8 +202,8 @@ def _parse_neighborhood(doc, path: str) -> NeighborhoodSpec:
         raise SchemaError(f"{path}.theta_domain must be [lo, hi]")
     try:
         return NeighborhoodSpec(**values)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # each message begins with the field's name
+        raise SchemaError(f"{path}.{exc}") from exc
 
 
 def _mechanism(name, where: str) -> Mechanism:

@@ -172,19 +172,14 @@ def pfa_pd(spec: TestSpec):
     return pfa, (float(pd[0]) if pd[0].ndim == 0 else pd[0])
 
 
-def roc(spec: TestSpec, grid=None) -> RocCurve:
-    """Analytic ROC over an alpha grid (default: 512 log-spaced points).
+def roc(spec: TestSpec) -> RocCurve:
+    """Analytic ROC over ``DEFAULT_ALPHA_GRID``, 512 log-spaced points.
 
     The area is computed by the trapezoid rule with (0,0) and (1,1)
-    appended; the log-spaced default resolves the steep low-alpha region.
+    appended; the log spacing resolves the steep low-alpha region.
     """
-    alphas = DEFAULT_ALPHA_GRID if grid is None else np.asarray(grid, dtype=float)
-    if alphas.ndim != 1 or alphas.size < 1:
-        raise ValueError("alpha grid must be a nonempty 1-D sequence")
-    if np.any(np.diff(alphas) <= 0):
-        raise ValueError("alpha grid must be strictly increasing")
-    # TestSpec rejects grid values outside (0, 1).
-    return RocCurve.from_points(np.column_stack(pfa_pd(replace(spec, alpha=alphas))))
+    pfa, pd = pfa_pd(replace(spec, alpha=DEFAULT_ALPHA_GRID))
+    return RocCurve.from_points(np.column_stack((pfa, pd)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +251,7 @@ def _released_wssr(model: MeasurementModel, attack, x_true, spec: TestSpec,
     for start in range(0, trials, rows):
         t0 = time.perf_counter()
         z = block[:min(rows, trials - start)]
-        simulate_measurements(model, x_true, rng=gen, trials=len(z), out=z)
+        simulate_measurements(model, x_true, None, gen, trials=len(z), out=z)
         t1 = time.perf_counter()
         q0[start:start + len(z)] = q = wssr(model, z)
         q1[start:start + len(z)] = q + (2.0 * (z @ g) + pa_sq) / model.sigma**2

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import Regime, ResidualLaw, residual_law
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, NumericError
 from .measurement_model import (
     MeasurementModel,
     NeighborPerturbation,
@@ -56,6 +56,7 @@ logger = logging.getLogger(__name__)
 _CENTRAL_EPS = 1e-8
 _CALIBRATION_MARGIN = 1e-3
 _CALIBRATION_REL_TOL = 1e-4
+MAX_GRID_POINTS = 1024  # 523,776 grid pairs, each scored once per epsilon
 
 
 class Mechanism(enum.Enum):
@@ -196,7 +197,9 @@ class NeighborhoodSpec:
     how many random perturbations to probe (one sample per
     ``delta_max_over_neighborhood`` call, shared by every epsilon it is
     given), and ``theta_domain`` is the closed interval of noncentrality
-    roots additionally swept by a deterministic grid.
+    roots additionally swept by a deterministic grid of ``grid_points``
+    points, at most ``MAX_GRID_POINTS``, whose G (G - 1) / 2 pairs the
+    scan scores.
     """
 
     delta_h_bound: float
@@ -205,17 +208,19 @@ class NeighborhoodSpec:
     grid_points: int = 33
 
     def __post_init__(self):
-        if not 0 < self.delta_h_bound < math.inf:
-            raise ValueError(f"delta_h_bound must be finite and > 0, got "
-                             f"{self.delta_h_bound}")
+        bound = self.delta_h_bound
+        if not (bound > 0 and 0 < bound * bound < math.inf):
+            raise ValueError(f"delta_h_bound must be finite and > 0 with a positive "
+                             f"finite square, got {bound}")
         if self.scan_count < 1:
             raise ValueError(f"scan_count must be >= 1, got {self.scan_count}")
         lo, hi = self.theta_domain
         if not 0 <= lo < hi < math.inf:
             raise ValueError(f"theta_domain must satisfy 0 <= lo < hi < inf, got "
                              f"{self.theta_domain}")
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must be in [2, {MAX_GRID_POINTS}], got "
+                             f"{self.grid_points}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +272,19 @@ def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime):
 class DeltaScanResult:
     """Outcome of the guarantee maximization over a neighborhood.
 
-    For a scalar epsilon the value fields are floats and
-    ``argmax_perturbation`` is one perturbation or None. For an epsilon
-    array, ``delta``, ``argmax_theta``, ``argmax_theta_prime``,
-    ``scan_max`` and ``grid_max`` are arrays aligned with it and
-    ``argmax_perturbation`` is a tuple of the same length. ``skipped``
-    counts the singular probes of the one neighbour sample every epsilon
-    shares.
+    ``delta``, ``argmax_theta``, ``argmax_theta_prime``, ``scan_max`` and
+    ``grid_max`` are arrays aligned with the epsilon array, and
+    ``argmax_perturbation`` is a tuple of the same length holding one
+    perturbation or None per epsilon. ``skipped`` counts the singular
+    probes of the one neighbour sample every epsilon shares.
     """
 
-    delta: float | np.ndarray
-    argmax_theta: float | np.ndarray
-    argmax_theta_prime: float | np.ndarray
-    argmax_perturbation: NeighborPerturbation | None | tuple[NeighborPerturbation | None, ...]
-    scan_max: float | np.ndarray
-    grid_max: float | np.ndarray
+    delta: np.ndarray
+    argmax_theta: np.ndarray
+    argmax_theta_prime: np.ndarray
+    argmax_perturbation: tuple[NeighborPerturbation | None, ...]
+    scan_max: np.ndarray
+    grid_max: np.ndarray
     skipped: int
 
 
@@ -295,10 +298,10 @@ def delta_max_over_neighborhood(epsilon, model: MeasurementModel,
     neighbour's noncentrality root in one ``neighbor_roots`` call, and
     additionally sweeps all pairs i < j of a deterministic grid over
     ``spec.theta_domain``; one array ``delta_for_epsilon`` call scores
-    epsilon x (probes, then grid pairs). ``epsilon`` is a scalar or a
-    1-D array; every element is maximized over the same neighbours, so
-    delta is nonincreasing along an increasing epsilon array, and each
-    element equals a scalar call on a fresh stream of the same seed. The
+    epsilon x (probes, then grid pairs). ``epsilon`` is a 1-D array;
+    every element is maximized over the same neighbours, so delta is
+    nonincreasing along an increasing epsilon array, and each element
+    equals a one-element call on a fresh stream of the same seed. The
     first maximum wins, probes before grid pairs; a delta of zero names no
     neighbour (both argmax roots are theta, no perturbation). Requires
     lam = 0 (the update path is unregularized). Probes whose neighbour
@@ -311,8 +314,8 @@ def delta_max_over_neighborhood(epsilon, model: MeasurementModel,
     if model.lam != 0:
         raise ValueError("the sensitivity scan requires lambda = 0")
     eps = np.asarray(epsilon, dtype=float)
-    if eps.ndim > 1:
-        raise ValueError(f"epsilon must be a scalar or a 1-D array, got shape {eps.shape}")
+    if eps.ndim != 1:
+        raise ValueError(f"epsilon must be a 1-D array, got shape {eps.shape}")
     a = _attack_dense(attack, model.m)
     theta = math.sqrt(residual_law(model, None, a).noncentrality)
     r_tilde = float(model.m - model.n + r_prime)
@@ -352,16 +355,12 @@ def delta_max_over_neighborhood(epsilon, model: MeasurementModel,
     perts = tuple(NeighborPerturbation(row_index=int(rows[probes[b]]),
                                        delta_h=deltas[probes[b]])
                   if scanned else None for b, scanned in zip(best, from_scan))
-    for e, d, t, tp, s_max, g_max, scanned in zip(eps.reshape(-1), delta, th, thp,
+    for e, d, t, tp, s_max, g_max, scanned in zip(eps, delta, th, thp,
                                                  scan_max, grid_max, from_scan):
         logger.info("delta at epsilon=%g from %s: theta=%.6g theta_prime=%.6g "
                     "scan_max=%.3g grid_max=%.3g skipped=%d", e,
                     "scan" if scanned else "grid" if d > 0.0 else "none",
                     t, tp, s_max, g_max, skipped)
-    if eps.ndim == 0:
-        delta, th, thp, scan_max, grid_max = (float(v[0]) for v in
-                                              (delta, th, thp, scan_max, grid_max))
-        perts = perts[0]
     return DeltaScanResult(delta=delta, argmax_theta=th, argmax_theta_prime=thp,
                            argmax_perturbation=perts, scan_max=scan_max,
                            grid_max=grid_max, skipped=skipped)
@@ -413,15 +412,6 @@ def leakage(q_tilde, r_tilde: float, theta: float, theta_prime: float):
 # ---------------------------------------------------------------------------
 # Gaussian output mechanism
 # ---------------------------------------------------------------------------
-
-def gaussian_output_release(law: ResidualLaw, q: float, nu_mean: float,
-                            nu_sigma: float, rng,
-                            epsilon: float | None = None,
-                            delta: float | None = None) -> NoisyRelease:
-    """Release q + N(nu_mean, nu_sigma^2) for a Gaussian-regime law."""
-    params = PrivacyParams.gaussian_output(nu_mean, nu_sigma, epsilon, delta)
-    return output_release(law, q, params, rng)
-
 
 def gaussian_leakage_probability(law: ResidualLaw, neighbor_law: ResidualLaw,
                                  nu_sigma: float, epsilon: float) -> float:
@@ -526,16 +516,29 @@ def gaussian_mechanism_sigma(sensitivity: float, epsilon: float, delta: float) -
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
-def input_perturbation_noise(m: int, sigma: float, epsilon: float, delta: float,
-                             sensitivity: float = 1.0) -> tuple[float, float]:
+def input_perturbation_noise(m: int, sigma: float, epsilon: float,
+                             delta: float) -> tuple[float, float]:
     """(sigma_w, k) of input perturbation at total budget epsilon.
 
-    The budget is split evenly over the m entries, so each is perturbed
-    at per-element budget epsilon / m; k = sigma_w^2 / sigma^2 is the
-    noise-to-measurement variance ratio.
+    The budget is split evenly over the m entries, each of unit
+    sensitivity, so each is perturbed at per-element budget epsilon / m;
+    k = sigma_w^2 / sigma^2 is the noise-to-measurement variance ratio. A
+    budget so small that sigma_w or k leaves the double range raises
+    NumericError.
     """
-    sigma_w = gaussian_mechanism_sigma(sensitivity, epsilon / m, delta)
-    return sigma_w, sigma_w**2 / sigma**2
+    per_element = epsilon / m
+    # A budget whose share underflows to 0 would need an infinite scale.
+    sigma_w = (math.inf if per_element == 0 < epsilon
+               else gaussian_mechanism_sigma(1.0, per_element, delta))
+    try:
+        k = sigma_w**2 / sigma**2
+    except OverflowError:
+        k = math.inf
+    if not math.isfinite(k):
+        raise NumericError(f"input perturbation at epsilon={epsilon} over {m} entries "
+                           f"needs sigma_w={sigma_w:.3g}, whose variance ratio k to "
+                           f"sigma={sigma:.3g} overflows")
+    return sigma_w, k
 
 
 @dataclass(frozen=True)
@@ -551,15 +554,14 @@ class InputPerturbation:
 
 
 def input_perturbation_release(model: MeasurementModel, z, epsilon: float,
-                               delta: float, rng,
-                               sensitivity: float = 1.0) -> InputPerturbation:
+                               delta: float, rng) -> InputPerturbation:
     """Perturb every measurement with the standard Gaussian mechanism.
 
     The total budget is split evenly over the m entries (per-element
-    budget epsilon / m, the stated sensitivity per element); reports
+    budget epsilon / m, unit sensitivity per element); reports
     k = sigma_w^2 / sigma^2, the noise-to-measurement variance ratio.
     """
-    sigma_w, k = input_perturbation_noise(model.m, model.sigma, epsilon, delta, sensitivity)
+    sigma_w, k = input_perturbation_noise(model.m, model.sigma, epsilon, delta)
     z = np.asarray(z, dtype=float)
     if z.shape != (model.m,):
         raise ValueError(f"z has shape {z.shape}, expected ({model.m},)")

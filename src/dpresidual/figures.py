@@ -32,7 +32,6 @@ SIGMA_Z0 = 1.0
 SIGMA_Z1_ATTACK_SWEEP = 2.0   # mean-gap sensitivity sweep
 SIGMA_Z1_NOISE_SWEEP = 4.0    # release-noise sweeps
 INPUT_DELTA = 0.1
-INPUT_SENSITIVITY = 1.0
 
 DEFAULT_DELTA_THETA = (0.0, 0.5, 1.0, 2.0, 3.0, 5.0)
 DEFAULT_NU_SIGMA = tuple(float(v) for v in np.linspace(0.0, 5.0, 11))
@@ -98,7 +97,7 @@ def input_perturbation_auroc(config: ExperimentConfig | None = None):
     for nc in ncs:
         for eps in epsilons:
             # k relative to unit measurement noise
-            _, k = input_perturbation_noise(m, 1.0, eps, INPUT_DELTA, INPUT_SENSITIVITY)
+            _, k = input_perturbation_noise(m, 1.0, eps, INPUT_DELTA)
             rows.append([nc, eps, eps / m, k])
             alternatives.append(ResidualLaw.chi_square(dof, nc / (1.0 + k)))
     spec = TestSpec(alpha=DEFAULT_ALPHA_GRID, law0=ResidualLaw.chi_square(dof, 0.0),

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvio import split_header
-from .exceptions import RankDeficiencyError, SingularUpdateError
+from .exceptions import NumericError, RankDeficiencyError, SingularUpdateError
 from .streams import as_generator
 
 # A neighbour whose capacitance has |det K| = |det G' / det G| at or below
@@ -247,14 +247,15 @@ def projection_matrix(model: MeasurementModel) -> Projection:
     return Projection(matrix=_readonly(P), rank=f.residual_rank)
 
 
-def simulate_measurements(model: MeasurementModel, x_true, attack=None, rng=None,
+def simulate_measurements(model: MeasurementModel, x_true, attack, rng,
                           trials: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Draw z = H x_true + a + eta with eta ~ N(0, sigma^2 I).
 
-    Returns a length-m vector, or a (trials, m) array when ``trials`` is
-    given. Reproducible under a fixed seed. With ``out`` (a C-contiguous
-    float64 array of that shape) the draw is written into it in place and
-    ``out`` is returned; the values are the same as without it.
+    ``attack`` is None for a clean draw. Returns a length-m vector, or a
+    (trials, m) array when ``trials`` is given. Reproducible under a fixed
+    seed. With ``out`` (a C-contiguous float64 array of that shape) the
+    draw is written into it in place and ``out`` is returned; the values
+    are the same as without it.
     """
     gen = as_generator(rng)
     x = _state_dense(x_true, model.n)
@@ -323,7 +324,9 @@ def _neighbor_gram(model: MeasurementModel, rows, delta_h) -> _NeighborGram:
     """Gram update of the neighbours shifting row ``rows[k]`` by ``delta_h[k]``.
 
     O(len(rows) n) work and memory from the model's factor; G^{-1} is
-    never formed. Requires lam = 0.
+    never formed. Requires lam = 0. A capacitance past the double range
+    (a shift of about 1e100 times H's scale) raises NumericError: its
+    det K says nothing of singularity.
     """
     if model.lam != 0:
         raise ValueError("the neighbour Gram update requires lambda = 0")
@@ -336,12 +339,17 @@ def _neighbor_gram(model: MeasurementModel, rows, delta_h) -> _NeighborGram:
                          f"expected ({rows.size}, {model.n})")
     f = model.factor
     u_i = f.u[rows]
-    w = (delta_h @ f.vt.T) / f.s
-    beta = np.einsum("ij,ij->i", w, w)
-    gamma = np.einsum("ij,ij->i", u_i, w)
-    lev = np.einsum("ij,ij->i", u_i, u_i)
-    k = (1.0 + gamma + beta, beta, lev + gamma, 1.0 + gamma)
-    det = k[0] * k[3] - k[1] * k[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (delta_h @ f.vt.T) / f.s
+        beta = np.einsum("ij,ij->i", w, w)
+        gamma = np.einsum("ij,ij->i", u_i, w)
+        lev = np.einsum("ij,ij->i", u_i, u_i)
+        k = (1.0 + gamma + beta, beta, lev + gamma, 1.0 + gamma)
+        det = k[0] * k[3] - k[1] * k[2]
+    if not np.isfinite(det).all():  # a K entry that is not finite makes det so too
+        raise NumericError(f"{np.count_nonzero(~np.isfinite(det))} of {rows.size} "
+                           "neighbour Grams overflow the double range; reduce the "
+                           "row-perturbation bound")
     return _NeighborGram(rows=rows, w=w, u_i=u_i, beta=beta, gamma=gamma, lev=lev,
                          k=k, det=det, singular=~(np.abs(det) > _PIVOT_TOL))
 

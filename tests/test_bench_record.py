@@ -14,10 +14,10 @@ _SPEC.loader.exec_module(bench_record)
 HOST = {"machine": "x86_64", "cpus": 2, "python": "3.12", "numpy": "2.4", "scipy": "1.17"}
 
 
-def write_run(path, op_s, work, host=HOST, seed=0):
+def write_run(path, op_s, work, host=HOST, seed=0, attempted=10, failed=0):
     env = {**host, "workload": "delta_curve_200x20", "sizes": {"m": 200, "n": 20},
            "seed": seed, "seconds": 8, "commit": "abc"}
-    result = {"correct": True, "attempted": 10, "failed": 0,
+    result = {"correct": True, "attempted": attempted, "failed": failed,
               "metrics": {"op_s_p50": {"value": op_s}, "work_per_s": {"value": work}}}
     path.write_text(f"progress line\nenv: {json.dumps(env)}\n{json.dumps(result)}\n")
     return path
@@ -40,6 +40,21 @@ def test_change_wins_counts_no_ties(tmp_path):
     assert summary["work_per_s"]["better"] == "higher"
     assert summary["work_per_s"]["change_wins"] == 1
     assert summary["op_s_p50"]["parent"] == {"n": 3, "median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def test_failed_ops_summed_per_side(tmp_path):
+    """Each side's failed share is its failed ops over its attempted ops,
+    so a side that attempts fewer ops shows one failure as a larger share."""
+    parent = [write_run(tmp_path / f"p{i}", 1.0, 10.0, attempted=n, failed=f)
+              for i, (n, f) in enumerate([(32, 1), (30, 0)])]
+    change = [write_run(tmp_path / f"c{i}", 1.0, 10.0, attempted=n, failed=f)
+              for i, (n, f) in enumerate([(27, 1), (28, 0)])]
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main([str(out), "--parent", *map(str, parent),
+                              "--change", *map(str, change)]) == 0
+    ops = json.loads(out.read_text())["workloads"]["delta_curve_200x20/untraced"]["ops"]
+    assert ops == {"parent": {"attempted": 62, "failed": 1, "failed_share": 1 / 62},
+                   "change": {"attempted": 55, "failed": 1, "failed_share": 1 / 55}}
 
 
 @pytest.mark.parametrize("key,value", [("machine", "aarch64"), ("numpy", "2.3")])

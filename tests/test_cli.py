@@ -500,8 +500,7 @@ class TestFigures:
         want = []
         for nc in ncs:
             for eps in epsilons:
-                k = gaussian_mechanism_sigma(figs.INPUT_SENSITIVITY, eps / m,
-                                             figs.INPUT_DELTA) ** 2
+                k = gaussian_mechanism_sigma(1.0, eps / m, figs.INPUT_DELTA) ** 2
                 spec = TestSpec(alpha=0.05, law0=ResidualLaw.chi_square(dof, 0.0),
                                 law1=ResidualLaw.chi_square(dof, nc / (1.0 + k)))
                 want.append([nc, eps, eps / m, k, roc(spec).auroc])
@@ -1004,6 +1003,66 @@ class TestCliMisc:
             assert err.startswith(prefix) and "Traceback" not in err, err
             if code == 2:
                 assert f"{section}.{key} " in err
+
+    @pytest.mark.parametrize("bound, code", [
+        (1.0e200, 2),  # the bound's square overflows
+        (1.0e150, 3),  # a finite square, but every neighbour's det K overflows
+    ])
+    def test_overflowing_perturbation_bound_exits_cleanly(self, tmp_path, capsys,
+                                                         bound, code):
+        """delta-curve on the demo used to end in an overflow RuntimeWarning
+        traceback, or, with warnings not raised, to skip every probe as
+        singular and write a curve from the grid alone."""
+        doc = yaml.safe_load(DEMO.read_text())
+        doc["dp"]["neighborhood"]["delta_h_bound"] = bound
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        last = err.splitlines()[-1]  # after the demo's theta_domain warning
+        assert last.startswith("error: dp.neighborhood.delta_h_bound must be finite"
+                               if code == 2 else "numeric failure: 1000 of 1000 "), err
+        assert "Traceback" not in err and "skipped" not in err
+        assert not (out / "delta_curve.csv").exists()
+
+    @pytest.mark.parametrize("command", ["privatize", "roc", "validate", "fig4"])
+    def test_tiny_input_budget_exits_3(self, tmp_path, capsys, command):
+        """At epsilon = 1e-300, sigma_w is finite but its square is not: this
+        used to end in an OverflowError traceback (exit 1)."""
+        doc = yaml.safe_load(DEMO.read_text())
+        if command == "fig4":
+            doc["figures"] = {"epsilon_values": [1.0e-300, 1.0]}
+            argv = ["figures", "--which", "fig4"]
+        else:
+            doc["dp"] = {"mechanism": "gaussian_input", "epsilon": 1.0e-300, "delta": 0.1}
+            argv = [command]
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        if command == "privatize":
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        written = sorted(out.iterdir()) if out.exists() else []
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: input perturbation at epsilon=1e-300 "), err
+        assert "Traceback" not in err
+        assert sorted(out.iterdir()) == written
+
+    def test_grid_points_capped_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        """A million grid points would make 5e11 pairs; the config is refused
+        on load, so no command reaches the pair indices."""
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("the grid pairs were formed")
+
+        monkeypatch.setattr(np, "triu_indices", no_pairs)
+        doc = yaml.safe_load(DEMO.read_text())
+        doc["dp"]["neighborhood"]["grid_points"] = 1000000
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        for args in ALL_COMMANDS:
+            assert main(args + ["--config", str(path), "--out", str(out)]) == 2, args
+            assert capsys.readouterr().err == ("error: dp.neighborhood.grid_points must "
+                                               "be in [2, 1024], got 1000000\n")
+        assert not out.exists()
 
     def test_workers_flag_accepted(self, tmp_path, config_path):
         out = tmp_path / "o"

@@ -201,15 +201,6 @@ class TestRoc:
         curve = roc(gaussian_spec(10.0, 1.0, 10.5, 9.0))
         assert 0.0 <= curve.auroc <= 1.0
 
-    def test_custom_grid_validation(self):
-        spec = chi_spec(5.0, nc1=2.0)
-        with pytest.raises(ValueError):
-            roc(spec, [0.5, 0.2])
-        with pytest.raises(ValueError):
-            roc(spec, [0.0, 0.5])
-        with pytest.raises(ValueError):
-            roc(spec, [])
-
     def test_gaussian_nonconcave_curve_allowed(self):
         """Unequal variances can cross the diagonal; the area still integrates."""
         curve = roc(gaussian_spec(10.0, 1.0, 10.0, 16.0))

@@ -19,6 +19,7 @@ from dpresidual import (
     Mechanism,
     NeighborPerturbation,
     NeighborhoodSpec,
+    NumericError,
     PrivacyParams,
     ResidualLaw,
     SeedStream,
@@ -30,7 +31,6 @@ from dpresidual import (
     delta_max_over_neighborhood,
     gaussian_leakage_probability,
     gaussian_mechanism_sigma,
-    gaussian_output_release,
     input_perturbation_noise,
     input_perturbation_release,
     leakage,
@@ -43,7 +43,11 @@ from dpresidual import (
     residual_law,
     roc,
 )
-from dpresidual.dp_mechanism import _CALIBRATION_MARGIN, _CALIBRATION_REL_TOL
+from dpresidual.dp_mechanism import (
+    _CALIBRATION_MARGIN,
+    _CALIBRATION_REL_TOL,
+    MAX_GRID_POINTS,
+)
 from dpresidual.special_functions import ABS_TOL
 from conftest import random_model
 
@@ -225,7 +229,8 @@ class TestReleasedStatistic:
 
     def test_law_of_each_release(self):
         chi = chi_square_release(self.CHI, 4.2, 3, SeedStream(1), epsilon=1.0, delta=0.1)
-        gauss = gaussian_output_release(self.GAUSS, 9.7, 0.3, 2.0, SeedStream(1))
+        gauss = output_release(self.GAUSS, 9.7, PrivacyParams.gaussian_output(0.3, 2.0),
+                               SeedStream(1))
         for release, law in ((chi, self.CHI), (gauss, self.GAUSS)):
             assert released_law(law, release.params) == release.law
         assert chi.law == ResidualLaw.chi_square(dof=8.0, noncentrality=2.0)
@@ -266,19 +271,15 @@ class TestReleasedStatistic:
         release = chi_square_release(self.CHI, 4.2, 2, SeedStream(3))
         assert release.value == 4.2 + release_noise(params, SeedStream(3))
         params = PrivacyParams.gaussian_output(nu_mean=0.3, nu_sigma=2.0)
-        release = gaussian_output_release(self.GAUSS, 9.7, 0.3, 2.0, SeedStream(3))
+        release = output_release(self.GAUSS, 9.7, params, SeedStream(3))
         assert release.value == 9.7 + release_noise(params, SeedStream(3))
 
     @pytest.mark.parametrize("law,params", [
         (CHI, PrivacyParams.chi_square(r_prime=3, epsilon=1.0, delta=0.1)),
-        (GAUSS, PrivacyParams.gaussian_output(nu_mean=0.3, nu_sigma=2.0)),
-    ], ids=["chi_square", "gaussian_output"])
+    ], ids=["chi_square"])
     def test_named_releases_are_output_release(self, law, params):
-        """Both named releases are output_release over their params record."""
-        if params.mechanism is Mechanism.CHI_SQUARE:
-            named = chi_square_release(law, 4.2, 3, SeedStream(5), epsilon=1.0, delta=0.1)
-        else:
-            named = gaussian_output_release(law, 4.2, 0.3, 2.0, SeedStream(5))
+        """The named release is output_release over its params record."""
+        named = chi_square_release(law, 4.2, 3, SeedStream(5), epsilon=1.0, delta=0.1)
         assert named == output_release(law, 4.2, params, SeedStream(5))
 
     def test_negative_query_rejected(self, stream):
@@ -298,7 +299,7 @@ class TestReleasedStatistic:
 
     def test_gaussian_release_rejects_nu_sigma(self, stream):
         with pytest.raises(ValueError, match="nu_sigma"):
-            gaussian_output_release(self.GAUSS, 1.0, 0.0, 0.0, stream)
+            output_release(self.GAUSS, 1.0, PrivacyParams.gaussian_output(0.0, 0.0), stream)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +329,32 @@ class TestDeltaForEpsilon:
            st.floats(0.01, 5.0))
     def test_nondecreasing_in_gap_on_each_side(self, theta, r_tilde, epsilon, max_gap):
         """For a fixed theta, delta grows with |theta' - theta| on either side,
-        up to the truncation error of its two Marcum-Q tails, so over an
-        interval of roots it peaks at an end."""
+        up to the truncation error of its two Marcum-Q tails, over the range
+        drawn here: theta in [0.01, 30], r~ from 1 to 300, epsilon in
+        [0.05, 10] and gaps up to 5. Outside it delta need not grow with the
+        gap below theta (see test_can_fall_with_the_gap_below_theta), so an
+        interval of roots need not peak at an end."""
         for side in (1.0, -1.0):
             reach = max_gap if side > 0 else min(max_gap, theta)
             gaps = np.linspace(0.0, reach, 401)[1:]
             d = delta_for_epsilon(epsilon, float(r_tilde), theta, theta + side * gaps)
             assert np.diff(d).min() >= -2.0 * ABS_TOL, side
+
+    def test_can_fall_with_the_gap_below_theta(self):
+        """At r~ = 1, epsilon = 16 and theta = 5, theta' = 1.5 gives a larger
+        delta than theta' = 0, the wider gap below theta. Each value is the
+        two tails of the formula read from scipy's noncentral chi-square."""
+        def scipy_delta(epsilon, r_tilde, theta, theta_prime):
+            lo, hi = sorted((theta, theta_prime))
+            b_lo = epsilon / (hi - lo) - 0.5 * (hi + lo)
+            b_hi = epsilon / (hi - lo) + 0.5 * (hi + lo)
+            tail_lo = 1.0 if b_lo < 0 else stats.ncx2.sf(b_lo**2, r_tilde, lo**2)
+            return tail_lo + stats.ncx2.sf(b_hi**2, r_tilde, lo**2)
+
+        wide, narrow = (delta_for_epsilon(16.0, 1.0, 5.0, tp) for tp in (0.0, 1.5))
+        assert wide == pytest.approx(scipy_delta(16.0, 1.0, 5.0, 0.0), rel=0, abs=1e-13)
+        assert narrow == pytest.approx(scipy_delta(16.0, 1.0, 5.0, 1.5), rel=0, abs=1e-13)
+        assert (round(wide, 5), round(narrow, 5)) == (0.48393, 0.57325)
 
     def test_symmetric_under_swap(self):
         assert delta_for_epsilon(2.0, 5.0, 0.4, 1.2) == \
@@ -493,8 +513,8 @@ class TestDeltaScan:
         theta = float(np.linalg.norm(projection_matrix(model).matrix @ attack.a))
         spec = NeighborhoodSpec(delta_h_bound=1e-9, scan_count=200,
                                 theta_domain=(theta, theta + 1e-9))
-        result = delta_max_over_neighborhood(4.0, model, attack, 1, spec, SeedStream(1))
-        assert result.delta < 1e-6
+        result = delta_max_over_neighborhood([4.0], model, attack, 1, spec, SeedStream(1))
+        assert result.delta[0] < 1e-6
 
     def test_zero_delta_names_no_neighbour(self, instance):
         """Every neighbour and grid pair ties at delta = 0: the argmax is theta."""
@@ -502,10 +522,10 @@ class TestDeltaScan:
         theta = math.sqrt(residual_law(model, None, attack.a).noncentrality)
         spec = NeighborhoodSpec(delta_h_bound=1e-6, scan_count=200,
                                 theta_domain=(0.2, 0.21), grid_points=5)
-        result = delta_max_over_neighborhood(4.0, model, attack, 1, spec, SeedStream(1))
-        assert (result.delta, result.scan_max, result.grid_max) == (0.0, 0.0, 0.0)
-        assert result.argmax_theta == result.argmax_theta_prime == theta
-        assert result.argmax_perturbation is None
+        result = delta_max_over_neighborhood([4.0], model, attack, 1, spec, SeedStream(1))
+        assert (result.delta[0], result.scan_max[0], result.grid_max[0]) == (0.0, 0.0, 0.0)
+        assert result.argmax_theta[0] == result.argmax_theta_prime[0] == theta
+        assert result.argmax_perturbation == (None,)
 
     def test_theta_outside_domain_warns_once(self, instance, caplog):
         model, attack = instance
@@ -515,7 +535,7 @@ class TestDeltaScan:
         inside = NeighborhoodSpec(delta_h_bound=0.1, scan_count=50,
                                   theta_domain=(0.5 * theta, 2.0 * theta), grid_points=5)
         with caplog.at_level("WARNING", logger="dpresidual.dp_mechanism"):
-            for epsilon in (2.0, np.array([0.5, 2.0, 8.0])):
+            for epsilon in ([2.0], np.array([0.5, 2.0, 8.0])):
                 caplog.clear()
                 delta_max_over_neighborhood(epsilon, model, attack, 1, outside,
                                             SeedStream(3))
@@ -523,7 +543,7 @@ class TestDeltaScan:
                 message = caplog.records[0].getMessage()
                 assert f"theta={theta:.6g}" in message and "[0.2, 0.3]" in message
             caplog.clear()
-            delta_max_over_neighborhood(2.0, model, attack, 1, inside, SeedStream(3))
+            delta_max_over_neighborhood([2.0], model, attack, 1, inside, SeedStream(3))
             assert not caplog.records
 
     @staticmethod
@@ -563,19 +583,19 @@ class TestDeltaScan:
     @pytest.mark.parametrize("epsilon", ORACLE_EPSILONS)
     def test_matches_scalar_loop_oracle(self, instance, bound, domain, grid_points,
                                         epsilon):
-        """The scalar call matches the oracle, and the epsilon-array call's
-        element for this epsilon equals the scalar call in every field."""
+        """The one-element call matches the oracle, and the epsilon-array
+        call's element for this epsilon equals it in every field."""
         model, attack = instance
         theta = math.sqrt(residual_law(model, None, attack.a).noncentrality)
         if domain[1] == 1.0:
             domain = (domain[0] * theta, domain[1] * theta)
         spec = NeighborhoodSpec(delta_h_bound=bound, scan_count=300,
                                 theta_domain=domain, grid_points=grid_points)
-        result = delta_max_over_neighborhood(epsilon, model, attack, 1, spec,
+        result = delta_max_over_neighborhood([epsilon], model, attack, 1, spec,
                                              SeedStream(11))
         expected = self.scalar_loop_oracle(epsilon, model, attack, 1, spec, 11)
-        assert (result.delta, result.argmax_theta, result.argmax_theta_prime,
-                result.scan_max, result.grid_max) == expected
+        assert (result.delta[0], result.argmax_theta[0], result.argmax_theta_prime[0],
+                result.scan_max[0], result.grid_max[0]) == expected
 
         batch = delta_max_over_neighborhood(np.array(ORACLE_EPSILONS), model, attack, 1,
                                             spec, SeedStream(11))
@@ -584,10 +604,10 @@ class TestDeltaScan:
                      "grid_max"):
             column = getattr(batch, name)
             assert column.shape == (len(ORACLE_EPSILONS),)
-            assert column[k] == getattr(result, name), name
+            assert column[k] == getattr(result, name)[0], name
         assert batch.skipped == result.skipped
         assert len(batch.argmax_perturbation) == len(ORACLE_EPSILONS)
-        pert, scalar_pert = batch.argmax_perturbation[k], result.argmax_perturbation
+        pert, scalar_pert = batch.argmax_perturbation[k], result.argmax_perturbation[0]
         assert (pert is None) == (scalar_pert is None)
         if pert is not None:
             assert pert.row_index == scalar_pert.row_index
@@ -602,8 +622,8 @@ class TestDeltaScan:
         attack = AttackVector.sparse(8, [1, 6], [2.0, -1.5])
         spec = NeighborhoodSpec(delta_h_bound=0.5, scan_count=200,
                                 theta_domain=(0.2, 1.5), grid_points=9)
-        deltas = [delta_max_over_neighborhood(eps, model, attack, 1, spec,
-                                              SeedStream(seed)).delta
+        deltas = [delta_max_over_neighborhood([eps], model, attack, 1, spec,
+                                              SeedStream(seed)).delta[0]
                   for eps in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
         assert all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))
 
@@ -611,27 +631,44 @@ class TestDeltaScan:
         model, attack = instance
         spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=300,
                                 theta_domain=(0.5, 1.5), grid_points=9)
-        result = delta_max_over_neighborhood(5.0, model, attack, 1, spec, SeedStream(2))
-        recomputed = delta_for_epsilon(5.0, 7.0, result.argmax_theta,
-                                       result.argmax_theta_prime)
-        assert result.delta == pytest.approx(recomputed, rel=1e-12)
-        assert result.delta >= result.scan_max - 1e-15
-        assert result.delta >= result.grid_max - 1e-15
+        result = delta_max_over_neighborhood([5.0], model, attack, 1, spec, SeedStream(2))
+        recomputed = delta_for_epsilon(5.0, 7.0, result.argmax_theta[0],
+                                       result.argmax_theta_prime[0])
+        assert result.delta[0] == pytest.approx(recomputed, rel=1e-12)
+        assert result.delta[0] >= result.scan_max[0] - 1e-15
+        assert result.delta[0] >= result.grid_max[0] - 1e-15
 
     def test_scan_stability_across_seeds(self, instance):
         """Two independent 10^4-perturbation scans agree within 5 percent."""
         model, attack = instance
         spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=10**4,
                                 theta_domain=(0.5, 0.51), grid_points=2)
-        r1 = delta_max_over_neighborhood(8.0, model, attack, 1, spec, SeedStream(100))
-        r2 = delta_max_over_neighborhood(8.0, model, attack, 1, spec, SeedStream(200))
-        assert r1.scan_max == pytest.approx(r2.scan_max, rel=0.05)
+        r1 = delta_max_over_neighborhood([8.0], model, attack, 1, spec, SeedStream(100))
+        r2 = delta_max_over_neighborhood([8.0], model, attack, 1, spec, SeedStream(200))
+        assert r1.scan_max[0] == pytest.approx(r2.scan_max[0], rel=0.05)
 
     def test_requires_unregularized_model(self, rng):
         model = random_model(rng, 6, 3, lam=0.2)
         spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=10, theta_domain=(0.0, 1.0))
         with pytest.raises(ValueError):
-            delta_max_over_neighborhood(1.0, model, None, 1, spec, SeedStream(0))
+            delta_max_over_neighborhood([1.0], model, None, 1, spec, SeedStream(0))
+
+    @pytest.mark.parametrize("epsilon", [2.0, np.ones((2, 2))], ids=["0-d", "2-d"])
+    def test_requires_epsilon_array(self, instance, epsilon):
+        model, attack = instance
+        spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=10, theta_domain=(0.0, 1.0))
+        with pytest.raises(ValueError, match="epsilon must be a 1-D array"):
+            delta_max_over_neighborhood(epsilon, model, attack, 1, spec, SeedStream(0))
+
+    def test_overflowing_gram_raises(self, instance):
+        """A bound of 1e150 has a finite square, but the capacitance's det K
+        overflows: the scan raises NumericError, with no RuntimeWarning,
+        instead of skipping every probe as singular."""
+        model, attack = instance
+        spec = NeighborhoodSpec(delta_h_bound=1e150, scan_count=50,
+                                theta_domain=(0.2, 1.5), grid_points=5)
+        with pytest.raises(NumericError, match="50 of 50 neighbour Grams overflow"):
+            delta_max_over_neighborhood([2.0], model, attack, 1, spec, SeedStream(0))
 
     def test_singular_probe_skipped_and_never_argmax(self, caplog):
         """H = [[1], [0]] with |dh| = 1: row 0 shifted by -1 zeroes H'.
@@ -651,14 +688,14 @@ class TestDeltaScan:
         singular = int(np.count_nonzero((rows == 0) & (directions < 0)))
         assert singular > 0
         with caplog.at_level("WARNING", logger="dpresidual.dp_mechanism"):
-            result = delta_max_over_neighborhood(2.0, model, attack, 1, spec,
+            result = delta_max_over_neighborhood([2.0], model, attack, 1, spec,
                                                  SeedStream(5))
         assert result.skipped == singular
         assert [r.name for r in caplog.records] == ["dpresidual.dp_mechanism"] * 2
         domain, skip = (r.getMessage() for r in caplog.records)
         assert "theta=2 lies outside theta_domain [0, 0.001]" in domain
         assert skip.startswith(f"skipped {singular} of {spec.scan_count} ")
-        pert = result.argmax_perturbation
+        pert, = result.argmax_perturbation
         assert pert is not None
         assert not (pert.row_index == 0 and pert.delta_h[0] < 0)
 
@@ -669,14 +706,22 @@ class TestDeltaScan:
             NeighborhoodSpec(delta_h_bound=1.0, scan_count=0, theta_domain=(0.0, 1.0))
         with pytest.raises(ValueError):
             NeighborhoodSpec(delta_h_bound=1.0, scan_count=10, theta_domain=(1.0, 0.5))
+        # G grid points make G (G - 1) / 2 pairs, 523,776 at the cap.
+        NeighborhoodSpec(delta_h_bound=1.0, scan_count=10, theta_domain=(0.0, 1.0),
+                         grid_points=MAX_GRID_POINTS)
+        with pytest.raises(ValueError, match=r"grid_points must be in \[2, 1024\]"):
+            NeighborhoodSpec(delta_h_bound=1.0, scan_count=10, theta_domain=(0.0, 1.0),
+                             grid_points=MAX_GRID_POINTS + 1)
 
     @pytest.mark.parametrize("bound,domain", [
         (math.inf, (0.2, 1.5)), (math.nan, (0.2, 1.5)),
+        (1e200, (0.2, 1.5)), (1e-200, (0.2, 1.5)),
         (0.1, (0.2, math.inf)), (0.1, (math.nan, 1.5)),
     ])
     def test_spec_rejects_nonfinite(self, bound, domain):
         """An infinite bound used to skip every probe with a numpy warning, and
-        an infinite domain end to fail later inside the grid."""
+        an infinite domain end to fail later inside the grid. A bound whose
+        square overflows or underflows is refused with them."""
         with pytest.raises(ValueError, match="delta_h_bound|theta_domain"):
             NeighborhoodSpec(delta_h_bound=bound, scan_count=10, theta_domain=domain)
 
@@ -737,12 +782,12 @@ class TestNeighborRoots:
 class TestGaussianOutputRelease:
     def test_vanishing_noise_returns_query(self, stream):
         law = ResidualLaw.gaussian(mean=10.0, variance=1.0)
-        release = gaussian_output_release(law, 9.7, 0.0, 1e-12, stream)
+        release = output_release(law, 9.7, PrivacyParams.gaussian_output(0.0, 1e-12), stream)
         assert release.value == pytest.approx(9.7, abs=1e-9)
 
     def test_release_law(self, stream):
         law = ResidualLaw.gaussian(mean=10.0, variance=1.0)
-        release = gaussian_output_release(law, 9.7, 0.5, 2.0, stream)
+        release = output_release(law, 9.7, PrivacyParams.gaussian_output(0.5, 2.0), stream)
         assert release.law.mean == pytest.approx(10.5)
         assert release.law.variance == pytest.approx(5.0)
 
@@ -959,6 +1004,15 @@ class TestInputPerturbation:
                                law1=ResidualLaw.chi_square(r, nc / (1.0 + k)))
             auroc_in = roc(in_spec).auroc
             assert auroc_in <= auroc_out + 0.02
+
+    @pytest.mark.parametrize("m,sigma,epsilon", [
+        (20, 1.0, 1e-300),    # sigma_w**2 overflows
+        (20, 1e-100, 1e-100),  # sigma_w**2 is finite, k is not
+        (20, 1.0, 5e-324),    # epsilon / m underflows to 0
+    ])
+    def test_overflowing_noise_raises(self, m, sigma, epsilon):
+        with pytest.raises(NumericError, match="overflows"):
+            input_perturbation_noise(m, sigma, epsilon, 0.1)
 
     @pytest.mark.parametrize("eps,delta", [(0.0, 0.1), (1.0, 0.0), (1.0, 1.0)])
     def test_domain_errors(self, rng, stream, eps, delta):

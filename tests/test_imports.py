@@ -32,7 +32,7 @@ EXPORTED = (
     "calibrate_gaussian_output_sigma", "chi_mixture", "chi_square_release",
     "cumulant", "delta_for_epsilon", "delta_max_over_neighborhood", "gaussian_law",
     "gaussian_leakage_probability", "gaussian_mechanism_sigma",
-    "gaussian_output_release", "gaussian_q", "gaussian_q_inverse", "gsp_reduce",
+    "gaussian_q", "gaussian_q_inverse", "gsp_reduce",
     "input_perturbation_noise", "input_perturbation_release", "leakage",
     "load_model_csv", "log_bessel_i", "marcum_q", "monte_carlo_validate",
     "neighbor_projection_update", "neighbor_roots", "noncentral_chisq_cdf",

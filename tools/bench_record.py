@@ -9,8 +9,9 @@ line and its last line, the JSON result, and writes one file holding:
 - ``host``: machine, CPU count, Python, numpy, scipy and BLAS details, as
   the runs report them (runs that disagree are refused);
 - per workload and mode (``untraced`` or ``traced``): the sizes, every run
-  with its side, seed, seconds, commit, correctness and metrics, and per
-  metric the median and quartiles of each side;
+  with its side, seed, seconds, commit, correctness, op counts and metrics,
+  per side the attempted and failed ops summed over its runs with the
+  failed share, and per metric the median and quartiles of each side;
 - for runs made in alternating pairs, the number of pairs the change won,
   ties counting for neither. The i-th parent run of a workload and mode
   pairs with its i-th change run; the direction of each metric comes from
@@ -42,6 +43,18 @@ def spread(values: list[float]) -> dict:
     q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                    if len(values) > 1 else values * 3)
     return {"n": len(values), "median": med, "q1": q1, "q3": q3}
+
+
+def op_counts(runs: list[dict]) -> dict:
+    """Per side: attempted and failed ops over its runs, and the failed share."""
+    out = {}
+    for side in ("parent", "change"):
+        attempted = sum(r["attempted"] for r in runs if r["side"] == side)
+        failed = sum(r["failed"] for r in runs if r["side"] == side)
+        if attempted:
+            out[side] = {"attempted": attempted, "failed": failed,
+                         "failed_share": failed / attempted}
+    return out
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -92,6 +105,7 @@ def main(argv=None) -> int:
                 "metrics": {k: m["value"] for k, m in result["metrics"].items()},
             })
     for group in groups.values():
+        group["ops"] = op_counts(group["runs"])
         group["summary"] = summarize(group["runs"], better)
     args.out.write_text(json.dumps({"host": host, "workloads": groups}, indent=1) + "\n")
     return 0
