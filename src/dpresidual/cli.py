@@ -27,7 +27,6 @@ from .config import (
     STREAM_DP,
     STREAM_MC,
     STREAM_NOISE,
-    STREAM_SCAN,
     STREAM_STATE,
     STREAM_MATRIX,
     ExperimentConfig,
@@ -239,17 +238,26 @@ def cmd_delta_curve(config: ExperimentConfig, out: Path, seed: int, args) -> int
     if config.model.lam > 0:
         raise SchemaError("delta-curve's neighbour scan assumes an unregularized "
                           "model (model.lambda = 0)")
+    logger.info("dp.neighborhood scan_count, theta_domain and grid_points are read "
+                "and ignored: the neighbour root interval is computed from "
+                "delta_h_bound")
     streams, model, x_true, attack = _build_instance(config, seed)
     eps = np.asarray(dp.epsilon_grid, dtype=float)
-    result = delta_max_over_neighborhood(eps, model, attack, dp.r_prime,
-                                         dp.neighborhood, streams[STREAM_SCAN])
-    # Each of delta's two Marcum-Q tails sums nonnegative terms and leaves
-    # out at most ABS_TOL, so the true delta lies in [delta, delta + 2 ABS_TOL].
-    bound = np.minimum(1.0, result.delta + 2.0 * ABS_TOL)
+    result = delta_max_over_neighborhood(eps, model, attack, dp.r_prime, dp.neighborhood)
+    # Each of a bound's two Marcum-Q tails sums nonnegative terms and leaves
+    # out at most ABS_TOL, so the true delta lies below delta_bound.
+    bound = np.minimum(1.0, result.delta_bound + 2.0 * ABS_TOL)
+    for e, d, tp, b in zip(eps, result.delta, result.argmax_theta_prime, bound):
+        logger.info("delta at epsilon=%g: theta=%.6g theta_lo=%.6g theta_hi=%.6g "
+                    "theta_prime=%.6g delta=%.3g delta_bound=%.3g", e,
+                    result.argmax_theta[0], result.theta_lo, result.theta_hi, tp, d, b)
     rows = np.column_stack([eps, result.delta, result.argmax_theta,
-                            result.argmax_theta_prime, bound]).tolist()
+                            result.argmax_theta_prime, bound,
+                            np.full(eps.shape, result.theta_lo),
+                            np.full(eps.shape, result.theta_hi)]).tolist()
     write_csv(out / "delta_curve.csv", DELTA_CURVE_CLI_SCHEMA,
-              ["epsilon", "delta", "argmax_theta", "argmax_theta_prime", "delta_bound"],
+              ["epsilon", "delta", "argmax_theta", "argmax_theta_prime", "delta_bound",
+               "theta_lo", "theta_hi"],
               rows, meta=_meta(config, seed))
     return 0
 

@@ -10,10 +10,10 @@ delta) guarantee over distance-one neighborhoods of the system matrix is
           + Q_{r~/2}(theta, eps/(theta'-theta) + (theta'+theta)/2),
 
 with the first term saturating at 1 when the lower boundary argument is
-negative (the bounding event is then empty). The neighborhood itself is
-not bounded a priori, so the maximization domain is supplied explicitly
-as a row-perturbation bound plus a deterministic grid over the
-noncentrality-root interval.
+negative (the bounding event is then empty). The neighbours shift one
+row of the system matrix by at most a row-perturbation bound; every
+neighbour's root lies in an interval computed from the model's factor,
+over which delta is maximized with a certified per-cell bound.
 
 Also provided: the exact privacy leakage (log-likelihood ratio) of the
 released statistic under two neighboring laws, a Gaussian additive
@@ -29,20 +29,14 @@ measurement with the standard Gaussian mechanism at a per-element budget.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import Regime, ResidualLaw, residual_law
+from .estimation import Regime, ResidualLaw
 from .exceptions import ConvergenceError, NumericError
-from .measurement_model import (
-    MeasurementModel,
-    NeighborPerturbation,
-    _attack_dense,
-    neighbor_roots,
-)
+from .measurement_model import MeasurementModel, neighbor_root_interval
 from .special_functions import (
     gaussian_q,
     log_bessel_i,
@@ -51,12 +45,11 @@ from .special_functions import (
 )
 from .streams import as_generator, seed_record_of
 
-logger = logging.getLogger(__name__)
-
 _CENTRAL_EPS = 1e-8
 _CALIBRATION_MARGIN = 1e-3
 _CALIBRATION_REL_TOL = 1e-4
-MAX_GRID_POINTS = 1024  # 523,776 grid pairs, each scored once per epsilon
+MAX_GRID_POINTS = 1024  # the range of the inert grid_points key
+_CELLS = 64  # cells on each side of theta in the delta maximization
 
 
 class Mechanism(enum.Enum):
@@ -191,15 +184,13 @@ def output_release(law: ResidualLaw, q: float, params: PrivacyParams, rng) -> No
 
 @dataclass(frozen=True)
 class NeighborhoodSpec:
-    """Search domain for the guarantee maximization.
+    """The neighbourhood of the guarantee maximization.
 
-    ``delta_h_bound`` caps the row-perturbation norm, ``scan_count`` sets
-    how many random perturbations to probe (one sample per
-    ``delta_max_over_neighborhood`` call, shared by every epsilon it is
-    given), and ``theta_domain`` is the closed interval of noncentrality
-    roots additionally swept by a deterministic grid of ``grid_points``
-    points, at most ``MAX_GRID_POINTS``, whose G (G - 1) / 2 pairs the
-    scan scores.
+    ``delta_h_bound`` caps the row-perturbation norm and alone sets the
+    neighbourhood: its root interval is computed, not searched.
+    ``scan_count``, ``theta_domain`` and ``grid_points`` (at most
+    ``MAX_GRID_POINTS``) are still range-checked, so configs that carry
+    them load, but steer nothing.
     """
 
     delta_h_bound: float
@@ -235,6 +226,14 @@ def chi_square_release(law: ResidualLaw, q: float, r_prime: int, rng,
     return output_release(law, q, params, rng)
 
 
+def _two_tails(r_tilde: float, a, b_lo, b_hi):
+    """min(1, Q(a, b_lo) + Q(a, b_hi)) of order r~/2, both tails from one
+    ``marcum_q`` call. A negative lower boundary saturates its tail at 1:
+    the event that bounds the leakage from below is then empty."""
+    q_lo, q_hi = marcum_q(0.5 * r_tilde, a, np.stack([np.maximum(b_lo, 0.0), b_hi]))
+    return np.minimum(1.0, np.where(b_lo < 0, 1.0, q_lo) + q_hi)
+
+
 def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime):
     """The delta guarantee at budget epsilon for neighbor pairs.
 
@@ -260,11 +259,8 @@ def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime):
     lo, hi = np.minimum(theta, theta_prime), np.maximum(theta, theta_prime)
     gap = hi - lo
     ratio = epsilon / np.where(gap > 0.0, gap, np.inf)   # gap 0 is masked below
-    b_lo = ratio - 0.5 * (hi + lo)
-    b_hi = ratio + 0.5 * (hi + lo)
-    q_lo, q_hi = marcum_q(0.5 * r_tilde, lo, np.stack([np.maximum(b_lo, 0.0), b_hi]))
-    term_lo = np.where(b_lo < 0, 1.0, q_lo)
-    out = np.where(gap == 0.0, 0.0, np.minimum(1.0, term_lo + q_hi))
+    half = 0.5 * (hi + lo)
+    out = np.where(gap == 0.0, 0.0, _two_tails(r_tilde, lo, ratio - half, ratio + half))
     return float(out) if out.ndim == 0 else out
 
 
@@ -272,98 +268,71 @@ def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime):
 class DeltaScanResult:
     """Outcome of the guarantee maximization over a neighborhood.
 
-    ``delta``, ``argmax_theta``, ``argmax_theta_prime``, ``scan_max`` and
-    ``grid_max`` are arrays aligned with the epsilon array, and
-    ``argmax_perturbation`` is a tuple of the same length holding one
-    perturbation or None per epsilon. ``skipped`` counts the singular
-    probes of the one neighbour sample every epsilon shares.
+    Every neighbour's root lies in [``theta_lo``, ``theta_hi``]. ``delta``
+    (the formula at the best cell end), ``delta_bound`` (its bound over
+    the interval), ``argmax_theta`` (the model root theta) and
+    ``argmax_theta_prime`` are arrays aligned with epsilon. ``skipped`` is
+    always 0: nothing is skipped, and it stays only because perfbench's
+    tracer reads it.
     """
 
     delta: np.ndarray
+    delta_bound: np.ndarray
     argmax_theta: np.ndarray
     argmax_theta_prime: np.ndarray
-    argmax_perturbation: tuple[NeighborPerturbation | None, ...]
-    scan_max: np.ndarray
-    grid_max: np.ndarray
-    skipped: int
+    theta_lo: float
+    theta_hi: float
+    skipped: int = 0
 
 
-def delta_max_over_neighborhood(epsilon, model: MeasurementModel,
-                                attack, r_prime: int, spec: NeighborhoodSpec,
-                                rng) -> DeltaScanResult:
-    """Maximize delta over row perturbations and the configured grid.
+def _delta_over_interval(epsilon: np.ndarray, r_tilde: float, theta_lo: float,
+                         theta: float, theta_hi: float):
+    """(delta, argmax theta', delta_bound) over theta' in [theta_lo, theta_hi].
 
-    Scans ``spec.scan_count`` random rows and unit directions scaled to the
-    perturbation bound, every row drawn before every direction, gets each
-    neighbour's noncentrality root in one ``neighbor_roots`` call, and
-    additionally sweeps all pairs i < j of a deterministic grid over
-    ``spec.theta_domain``; one array ``delta_for_epsilon`` call scores
-    epsilon x (probes, then grid pairs). ``epsilon`` is a 1-D array;
-    every element is maximized over the same neighbours, so delta is
-    nonincreasing along an increasing epsilon array, and each element
-    equals a one-element call on a fresh stream of the same seed. The
-    first maximum wins, probes before grid pairs; a delta of zero names no
-    neighbour (both argmax roots are theta, no perturbation). Requires
-    lam = 0 (the update path is unregularized). Probes whose neighbour
-    Gram is numerically singular are skipped and counted, and a theta
-    outside ``spec.theta_domain`` is named, each with one logged warning
-    per call. One INFO line per epsilon names the source of delta (scan,
-    grid, or none at zero), the argmax roots, ``scan_max``, ``grid_max``
-    and the skipped count.
+    Each side of theta is cut into ``_CELLS`` cells; ``delta`` is the
+    formula's maximum over the cell ends other than theta (the first
+    maximum wins; a zero delta names theta). Q(a, b) rises in a and falls
+    in b, so on a cell [p, q] the formula is at most its two tails at
+    a = q below theta (a = theta above) with boundaries eps/gap -
+    (q + theta)/2 and eps/gap + (p + theta)/2 at the cell's widest gap.
+    ``delta_bound``, the largest of these, holds on the whole interval.
     """
-    if model.lam != 0:
-        raise ValueError("the sensitivity scan requires lambda = 0")
+    edges = np.concatenate([np.linspace(theta_lo, theta, _CELLS + 1),
+                            np.linspace(theta, theta_hi, _CELLS + 1)[1:]])
+    ends = np.delete(edges, _CELLS)                          # every cell end but theta
+    scores = delta_for_epsilon(epsilon[:, None], r_tilde, theta, ends)
+    best = scores.argmax(axis=1)
+    delta = scores[np.arange(best.size), best]
+    p, q = edges[:-1], edges[1:]
+    below = np.arange(2 * _CELLS) < _CELLS
+    gap = np.where(below, theta - p, q - theta)              # the cell's widest gap
+    ratio = epsilon[:, None] / np.where(gap > 0.0, gap, np.inf)
+    cells = _two_tails(r_tilde, np.where(below, q, theta), ratio - 0.5 * (q + theta),
+                       ratio + 0.5 * (p + theta))
+    return (delta, np.where(delta > 0.0, ends[best], theta),
+            np.where(gap > 0.0, cells, 0.0).max(axis=1))
+
+
+def delta_max_over_neighborhood(epsilon, model: MeasurementModel, attack, r_prime: int,
+                                spec: NeighborhoodSpec) -> DeltaScanResult:
+    """Maximize delta over every neighbour within ``spec.delta_h_bound``.
+
+    ``neighbor_root_interval`` holds every neighbour's root, and
+    ``_delta_over_interval`` maximizes and bounds the formula over it.
+    Nothing is drawn and no other field of ``spec`` is read. ``epsilon``
+    is a 1-D array, every element maximized over the same interval.
+    Requires lam = 0.
+    """
     eps = np.asarray(epsilon, dtype=float)
     if eps.ndim != 1:
         raise ValueError(f"epsilon must be a 1-D array, got shape {eps.shape}")
-    a = _attack_dense(attack, model.m)
-    theta = math.sqrt(residual_law(model, None, a).noncentrality)
+    theta_lo, theta, theta_hi = neighbor_root_interval(model, attack, spec.delta_h_bound)
     r_tilde = float(model.m - model.n + r_prime)
-    lo, hi = spec.theta_domain
-    if not lo <= theta <= hi:
-        logger.warning("model root theta=%.6g lies outside theta_domain [%g, %g]: "
-                       "the grid sweeps roots this model does not have", theta, lo, hi)
-
-    gen = as_generator(rng)
-    rows = gen.integers(model.m, size=spec.scan_count)
-    deltas = gen.standard_normal((spec.scan_count, model.n))
-    deltas *= (spec.delta_h_bound / np.linalg.norm(deltas, axis=1))[:, None]
-    roots = neighbor_roots(model, a, rows, deltas)
-    skipped = int(np.count_nonzero(np.isnan(roots)))
-    if skipped:
-        logger.warning("skipped %d of %d neighbour probes with a numerically "
-                       "singular Gram", skipped, spec.scan_count)
-
-    # One candidate list, probes first and grid pairs after, so argmax's first
-    # maximum prefers a probe on a tie.
-    probes = np.flatnonzero(~np.isnan(roots))
-    grid = np.linspace(lo, hi, spec.grid_points)
-    i, j = np.triu_indices(spec.grid_points, 1)
-    cand_theta = np.concatenate([np.full(probes.size, theta), grid[i]])
-    cand_prime = np.concatenate([roots[probes], grid[j]])
-    scores = delta_for_epsilon(eps.reshape(-1, 1), r_tilde, cand_theta, cand_prime)
-    best = scores.argmax(axis=1)
-    delta = scores[np.arange(best.size), best]
-    scan_max = scores[:, :probes.size].max(axis=1, initial=0.0)
-    grid_max = scores[:, probes.size:].max(axis=1)
-
-    # A zero delta is maximized by no neighbour in particular: report theta.
-    won = delta > 0.0
-    th = np.where(won, cand_theta[best], theta)
-    thp = np.where(won, cand_prime[best], theta)
-    from_scan = won & (best < probes.size)
-    perts = tuple(NeighborPerturbation(row_index=int(rows[probes[b]]),
-                                       delta_h=deltas[probes[b]])
-                  if scanned else None for b, scanned in zip(best, from_scan))
-    for e, d, t, tp, s_max, g_max, scanned in zip(eps, delta, th, thp,
-                                                 scan_max, grid_max, from_scan):
-        logger.info("delta at epsilon=%g from %s: theta=%.6g theta_prime=%.6g "
-                    "scan_max=%.3g grid_max=%.3g skipped=%d", e,
-                    "scan" if scanned else "grid" if d > 0.0 else "none",
-                    t, tp, s_max, g_max, skipped)
-    return DeltaScanResult(delta=delta, argmax_theta=th, argmax_theta_prime=thp,
-                           argmax_perturbation=perts, scan_max=scan_max,
-                           grid_max=grid_max, skipped=skipped)
+    delta, theta_prime, bound = _delta_over_interval(eps, r_tilde, theta_lo, theta, theta_hi)
+    return DeltaScanResult(delta=delta, delta_bound=bound,
+                           argmax_theta=np.full(eps.shape, theta),
+                           argmax_theta_prime=theta_prime, theta_lo=theta_lo,
+                           theta_hi=theta_hi)
 
 
 # ---------------------------------------------------------------------------

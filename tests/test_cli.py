@@ -31,7 +31,6 @@ from dpresidual import figures as figs
 from dpresidual.detection import DEFAULT_ALPHA_GRID
 from dpresidual.cli import _build_instance, _laws_for_roc, main
 from dpresidual.config import (
-    STREAM_SCAN,
     build_attack,
     build_model,
     derive_streams,
@@ -56,9 +55,9 @@ def write_config(tmp_path, doc, name="config.yaml"):
     return path
 
 
-# The demo model with a near-point theta_domain far from its root theta =
-# 1.603, so the neighbour scan, not the grid, sets delta on every epsilon.
-SCAN_WINNING_CONFIG = {
+# The demo model (root theta = 1.603) with an epsilon grid so small that
+# delta > 0 on every row.
+SMALL_EPSILON_CONFIG = {
     "model": {"m": 20, "n": 5, "sigma": 1.0, "lambda": 0.0,
               "matrix_source": "random_seeded"},
     "attack": {"indices": [3, 11], "values": [2.0, -1.5]},
@@ -255,22 +254,23 @@ class TestDeltaCurve:
         return write_config(tmp_path, doc)
 
     def test_columns_and_monotone_delta(self, tmp_path, curve_config):
-        """One neighbour sample serves the whole curve, so delta never rises
-        with epsilon, also where the scan rather than the grid sets it."""
-        scan_winning = write_config(tmp_path, SCAN_WINNING_CONFIG, "scan.yaml")
-        for k, path in enumerate((curve_config, scan_winning)):
+        """One root interval serves the whole curve, so delta and its bound
+        never rise with epsilon, also where delta > 0 on every row."""
+        small = write_config(tmp_path, SMALL_EPSILON_CONFIG, "small.yaml")
+        for k, path in enumerate((curve_config, small)):
             out = tmp_path / f"o{k}"
             assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 0
             _, columns, rows = read_csv(out / "delta_curve.csv")
             assert columns == ["epsilon", "delta", "argmax_theta", "argmax_theta_prime",
-                               "delta_bound"]
-            deltas = [float(r[1]) for r in rows]
-            assert all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))
+                               "delta_bound", "theta_lo", "theta_hi"]
+            for col in (1, 4):
+                values = [float(r[col]) for r in rows]
+                assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_single_point_matches_library_call(self, tmp_path):
-        """Every row is the library's epsilon-array call on the scan stream,
-        on a curve the scan wins."""
-        path = write_config(tmp_path, SCAN_WINNING_CONFIG)
+        """Every row is the library's epsilon-array call, delta_bound plus the
+        two tails' truncation allowance, on a curve with delta > 0 throughout."""
+        path = write_config(tmp_path, SMALL_EPSILON_CONFIG)
         out = tmp_path / "o"
         assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 0
         _, _, rows = read_csv(out / "delta_curve.csv")
@@ -280,17 +280,19 @@ class TestDeltaCurve:
         model = build_model(config.model, streams[0])
         attack = build_attack(config.attack, model)
         eps = np.array(config.dp.epsilon_grid)
-        direct = delta_max_over_neighborhood(eps, model, attack, 1, config.dp.neighborhood,
-                                             streams[STREAM_SCAN])
-        assert np.all(direct.scan_max > direct.grid_max)
+        direct = delta_max_over_neighborhood(eps, model, attack, 1, config.dp.neighborhood)
+        assert np.all(direct.delta > 0)
         expected = np.column_stack([eps, direct.delta, direct.argmax_theta,
                                     direct.argmax_theta_prime,
-                                    np.minimum(1.0, direct.delta + 2e-12)])
+                                    np.minimum(1.0, direct.delta_bound + 2e-12),
+                                    np.full(eps.shape, direct.theta_lo),
+                                    np.full(eps.shape, direct.theta_hi)])
         assert [[float(v) for v in row] for row in rows] == expected.tolist()
 
     def test_delta_bound_covers_series_truncation(self, tmp_path):
-        """delta_bound adds the two Marcum-Q tails' truncation bound to delta,
-        so a delta printed far below the series tolerance is bounded by it."""
+        """delta_bound adds the two Marcum-Q tails' truncation bound to the
+        cell bound, so a delta printed far below the series tolerance is
+        bounded by it."""
         doc = {"model": {"m": 200, "n": 20, "sigma": 1.0, "lambda": 0.0,
                          "matrix_source": "random_seeded"},
                "attack": {"indices": [3, 11], "values": [2.0, -1.5]},
@@ -309,25 +311,72 @@ class TestDeltaCurve:
         assert np.all(bound >= delta) and np.all(bound <= 1.0)
         tiny = delta < 1e-30
         assert tiny.any() and np.all(bound[tiny] == 2e-12)
-        assert np.array_equal(bound[~tiny], np.minimum(1.0, delta[~tiny] + 2e-12))
+        assert (~tiny).sum() >= 2
+        assert np.all(bound[~tiny] >= np.minimum(1.0, delta[~tiny] + 2e-12))
 
-    def test_theta_domain_warning_logged_once(self, tmp_path, caplog):
-        path = write_config(tmp_path, SCAN_WINNING_CONFIG)
-        with caplog.at_level(logging.WARNING):
-            assert main(["delta-curve", "--config", str(path),
-                         "--out", str(tmp_path / "o")]) == 0
-        messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 1
-        assert "lies outside theta_domain [0.2, 0.201]" in messages[0]
+    def test_inert_keys_logged_once(self, tmp_path, caplog):
+        """scan_count, theta_domain and grid_points change no row: the demo
+        with 7 probes, theta_domain [3, 4] and 2 grid points writes the
+        demo's rows. One INFO line names the three keys, and nothing is
+        logged at WARNING (theta lies outside both domains)."""
+        doc = yaml.safe_load(DEMO.read_text())
+        inert = {**doc, "dp": {**doc["dp"], "neighborhood": {
+            **doc["dp"]["neighborhood"], "scan_count": 7, "theta_domain": [3.0, 4.0],
+            "grid_points": 2}}}
+        bodies = []
+        for name, config in (("demo", doc), ("inert", inert)):
+            out = tmp_path / name
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="dpresidual"):
+                assert main(["delta-curve", "--config", str(write_config(tmp_path, config,
+                                                                          f"{name}.yaml")),
+                             "--out", str(out), "--seed", "3"]) == 0
+            named = [r for r in caplog.records if "scan_count" in r.getMessage()]
+            assert len(named) == 1 and named[0].levelname == "INFO"
+            assert "theta_domain and grid_points are read and ignored" in \
+                named[0].getMessage()
+            assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+            lines = (out / "delta_curve.csv").read_text().splitlines()
+            bodies.append([line for line in lines if not line.startswith("#")])
+        assert bodies[0] == bodies[1] and len(bodies[0]) == 7
+
+    def test_demo_curve(self, tmp_path):
+        """The demo at seed 3: theta_lo and theta_hi bracket every neighbour's
+        root; delta(0.5) is about 1e-62, delta is 0 from epsilon = 1, and
+        delta_bound is the truncation allowance 2e-12 on every row."""
+        out = tmp_path / "o"
+        assert main(["delta-curve", "--config", str(DEMO), "--out", str(out),
+                     "--seed", "3"]) == 0
+        _, columns, rows = read_csv(out / "delta_curve.csv")
+        table = {name: np.array([float(r[k]) for r in rows])
+                 for k, name in enumerate(columns)}
+        assert np.all((1.6643892 <= table["theta_lo"]) & (table["theta_lo"] <= 1.6643909))
+        assert np.all((1.71125968 <= table["theta_hi"]) & (table["theta_hi"] <= 1.7114))
+        assert 1.9e-63 <= table["delta"][0] <= 1.1e-62
+        assert np.all(table["delta"][1:] == 0.0)
+        assert np.all(table["delta_bound"] == 2e-12)
+
+    def test_tiny_perturbation_bound_gives_zero(self, tmp_path, capsys):
+        """At delta_h_bound 1e-154 the multiplier mu = t / B^2 overflows in the
+        root interval; that zeroes its term, with no RuntimeWarning (an error
+        in this suite), and every delta is 0."""
+        doc = yaml.safe_load(DEMO.read_text())
+        doc["dp"]["neighborhood"]["delta_h_bound"] = 1.0e-154
+        out = tmp_path / "o"
+        assert main(["delta-curve", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, columns, rows = read_csv(out / "delta_curve.csv")
+        assert [float(r[columns.index("delta")]) for r in rows] == [0.0] * 6
 
     def test_gaussian_output_scans_with_its_r_prime(self, tmp_path):
-        """A gaussian_output config's r_prime drives the same scan as the
-        chi_square mechanism's: the curves differ only in the header."""
-        gaussian = {**SCAN_WINNING_CONFIG,
-                    "dp": {**SCAN_WINNING_CONFIG["dp"], "mechanism": "gaussian_output",
+        """A gaussian_output config's r_prime drives the same delta curve as
+        the chi_square mechanism's: the curves differ only in the header."""
+        gaussian = {**SMALL_EPSILON_CONFIG,
+                    "dp": {**SMALL_EPSILON_CONFIG["dp"], "mechanism": "gaussian_output",
                            "nu_mean": 0.3, "nu_sigma": 1.0}}
         bodies = []
-        for name, doc in (("chi", SCAN_WINNING_CONFIG), ("gauss", gaussian)):
+        for name, doc in (("chi", SMALL_EPSILON_CONFIG), ("gauss", gaussian)):
             out = tmp_path / name
             path = write_config(tmp_path, doc, f"{name}.yaml")
             assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 0
@@ -338,9 +387,9 @@ class TestDeltaCurve:
     def test_ridge_model_rejected(self, tmp_path, capsys):
         """A gaussian_output ridge config that carries r_prime still cannot
         reach the unregularized neighbour scan."""
-        doc = {**SCAN_WINNING_CONFIG,
-               "model": {**SCAN_WINNING_CONFIG["model"], "lambda": 0.5},
-               "dp": {**SCAN_WINNING_CONFIG["dp"], "mechanism": "gaussian_output",
+        doc = {**SMALL_EPSILON_CONFIG,
+               "model": {**SMALL_EPSILON_CONFIG["model"], "lambda": 0.5},
+               "dp": {**SMALL_EPSILON_CONFIG["dp"], "mechanism": "gaussian_output",
                       "nu_mean": 0.0, "nu_sigma": 1.0}}
         path = write_config(tmp_path, doc)
         out = tmp_path / "o"
@@ -595,11 +644,11 @@ class TestDpSection:
     def test_gaussian_output_scan_r_prime(self, tmp_path, capsys):
         """A lambda = 0 gaussian_output config may carry r_prime for the
         delta-curve scan alone; the scan reads it and the release does not."""
-        doc = {**SCAN_WINNING_CONFIG,
-               "dp": {**SCAN_WINNING_CONFIG["dp"], "mechanism": "gaussian_output",
+        doc = {**SMALL_EPSILON_CONFIG,
+               "dp": {**SMALL_EPSILON_CONFIG["dp"], "mechanism": "gaussian_output",
                       "nu_mean": 0.0, "nu_sigma": 1.0}}
         path = write_config(tmp_path, doc)
-        chi_path = write_config(tmp_path, SCAN_WINNING_CONFIG, "chi.yaml")
+        chi_path = write_config(tmp_path, SMALL_EPSILON_CONFIG, "chi.yaml")
         out, chi_out = tmp_path / "o", tmp_path / "chi"
         assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 0
         assert main(["delta-curve", "--config", str(chi_path), "--out", str(chi_out)]) == 0
@@ -686,11 +735,18 @@ class TestDeterminism:
 class TestLogLevel:
     """--log-level sends the package's records to stderr for one main call."""
 
-    def test_default_writes_bare_warnings_only(self, tmp_path, capsys, caplog):
-        path = write_config(tmp_path, SCAN_WINNING_CONFIG)
-        assert main(["delta-curve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-        warning, = [r.getMessage() for r in caplog.records]
+    def test_default_writes_bare_warnings_only(self, tmp_path, capsys, caplog,
+                                               config_path):
+        """validate --workers 2 logs one warning; at the default level stderr
+        holds that bare message and no INFO line. delta-curve writes nothing."""
+        out = tmp_path / "o"
+        assert main(["validate", "--config", str(config_path), "--out", str(out),
+                     "--workers", "2"]) == 0
+        warning, = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
         assert capsys.readouterr().err == warning + "\n"
+        path = write_config(tmp_path, SMALL_EPSILON_CONFIG, "small.yaml")
+        assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_info_logs_stage_times(self, tmp_path, capsys, config_path):
         assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o"),
@@ -730,10 +786,12 @@ class TestLogLevel:
         assert (package.level, package.handlers) == before
 
     def test_info_names_each_delta_source(self, tmp_path, capsys):
-        """One line per epsilon names what set delta: a probe, a grid pair, or
-        nothing at delta = 0, where theta is the model root on both sides."""
-        doc = {**SCAN_WINNING_CONFIG,
-               "dp": {**SCAN_WINNING_CONFIG["dp"], "epsilon_grid": [0.05, 0.5, 1000.0],
+        """After one line naming the inert keys, one line per epsilon names
+        what sets delta: theta, the root interval [theta_lo, theta_hi], the
+        cell end theta' that attains delta (theta itself at delta = 0),
+        delta and the written delta_bound, each as the CSV row has it."""
+        doc = {**SMALL_EPSILON_CONFIG,
+               "dp": {**SMALL_EPSILON_CONFIG["dp"], "epsilon_grid": [0.05, 0.5, 1000.0],
                       "neighborhood": {"delta_h_bound": 0.5, "scan_count": 300,
                                        "theta_domain": [1.0, 3.0], "grid_points": 9}}}
         path = write_config(tmp_path, doc)
@@ -744,18 +802,22 @@ class TestLogLevel:
         assert lines[0].startswith("stage load_config: ")
         assert lines[-1].startswith("stage delta-curve: ")
         _, _, rows = read_csv(out / "delta_curve.csv")
+        assert "scan_count, theta_domain and grid_points" in lines[1]
         sources = []
-        for line, row in zip(lines[1:-1], rows, strict=True):
-            eps, delta, theta, theta_prime = (float(v) for v in row[:4])
-            match = re.fullmatch(r"delta at epsilon=(\S+) from (scan|grid|none): "
-                                 r"theta=(\S+) theta_prime=(\S+) scan_max=(\S+) "
-                                 r"grid_max=(\S+) skipped=0", line)
+        for line, row in zip(lines[2:-1], rows, strict=True):
+            eps, delta, theta, theta_prime, bound, theta_lo, theta_hi = map(float, row)
+            match = re.fullmatch(r"delta at epsilon=(\S+): theta=(\S+) theta_lo=(\S+) "
+                                 r"theta_hi=(\S+) theta_prime=(\S+) delta=(\S+) "
+                                 r"delta_bound=(\S+)", line)
             assert match is not None, line
             assert match[1] == f"{eps:g}"
-            assert match.group(3, 4) == (f"{theta:.6g}", f"{theta_prime:.6g}")
-            assert max(float(match[5]), float(match[6])) == float(f"{delta:.3g}")
-            sources.append(match[2])
-        assert sources == ["scan", "grid", "none"]
+            assert match.group(2, 3, 4, 5) == tuple(
+                f"{v:.6g}" for v in (theta, theta_lo, theta_hi, theta_prime))
+            assert match.group(6, 7) == (f"{delta:.3g}", f"{bound:.3g}")
+            sources.append("lo" if theta_prime == theta_lo else
+                           "hi" if theta_prime == theta_hi else
+                           "none" if theta_prime == theta and delta == 0 else "inner")
+        assert sources == ["lo", "lo", "none"]
 
     def test_info_times_monte_carlo_apart(self, tmp_path, capsys, config_path):
         """validate logs the simulation's own stage inside its command stage,
@@ -1006,23 +1068,43 @@ class TestCliMisc:
 
     @pytest.mark.parametrize("bound, code", [
         (1.0e200, 2),  # the bound's square overflows
-        (1.0e150, 3),  # a finite square, but every neighbour's det K overflows
+        (1.0e150, 0),  # a finite square: an unbounded neighbourhood, delta = 1
     ])
     def test_overflowing_perturbation_bound_exits_cleanly(self, tmp_path, capsys,
                                                          bound, code):
         """delta-curve on the demo used to end in an overflow RuntimeWarning
         traceback, or, with warnings not raised, to skip every probe as
-        singular and write a curve from the grid alone."""
+        singular and write a curve from the grid alone. A bound with a finite
+        square now gives the root interval of an unbounded neighbourhood,
+        where delta = 1 on every row; no Gram is formed."""
         doc = yaml.safe_load(DEMO.read_text())
         doc["dp"]["neighborhood"]["delta_h_bound"] = bound
         path = write_config(tmp_path, doc)
         out = tmp_path / "o"
         assert main(["delta-curve", "--config", str(path), "--out", str(out)]) == code
         err = capsys.readouterr().err
-        last = err.splitlines()[-1]  # after the demo's theta_domain warning
-        assert last.startswith("error: dp.neighborhood.delta_h_bound must be finite"
-                               if code == 2 else "numeric failure: 1000 of 1000 "), err
         assert "Traceback" not in err and "skipped" not in err
+        if code == 2:
+            assert err.startswith("error: dp.neighborhood.delta_h_bound must be finite"), err
+            assert not (out / "delta_curve.csv").exists()
+        else:
+            assert err == ""
+            _, columns, rows = read_csv(out / "delta_curve.csv")
+            assert [float(r[columns.index("delta")]) for r in rows] == [1.0] * 6
+
+    def test_overflowing_root_interval_exits_3(self, tmp_path, capsys):
+        """With the attack scaled to 1e4, B ||x_hat|| passes 1.3e154 at a bound
+        of 1e154, whose square is finite: theta_hi is not a double, so
+        delta-curve exits 3 with no traceback and writes no curve."""
+        doc = yaml.safe_load(DEMO.read_text())
+        doc["dp"]["neighborhood"]["delta_h_bound"] = 1.0e154
+        doc["attack"]["values"] = [2.0e4, -1.5e4]
+        out = tmp_path / "o"
+        assert main(["delta-curve", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: the neighbour root interval "), err
+        assert "Traceback" not in err
         assert not (out / "delta_curve.csv").exists()
 
     @pytest.mark.parametrize("command", ["privatize", "roc", "validate", "fig4"])
@@ -1207,7 +1289,7 @@ class TestInputErrors:
         model_csv = tmp_path / "H.csv"
         if body is not None:
             model_csv.write_text(body)
-        doc = {**SCAN_WINNING_CONFIG,
+        doc = {**SMALL_EPSILON_CONFIG,
                "model": {"m": 3, "n": 2, "sigma": 1.0, "lambda": 0.0,
                          "matrix_source": str(model_csv)}}
         doc.pop("attack")

@@ -6,12 +6,13 @@ quadrature oracle of the hockey-stick divergence.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from dpresidual import (
     AttackVector,
@@ -23,6 +24,7 @@ from dpresidual import (
     PrivacyParams,
     ResidualLaw,
     SeedStream,
+    SingularUpdateError,
     TestSpec,
     apply_neighbor,
     calibrate_gaussian_output_sigma,
@@ -34,6 +36,7 @@ from dpresidual import (
     input_perturbation_noise,
     input_perturbation_release,
     leakage,
+    neighbor_projection_update,
     neighbor_roots,
     noncentral_chisq_sample,
     output_release,
@@ -47,9 +50,15 @@ from dpresidual.dp_mechanism import (
     _CALIBRATION_MARGIN,
     _CALIBRATION_REL_TOL,
     MAX_GRID_POINTS,
+    _delta_over_interval,
 )
+from dpresidual.config import STREAM_MATRIX, build_attack, build_model, derive_streams, \
+    load_config
+from dpresidual.measurement_model import neighbor_root_interval
 from dpresidual.special_functions import ABS_TOL
 from conftest import random_model
+
+DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +510,15 @@ class TestLeakage:
 ORACLE_EPSILONS = (0.5, 2.0, 8.0)
 
 
+def ncx2_two_tails(epsilon_ratio_lo, epsilon_ratio_hi, r_tilde, a):
+    """min(1, Q(a, b_lo) + Q(a, b_hi)) from scipy's noncentral chi-square, the
+    first tail 1 where b_lo < 0."""
+    def sf(b):
+        return stats.ncx2.sf(b * b, r_tilde, a * a) if a > 0 else stats.chi2.sf(b * b, r_tilde)
+    tail_lo = 1.0 if epsilon_ratio_lo < 0 else sf(epsilon_ratio_lo)
+    return min(1.0, tail_lo + sf(epsilon_ratio_hi))
+
+
 class TestDeltaScan:
     @pytest.fixture
     def instance(self, rng):
@@ -513,105 +531,107 @@ class TestDeltaScan:
         theta = float(np.linalg.norm(projection_matrix(model).matrix @ attack.a))
         spec = NeighborhoodSpec(delta_h_bound=1e-9, scan_count=200,
                                 theta_domain=(theta, theta + 1e-9))
-        result = delta_max_over_neighborhood([4.0], model, attack, 1, spec, SeedStream(1))
-        assert result.delta[0] < 1e-6
+        result = delta_max_over_neighborhood([4.0], model, attack, 1, spec)
+        assert result.delta[0] < 1e-6 and result.delta_bound[0] < 1e-6
 
     def test_zero_delta_names_no_neighbour(self, instance):
-        """Every neighbour and grid pair ties at delta = 0: the argmax is theta."""
+        """Every cell end ties at delta = 0: the argmax is theta."""
         model, attack = instance
         theta = math.sqrt(residual_law(model, None, attack.a).noncentrality)
         spec = NeighborhoodSpec(delta_h_bound=1e-6, scan_count=200,
                                 theta_domain=(0.2, 0.21), grid_points=5)
-        result = delta_max_over_neighborhood([4.0], model, attack, 1, spec, SeedStream(1))
-        assert (result.delta[0], result.scan_max[0], result.grid_max[0]) == (0.0, 0.0, 0.0)
-        assert result.argmax_theta[0] == result.argmax_theta_prime[0] == theta
-        assert result.argmax_perturbation == (None,)
+        result = delta_max_over_neighborhood([4.0], model, attack, 1, spec)
+        assert result.delta[0] == 0.0
+        assert result.argmax_theta[0] == result.argmax_theta_prime[0] \
+            == pytest.approx(theta, rel=1e-15)
+        assert result.theta_lo < theta < result.theta_hi
 
-    def test_theta_outside_domain_warns_once(self, instance, caplog):
+    def test_inert_keys_change_nothing(self, instance, caplog):
+        """scan_count, theta_domain and grid_points steer nothing: theta inside
+        or outside theta_domain, one probe or 10^4, 2 grid points or the cap,
+        every field is the same, the same on a second call, and nothing is
+        logged at INFO or above. Only delta_h_bound moves the result."""
         model, attack = instance
         theta = math.sqrt(residual_law(model, None, attack.a).noncentrality)
-        outside = NeighborhoodSpec(delta_h_bound=0.1, scan_count=50,
-                                   theta_domain=(0.2, 0.3), grid_points=5)
-        inside = NeighborhoodSpec(delta_h_bound=0.1, scan_count=50,
-                                  theta_domain=(0.5 * theta, 2.0 * theta), grid_points=5)
-        with caplog.at_level("WARNING", logger="dpresidual.dp_mechanism"):
-            for epsilon in ([2.0], np.array([0.5, 2.0, 8.0])):
-                caplog.clear()
-                delta_max_over_neighborhood(epsilon, model, attack, 1, outside,
-                                            SeedStream(3))
-                assert len(caplog.records) == 1
-                message = caplog.records[0].getMessage()
-                assert f"theta={theta:.6g}" in message and "[0.2, 0.3]" in message
-            caplog.clear()
-            delta_max_over_neighborhood([2.0], model, attack, 1, inside, SeedStream(3))
-            assert not caplog.records
+        specs = [NeighborhoodSpec(delta_h_bound=0.1, scan_count=count, theta_domain=domain,
+                                  grid_points=points)
+                 for count, domain, points in [(1, (0.2, 0.3), 2),
+                                               (10**4, (0.5 * theta, 2.0 * theta), 17),
+                                               (50, (0.0, 1e-3), MAX_GRID_POINTS)]]
+        eps = np.array([0.5, 2.0, 8.0])
+        with caplog.at_level("INFO", logger="dpresidual"):
+            results = [delta_max_over_neighborhood(eps, model, attack, 1, spec)
+                       for spec in specs + specs[:1]]
+        assert not caplog.records
+        for other in results[1:]:
+            for name in ("delta", "delta_bound", "argmax_theta", "argmax_theta_prime"):
+                assert np.array_equal(getattr(other, name), getattr(results[0], name)), name
+            assert (other.theta_lo, other.theta_hi, other.skipped) == \
+                (results[0].theta_lo, results[0].theta_hi, 0)
+        wider = NeighborhoodSpec(delta_h_bound=0.2, scan_count=1, theta_domain=(0.2, 0.3))
+        result = delta_max_over_neighborhood(eps, model, attack, 1, wider)
+        assert result.theta_lo < results[0].theta_lo and result.theta_hi > results[0].theta_hi
 
     @staticmethod
-    def scalar_loop_oracle(epsilon, model, attack, r_prime, spec, seed):
-        """The per-probe and per-pair scalar loop: first strict maximum wins,
-        probes before grid pairs, and a zero delta names theta itself."""
-        theta = math.sqrt(residual_law(model, None, attack.a).noncentrality)
-        r_tilde = float(model.m - model.n + r_prime)
-        gen = SeedStream(seed).generator
-        rows = gen.integers(model.m, size=spec.scan_count)
-        deltas = gen.standard_normal((spec.scan_count, model.n))
-        deltas *= (spec.delta_h_bound / np.linalg.norm(deltas, axis=1))[:, None]
-        best = (-1.0, theta, theta)
-        for theta_prime in neighbor_roots(model, attack.a, rows, deltas):
-            if not math.isnan(theta_prime):
-                d = delta_for_epsilon(epsilon, r_tilde, theta, float(theta_prime))
+    def scalar_loop_oracle(epsilon, r_tilde, theta_lo, theta, theta_hi):
+        """The per-cell scalar loop over the 64 cells on each side of theta:
+        the formula at each cell end other than theta, below theta first, the
+        first strict maximum winning and a zero delta naming theta; and each
+        cell's bound from scipy's noncentral chi-square, with the root at its
+        largest and both boundaries at their smallest over the cell."""
+        best, bound = (0.0, theta), 0.0
+        for side, edges in ((-1, np.linspace(theta_lo, theta, 65)),
+                            (1, np.linspace(theta, theta_hi, 65))):
+            for p, q in zip(edges[:-1].tolist(), edges[1:].tolist()):
+                end = p if side < 0 else q
+                d = delta_for_epsilon(epsilon, r_tilde, theta, end)
                 if d > best[0]:
-                    best = (d, theta, float(theta_prime))
-        scan_max = max(best[0], 0.0)
-        grid = np.linspace(spec.theta_domain[0], spec.theta_domain[1], spec.grid_points)
-        grid_max = 0.0
-        for i in range(len(grid)):
-            for j in range(i + 1, len(grid)):
-                d = delta_for_epsilon(epsilon, r_tilde, float(grid[i]), float(grid[j]))
-                grid_max = max(grid_max, d)
-                if d > best[0]:
-                    best = (d, float(grid[i]), float(grid[j]))
-        if best[0] <= 0.0:
-            best = (0.0, theta, theta)
-        return best + (scan_max, grid_max)
+                    best = (d, end)
+                far = theta - p if side < 0 else q - theta
+                if far > 0:
+                    a = q if side < 0 else theta
+                    bound = max(bound, ncx2_two_tails(epsilon / far - 0.5 * (q + theta),
+                                                      epsilon / far + 0.5 * (p + theta),
+                                                      r_tilde, a))
+        return best, bound
 
     @pytest.mark.parametrize("bound,domain,grid_points", [
-        (0.1, (0.2, 1.5), 17),       # theta outside the domain: the grid wins
-        (1.0, (0.98, 1.0), 3),       # domain about theta, wide probes: the scan wins
+        (0.1, (0.2, 1.5), 17),       # a narrow interval, theta outside the inert domain
+        (1.0, (0.98, 1.0), 3),       # a wide interval: delta > 0 on every epsilon
         (1e-6, (0.2, 0.21), 4),      # all ties at zero
     ])
     @pytest.mark.parametrize("epsilon", ORACLE_EPSILONS)
     def test_matches_scalar_loop_oracle(self, instance, bound, domain, grid_points,
                                         epsilon):
-        """The one-element call matches the oracle, and the epsilon-array
-        call's element for this epsilon equals it in every field."""
+        """The one-element call matches the oracle: delta and its argmax bit
+        for bit, delta_bound to scipy's accuracy. The epsilon-array call's
+        element for this epsilon equals the one-element call in every field."""
         model, attack = instance
         theta = math.sqrt(residual_law(model, None, attack.a).noncentrality)
         if domain[1] == 1.0:
             domain = (domain[0] * theta, domain[1] * theta)
         spec = NeighborhoodSpec(delta_h_bound=bound, scan_count=300,
                                 theta_domain=domain, grid_points=grid_points)
-        result = delta_max_over_neighborhood([epsilon], model, attack, 1, spec,
-                                             SeedStream(11))
-        expected = self.scalar_loop_oracle(epsilon, model, attack, 1, spec, 11)
-        assert (result.delta[0], result.argmax_theta[0], result.argmax_theta_prime[0],
-                result.scan_max[0], result.grid_max[0]) == expected
+        result = delta_max_over_neighborhood([epsilon], model, attack, 1, spec)
+        (delta, theta_prime), delta_bound = self.scalar_loop_oracle(
+            epsilon, 7.0, result.theta_lo, result.argmax_theta[0], result.theta_hi)
+        assert result.argmax_theta[0] == pytest.approx(theta, rel=1e-15)
+        assert (result.delta[0], result.argmax_theta_prime[0]) == (delta, theta_prime)
+        assert result.delta_bound[0] == pytest.approx(delta_bound, rel=0, abs=1e-12)
+        assert result.delta_bound[0] >= result.delta[0]
+        if bound == 1.0:
+            assert result.delta[0] > 0.0
 
         batch = delta_max_over_neighborhood(np.array(ORACLE_EPSILONS), model, attack, 1,
-                                            spec, SeedStream(11))
+                                            spec)
         k = ORACLE_EPSILONS.index(epsilon)
-        for name in ("delta", "argmax_theta", "argmax_theta_prime", "scan_max",
-                     "grid_max"):
+        for name in ("delta", "delta_bound", "argmax_theta", "argmax_theta_prime"):
             column = getattr(batch, name)
             assert column.shape == (len(ORACLE_EPSILONS),)
             assert column[k] == getattr(result, name)[0], name
-        assert batch.skipped == result.skipped
-        assert len(batch.argmax_perturbation) == len(ORACLE_EPSILONS)
-        pert, scalar_pert = batch.argmax_perturbation[k], result.argmax_perturbation[0]
-        assert (pert is None) == (scalar_pert is None)
-        if pert is not None:
-            assert pert.row_index == scalar_pert.row_index
-            assert np.array_equal(pert.delta_h, scalar_pert.delta_h)
+        assert (batch.theta_lo, batch.theta_hi, batch.skipped) == \
+            (result.theta_lo, result.theta_hi, result.skipped) == \
+            (result.theta_lo, result.theta_hi, 0)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**32 - 1))
@@ -622,82 +642,97 @@ class TestDeltaScan:
         attack = AttackVector.sparse(8, [1, 6], [2.0, -1.5])
         spec = NeighborhoodSpec(delta_h_bound=0.5, scan_count=200,
                                 theta_domain=(0.2, 1.5), grid_points=9)
-        deltas = [delta_max_over_neighborhood([eps], model, attack, 1, spec,
-                                              SeedStream(seed)).delta[0]
+        deltas = [delta_max_over_neighborhood([eps], model, attack, 1, spec).delta[0]
                   for eps in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
         assert all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))
 
     def test_max_dominates_argmax_pair(self, instance):
+        """delta is the formula at its argmax pair, within the interval, and
+        no larger than delta_bound."""
         model, attack = instance
-        spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=300,
+        spec = NeighborhoodSpec(delta_h_bound=0.5, scan_count=300,
                                 theta_domain=(0.5, 1.5), grid_points=9)
-        result = delta_max_over_neighborhood([5.0], model, attack, 1, spec, SeedStream(2))
+        result = delta_max_over_neighborhood([5.0], model, attack, 1, spec)
         recomputed = delta_for_epsilon(5.0, 7.0, result.argmax_theta[0],
                                        result.argmax_theta_prime[0])
+        assert result.delta[0] > 0.0
         assert result.delta[0] == pytest.approx(recomputed, rel=1e-12)
-        assert result.delta[0] >= result.scan_max[0] - 1e-15
-        assert result.delta[0] >= result.grid_max[0] - 1e-15
-
-    def test_scan_stability_across_seeds(self, instance):
-        """Two independent 10^4-perturbation scans agree within 5 percent."""
-        model, attack = instance
-        spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=10**4,
-                                theta_domain=(0.5, 0.51), grid_points=2)
-        r1 = delta_max_over_neighborhood([8.0], model, attack, 1, spec, SeedStream(100))
-        r2 = delta_max_over_neighborhood([8.0], model, attack, 1, spec, SeedStream(200))
-        assert r1.scan_max[0] == pytest.approx(r2.scan_max[0], rel=0.05)
+        assert result.theta_lo <= result.argmax_theta_prime[0] <= result.theta_hi
+        assert result.delta_bound[0] >= result.delta[0]
 
     def test_requires_unregularized_model(self, rng):
         model = random_model(rng, 6, 3, lam=0.2)
         spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=10, theta_domain=(0.0, 1.0))
         with pytest.raises(ValueError):
-            delta_max_over_neighborhood([1.0], model, None, 1, spec, SeedStream(0))
+            delta_max_over_neighborhood([1.0], model, None, 1, spec)
 
     @pytest.mark.parametrize("epsilon", [2.0, np.ones((2, 2))], ids=["0-d", "2-d"])
     def test_requires_epsilon_array(self, instance, epsilon):
         model, attack = instance
         spec = NeighborhoodSpec(delta_h_bound=0.1, scan_count=10, theta_domain=(0.0, 1.0))
         with pytest.raises(ValueError, match="epsilon must be a 1-D array"):
-            delta_max_over_neighborhood(epsilon, model, attack, 1, spec, SeedStream(0))
+            delta_max_over_neighborhood(epsilon, model, attack, 1, spec)
 
-    def test_overflowing_gram_raises(self, instance):
-        """A bound of 1e150 has a finite square, but the capacitance's det K
-        overflows: the scan raises NumericError, with no RuntimeWarning,
-        instead of skipping every probe as singular."""
+    def test_overflowing_gram_raises(self, instance, rng):
+        """A bound of 1e150 has a finite square, and on a model whose singular
+        values are about 1e-10 each neighbour's beta = ||dh V / s||^2
+        overflows: neighbor_roots raises NumericError, with no RuntimeWarning,
+        instead of flagging every neighbour singular. The delta path itself
+        forms no Gram."""
         model, attack = instance
-        spec = NeighborhoodSpec(delta_h_bound=1e150, scan_count=50,
-                                theta_domain=(0.2, 1.5), grid_points=5)
+        tiny = MeasurementModel(H=1e-10 * model.H, sigma=1.0)
+        rows = rng.integers(10, size=50)
+        deltas = rng.normal(size=(50, 4))
+        deltas *= (1e150 / np.linalg.norm(deltas, axis=1))[:, None]
         with pytest.raises(NumericError, match="50 of 50 neighbour Grams overflow"):
-            delta_max_over_neighborhood([2.0], model, attack, 1, spec, SeedStream(0))
+            neighbor_roots(tiny, attack.a, rows, deltas)
 
-    def test_singular_probe_skipped_and_never_argmax(self, caplog):
-        """H = [[1], [0]] with |dh| = 1: row 0 shifted by -1 zeroes H'.
-
-        Those probes are exactly the ones drawn as row 0 with a negative
-        direction; each is skipped and counted, the winner is a probe with
-        a nonsingular neighbour, and the scan logs one skip warning, after
-        the warning that theta = 2 lies outside the grid's domain.
-        """
+    def test_singular_neighbour_lies_in_the_interval(self):
+        """H = [[1], [0]] with a = [3, 2] and bound 1: theta = 2 and x_hat = 3.
+        Shifting row 0 by -1 zeroes H', whose root is ||a|| = sqrt(13);
+        shifting row 1 by 2/3 puts a in col(H'), root 0. The upper
+        end is row 1's weak-duality bound at x_hat, (2 + 1 * 3) = 5. The
+        singular neighbour is inside the interval, nothing is skipped, and
+        delta_bound is at least that neighbour's own delta."""
         model = MeasurementModel(H=np.array([[1.0], [0.0]]), sigma=1.0)
         attack = AttackVector(np.array([3.0, 2.0]))
         spec = NeighborhoodSpec(delta_h_bound=1.0, scan_count=64,
                                 theta_domain=(0.0, 1e-3), grid_points=2)
-        replay = SeedStream(5).generator
-        rows = replay.integers(2, size=spec.scan_count)
-        directions = replay.standard_normal((spec.scan_count, 1))[:, 0]
-        singular = int(np.count_nonzero((rows == 0) & (directions < 0)))
-        assert singular > 0
-        with caplog.at_level("WARNING", logger="dpresidual.dp_mechanism"):
-            result = delta_max_over_neighborhood([2.0], model, attack, 1, spec,
-                                                 SeedStream(5))
-        assert result.skipped == singular
-        assert [r.name for r in caplog.records] == ["dpresidual.dp_mechanism"] * 2
-        domain, skip = (r.getMessage() for r in caplog.records)
-        assert "theta=2 lies outside theta_domain [0, 0.001]" in domain
-        assert skip.startswith(f"skipped {singular} of {spec.scan_count} ")
-        pert, = result.argmax_perturbation
-        assert pert is not None
-        assert not (pert.row_index == 0 and pert.delta_h[0] < 0)
+        result = delta_max_over_neighborhood([2.0], model, attack, 1, spec)
+        assert result.skipped == 0
+        assert result.theta_hi == pytest.approx(5.0, rel=1e-15)
+        assert result.theta_lo == 0.0
+        singular = delta_for_epsilon(2.0, 2.0, 2.0, math.sqrt(13.0))
+        assert 0.0 < singular <= result.delta_bound[0]
+        assert 0.0 < result.delta[0] <= result.delta_bound[0]
+        assert result.theta_lo <= result.argmax_theta_prime[0] <= result.theta_hi
+
+    def test_can_fall_with_the_gap_below_theta(self):
+        """At r~ = 1, epsilon = 16 and theta = 5, delta peaks at theta' = 1.72
+        inside [0, 5], not at an end: the dense maximum is 0.580625 against
+        0.48393 at theta' = 0. The cell ends reach it to 1e-5, and the cell
+        bound covers it."""
+        delta, theta_prime, bound = _delta_over_interval(np.array([16.0]), 1.0, 0.0, 5.0, 5.0)
+        dense = delta_for_epsilon(16.0, 1.0, 5.0, np.linspace(0.0, 5.0, 4001))
+        assert round(float(dense.max()), 6) == 0.580625
+        assert delta[0] >= 0.5806 and bound[0] >= dense.max()
+        assert 0.0 < theta_prime[0] < 5.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.01, 30.0), st.floats(0.0, 1.0), st.floats(0.0, 10.0),
+           st.integers(1, 300), st.floats(0.05, 40.0))
+    def test_cell_bound_covers_the_interval(self, theta, below, above, r_tilde, epsilon):
+        """delta_bound is at least the formula at 4,001 dense theta' on each
+        side of theta, up to the rounding of a sum of two tails near 1, and
+        delta is the formula at a cell end, so no more than delta_bound."""
+        theta_lo, theta_hi = theta * (1.0 - below), theta + above
+        delta, theta_prime, bound = _delta_over_interval(
+            np.array([epsilon]), float(r_tilde), theta_lo, theta, theta_hi)
+        for side in (np.linspace(theta_lo, theta, 4001), np.linspace(theta, theta_hi, 4001)):
+            dense = delta_for_epsilon(epsilon, float(r_tilde), theta, side)
+            assert dense.max() <= bound[0] + 1e-14
+        assert delta[0] <= bound[0] <= 1.0
+        assert theta_lo <= theta_prime[0] <= theta_hi
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -773,6 +808,175 @@ class TestNeighborRoots:
         model = random_model(rng, 6, 3)
         with pytest.raises(ValueError):
             neighbor_roots(model, None, rows, np.ones(shape))
+
+    @pytest.mark.parametrize("bound", [1e-2, 1.0, 1e2, 1e4])
+    def test_agrees_with_qr_up_to_1e4(self, bound):
+        """On the demo model (singular values 2.9 to 6.6) the roots agree with
+        a Householder QR of each H' to 1e-10 relative for shifts up to 1e4;
+        the docstring records where that accuracy ends."""
+        model, attack = demo_instance()
+        rng = np.random.default_rng(31)
+        rows, deltas = self.probes(rng, model, 200, bound)
+        np.testing.assert_allclose(neighbor_roots(model, attack.a, rows, deltas),
+                                   qr_roots(model, attack.a, rows, deltas),
+                                   rtol=1e-10, atol=0)
+
+    def test_large_bound_flags_no_false_singularity(self):
+        """det K = (1 + gamma)^2 + beta (1 - lev) has no cancellation: at a
+        bound of 1e20 no demo probe is flagged singular (k11 k22 - k12 k21
+        flagged 999 of 1000)."""
+        model, attack = demo_instance()
+        rows, deltas = self.probes(np.random.default_rng(5), model, 1000, 1e20)
+        assert not np.isnan(neighbor_roots(model, attack.a, rows, deltas)).any()
+
+    def test_exact_singularity_still_flagged(self):
+        """H = [[1], [0]] with row 0 shifted by -1 is H' = 0: still singular."""
+        model = MeasurementModel(H=np.array([[1.0], [0.0]]), sigma=1.0)
+        roots = neighbor_roots(model, np.array([3.0, 2.0]), [0, 0, 1],
+                               np.array([[-1.0], [1.0], [-1.0]]))
+        assert np.isnan(roots[0]) and not np.isnan(roots[1:]).any()
+        with pytest.raises(SingularUpdateError, match="numerically singular"):
+            neighbor_projection_update(model, NeighborPerturbation(0, np.array([-1.0])))
+
+
+def demo_instance():
+    """The demo config's model and attack at seed 3."""
+    config = load_config(DEMO)
+    model = build_model(config.model, derive_streams(3)[STREAM_MATRIX])
+    return model, build_attack(config.attack, model)
+
+
+def qr_roots(model, a, rows, deltas):
+    """||P' a|| / sigma for each neighbour from a Householder QR of its H'."""
+    H_prime = np.repeat(model.H[None], len(rows), axis=0)
+    H_prime[np.arange(len(rows)), rows] += deltas
+    q, _ = np.linalg.qr(H_prime)
+    residual = a - np.einsum("kij,kj->ki", q, np.einsum("kij,i->kj", q, a))
+    return np.linalg.norm(residual, axis=1) / model.sigma
+
+
+def row_dual_maximum(model, a, bound):
+    """Each row's S-lemma dual, maximized by scipy's bounded scalar search
+    over the multiplier t = mu B^2 in [0, s_min^2), then the smallest row.
+    Written out per row from the model's SVD, independently of the package."""
+    u, s, _ = np.linalg.svd(model.H, full_matrices=False)
+    c = u.T @ a
+    pa = a - u @ c
+    top = s[-1] ** 2
+
+    def dual(t, i):
+        k = t / (s * s - t)
+        curv = 1.0 - u[i] @ u[i] + t / bound**2 - np.sum(k * u[i] ** 2)
+        if not curv > 0:
+            return -1e300
+        b = pa[i] - np.sum(k * u[i] * c)
+        return pa @ pa - np.sum(k * c * c) - b * b / curv
+
+    best = []
+    for i in range(model.m):
+        found = optimize.minimize_scalar(lambda t: -dual(t, i), bounds=(0.0, top * (1 - 1e-12)),
+                                         method="bounded",
+                                         options={"xatol": 1e-14 * top, "maxiter": 2000})
+        best.append(max(dual(0.0, i), -found.fun))
+    return math.sqrt(max(min(best), 0.0)) / model.sigma
+
+
+class TestNeighborRootInterval:
+    """Every neighbour's root lies in [theta_lo, theta_hi] (weak duality and the S-lemma)."""
+
+    @staticmethod
+    def instance(seed):
+        """A random model with m <= 30, attack and bound B in [1e-3, 3 s_min]."""
+        gen = np.random.default_rng(seed)
+        m = int(gen.integers(2, 31))
+        n = int(gen.integers(1, m + 1))
+        model = MeasurementModel(H=gen.normal(size=(m, n)) * gen.choice([0.01, 1.0, 10.0]),
+                                 sigma=float(gen.choice([0.5, 1.0, 2.0])))
+        a = gen.normal(size=m) * gen.choice([0.1, 1.0, 10.0])
+        s_min = model.factor.s[-1]
+        assume(3.0 * s_min > 1e-3)
+        bound = float(np.exp(gen.uniform(math.log(1e-3), math.log(3.0 * s_min))))
+        return gen, model, a, bound
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_contains_every_probe_root(self, seed):
+        """theta_lo <= every root <= theta_hi to 1e-9 relative, over 200 random
+        probes and the 2m first-order candidates (each row shifted by
+        +-B x_hat / ||x_hat||), each root from a QR of its H'."""
+        gen, model, a, bound = self.instance(seed)
+        theta_lo, theta, theta_hi = neighbor_root_interval(model, a, bound)
+        rows = gen.integers(model.m, size=200)
+        deltas = gen.normal(size=(200, model.n))
+        deltas *= (bound / np.linalg.norm(deltas, axis=1))[:, None]
+        x_hat = np.linalg.lstsq(model.H, a, rcond=None)[0]
+        step = bound * x_hat / np.linalg.norm(x_hat)
+        rows = np.concatenate([rows, np.repeat(np.arange(model.m), 2)])
+        deltas = np.concatenate([deltas, np.tile([step, -step], (model.m, 1))])
+        roots = qr_roots(model, a, rows, deltas)
+        assert theta_lo * (1 - 1e-9) <= roots.min()
+        assert roots.max() <= theta_hi * (1 + 1e-9)
+        assert theta_lo <= theta <= theta_hi
+        unshifted, = qr_roots(model, a, [0], [np.zeros(model.n)])
+        assert theta == pytest.approx(unshifted, rel=1e-12,
+                                      abs=1e-12 * np.linalg.norm(a) / model.sigma)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_lower_end_is_the_dual_maximum(self, seed):
+        """theta_lo is within 1e-6 relative below the per-row scipy maximum of
+        the same dual and never more than 1e-12 above it. The dual is a
+        difference of terms of size theta^2 and rounds at about 1e-15
+        theta^2, so roots below about 1e-7 theta are compared to that floor."""
+        _, model, a, bound = self.instance(seed)
+        assume(model.m > model.n)
+        theta_lo, theta, _ = neighbor_root_interval(model, a, bound)
+        reference = row_dual_maximum(model, a, bound)
+        floor = 1e-7 * theta
+        assert theta_lo >= reference * (1 - 1e-6) - floor
+        assert theta_lo <= reference * (1 + 1e-12) + floor
+
+    def test_demo_interval(self):
+        """The demo at seed 3, B = 0.1: theta_lo is the S-lemma optimum of
+        row 11, and theta_hi is loose by 1.1e-4 against that row's exact
+        upper optimum, 1.71125968."""
+        model, attack = demo_instance()
+        theta_lo, theta, theta_hi = neighbor_root_interval(model, attack, 0.1)
+        assert 1.6643892 <= theta_lo <= 1.6643909
+        assert theta == pytest.approx(1.687643613947003, rel=1e-15)
+        assert 1.71125968 <= theta_hi <= 1.7114
+
+    def test_tiny_bound_collapses_without_warning(self):
+        """At B = 1e-154 the multiplier's mu = t / B^2 overflows; that only
+        zeroes its term (RuntimeWarning is an error here)."""
+        model, attack = demo_instance()
+        theta_lo, theta, theta_hi = neighbor_root_interval(model, attack, 1e-154)
+        assert theta_lo <= theta <= theta_hi
+        assert theta_lo == pytest.approx(theta, rel=1e-7)
+        assert theta_hi == pytest.approx(theta, rel=1e-15)
+
+    @pytest.mark.parametrize("power", [-266, 266, 498])
+    def test_scale_free(self, power):
+        """Scaling H and B by 2^power leaves every root unchanged, and the
+        interval follows to 1e-12 with no RuntimeWarning, where s^2 / (s^2 -
+        t)^2 at H's own scale would overflow or underflow."""
+        model, attack = demo_instance()
+        scaled = MeasurementModel(H=2.0**power * model.H, sigma=model.sigma)
+        np.testing.assert_allclose(neighbor_root_interval(scaled, attack, 0.1 * 2.0**power),
+                                   neighbor_root_interval(model, attack, 0.1), rtol=1e-12)
+
+    def test_overflowing_end_raises(self):
+        """B ||x_hat|| past 1.3e154 while B^2 is finite: theta_hi is not a
+        double, and NumericError names the interval."""
+        model, _ = demo_instance()
+        attack = AttackVector.sparse(model.m, [3, 11], [2.0e4, -1.5e4])
+        with pytest.raises(NumericError, match="neighbour root interval"):
+            neighbor_root_interval(model, attack, 1e154)
+
+    def test_requires_unregularized_model(self, rng):
+        model = random_model(rng, 6, 3, lam=0.2)
+        with pytest.raises(ValueError, match="lambda = 0"):
+            neighbor_root_interval(model, None, 0.1)
 
 
 # ---------------------------------------------------------------------------
