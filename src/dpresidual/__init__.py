@@ -11,6 +11,8 @@ from .detection import (
     McValidation,
     RocCurve,
     TestSpec,
+    auroc,
+    auroc_family,
     monte_carlo_validate,
     pfa_pd,
     pfa_pd_family,

@@ -39,8 +39,8 @@ from .csvio import read_csv, write_csv
 from .detection import (
     DEFAULT_ALPHA_GRID,
     MIN_TRIALS,
-    RocCurve,
     TestSpec,
+    auroc,
     monte_carlo_validate,
     pfa_pd,
 )
@@ -309,8 +309,8 @@ def cmd_roc(config: ExperimentConfig, out: Path, seed: int, args) -> int:
     law0, law1, params, label, _ = _laws_for_roc(config, model, x_true, attack)
     alphas = np.array(config.test.alpha_grid) if config.test.alpha_grid is not None \
         else DEFAULT_ALPHA_GRID
-    pfa, pd = pfa_pd(TestSpec(alpha=alphas, law0=law0, law1=law1, dp=params))
-    curve = RocCurve.from_points(np.column_stack((pfa, pd)))
+    spec = TestSpec(alpha=alphas, law0=law0, law1=law1, dp=params)
+    pfa, pd = pfa_pd(spec)
     params_str = "" if params is None else ";".join(
         f"{k}={v}" for k, v in vars(params).items()
         if k != "mechanism" and v is not None
@@ -320,7 +320,7 @@ def cmd_roc(config: ExperimentConfig, out: Path, seed: int, args) -> int:
     write_csv(out / "roc.csv", ROC_SCHEMA, ["alpha", "pfa", "pd", "mechanism", "params"],
               rows, meta=_meta(config, seed))
     write_csv(out / "auroc.csv", AUROC_SCHEMA, ["mechanism", "params", "auroc"],
-              [[label, params_str, curve.auroc]], meta=_meta(config, seed))
+              [[label, params_str, auroc(spec)]], meta=_meta(config, seed))
     return 0
 
 

@@ -1,10 +1,10 @@
 """Hypothesis-test analytics for clean and privatized residuals.
 
 Thresholds, false-alarm and detection probabilities in both regimes, ROC
-curves with trapezoid AUROC, and a Monte Carlo harness that pushes
-simulated measurements through the full pipeline (residual, optional
-noisy release, threshold test) and checks the empirical rates against
-the analytic formulas.
+curves, the exact AUROC of the two released laws, and a Monte Carlo
+harness that pushes simulated measurements through the full pipeline
+(residual, optional noisy release, threshold test) and checks the
+empirical rates against the analytic formulas.
 
 The privatized test keeps the threshold calibrated on the clean null law
 by default: the analyst fixes alpha before noise is added, and the noise
@@ -26,6 +26,7 @@ from .exceptions import NoResidualError, ValidationFailure
 from .dp_mechanism import PrivacyParams, release_noise, released_law
 from .measurement_model import MeasurementModel, _attack_dense, simulate_measurements
 from .special_functions import (
+    chisq_exceedance,
     gaussian_q,
     gaussian_q_inverse,
     marcum_q,
@@ -80,7 +81,11 @@ class TestSpec:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Ordered (pfa, pd) samples with the trapezoid area under them."""
+    """Ordered (pfa, pd) samples and the area under the curve.
+
+    ``roc`` gives the exact area of its laws; ``from_points`` the
+    trapezoid through the points a caller supplies.
+    """
 
     points: tuple[tuple[float, float], ...]
     auroc: float
@@ -91,7 +96,8 @@ class RocCurve:
 
         ``points`` is an (N, 2) array or an iterable of pairs. Points are
         sorted by pfa, then pd; of a run sharing one pfa only the last
-        (highest pd) is kept.
+        (highest pd) is kept. The area is the trapezoid through them,
+        which runs low on a concave curve: every chord lies below it.
         """
         pts = np.asarray(points if isinstance(points, np.ndarray) else list(points),
                          dtype=float).reshape(-1, 2)
@@ -128,6 +134,14 @@ def threshold(spec: TestSpec):
     return law0.mean + math.sqrt(law0.variance) * gaussian_q_inverse(spec.alpha)
 
 
+def _released_family(spec: TestSpec, alternatives) -> list[ResidualLaw]:
+    """The released null law, then each released alternative law."""
+    if not all(_same_family(spec.law0, law) for law in alternatives):
+        raise ValueError("alternatives must share the regime and, in the "
+                         "chi-square regime, the degrees of freedom of law0")
+    return [released_law(law, spec.dp) for law in (spec.law0, *alternatives)]
+
+
 def pfa_pd_family(spec: TestSpec, alternatives):
     """False-alarm rate and detection probability under each alternative law.
 
@@ -143,11 +157,8 @@ def pfa_pd_family(spec: TestSpec, alternatives):
     alpha.shape``, whose row i equals
     ``pfa_pd(replace(spec, law1=alternatives[i]))[1]`` bit for bit.
     """
-    if not all(_same_family(spec.law0, law) for law in alternatives):
-        raise ValueError("alternatives must share the regime and, in the "
-                         "chi-square regime, the degrees of freedom of law0")
+    laws = _released_family(spec, alternatives)
     tau = threshold(spec)
-    laws = [released_law(law, spec.dp) for law in (spec.law0, *alternatives)]
     column = (-1,) + (1,) * np.ndim(tau)
     if spec.law0.regime is Regime.CHI_SQUARE:
         nc = np.array([law.noncentrality for law in laws])
@@ -158,6 +169,32 @@ def pfa_pd_family(spec: TestSpec, alternatives):
         p = gaussian_q((tau - mean) / std)
     pfa = float(p[0]) if p[0].ndim == 0 else p[0]
     return pfa, p[1:]
+
+
+def auroc_family(spec: TestSpec, alternatives) -> np.ndarray:
+    """Exact area under the ROC of the null law against each alternative law.
+
+    The area under a ROC is Pr[X1 > X0] for independent draws of the two
+    released laws (Hanley & McNeil, Radiology 1982), so it needs no
+    threshold and no alpha grid: ``spec.alpha`` and
+    ``recalibrate_threshold`` move the operating points along the curve,
+    not the curve. The alternatives stand in for ``spec.law1`` as in
+    ``pfa_pd_family``. Chi-square regime: ``chisq_exceedance``, a Poisson
+    series in which each law sums only its own window, within 2e-12 of the
+    exact value (1e-12 for a central null). Gaussian regime:
+    Phi((mu1 - mu0) / sqrt(v0 + v1)) by ``gaussian_q``. Returns shape
+    ``(len(alternatives),)``; entry i equals
+    ``auroc(replace(spec, law1=alternatives[i]))`` bit for bit.
+    """
+    law0, *laws = _released_family(spec, alternatives)
+    if law0.regime is Regime.CHI_SQUARE:
+        if spec.law0.dof <= 0:
+            raise NoResidualError("null law has zero degrees of freedom")
+        return chisq_exceedance(law0.dof, law0.noncentrality,
+                                [law.noncentrality for law in laws])
+    mean = np.array([law.mean for law in laws])
+    var = np.array([law.variance for law in laws])
+    return gaussian_q((law0.mean - mean) / np.sqrt(law0.variance + var))
 
 
 def pfa_pd(spec: TestSpec):
@@ -172,14 +209,23 @@ def pfa_pd(spec: TestSpec):
     return pfa, (float(pd[0]) if pd[0].ndim == 0 else pd[0])
 
 
+def auroc(spec: TestSpec) -> float:
+    """Exact area under the ROC of ``spec.law0`` against ``spec.law1``.
+
+    ``auroc_family`` of the one alternative ``law1``; it does not depend
+    on ``spec.alpha``.
+    """
+    return float(auroc_family(spec, (spec.law1,))[0])
+
+
 def roc(spec: TestSpec) -> RocCurve:
     """Analytic ROC over ``DEFAULT_ALPHA_GRID``, 512 log-spaced points.
 
-    The area is computed by the trapezoid rule with (0,0) and (1,1)
-    appended; the log spacing resolves the steep low-alpha region.
+    The log spacing resolves the steep low-alpha region. The curve's area
+    is ``auroc(spec)``, exact, not the trapezoid through the points.
     """
     pfa, pd = pfa_pd(replace(spec, alpha=DEFAULT_ALPHA_GRID))
-    return RocCurve.from_points(np.column_stack((pfa, pd)))
+    return replace(RocCurve.from_points(np.column_stack((pfa, pd))), auroc=auroc(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ import numpy as np
 from .config import ExperimentConfig, FiguresConfig, McConfig
 from .detection import (
     DEFAULT_ALPHA_GRID,
-    RocCurve,
     TestSpec,
+    auroc,
+    auroc_family,
     pfa_pd,
     pfa_pd_family,
-    roc,
     sample_law,
     threshold,
 )
@@ -48,7 +48,9 @@ def attack_strength_roc(config: ExperimentConfig | None = None):
     """ROC degradation as the mean gap between hypotheses shrinks.
 
     Gaussian-regime laws N(10, 1) vs N(10 + gap, 4) over a gap sweep, all
-    gaps in one ``pfa_pd_family`` call. Returns (roc_table, auroc_table).
+    gaps in one ``pfa_pd_family`` call for the curves and one
+    ``auroc_family`` call for their exact areas. Returns (roc_table,
+    auroc_table).
     """
     fig = _figures_cfg(config)
     gaps = fig.delta_theta_values or DEFAULT_DELTA_THETA
@@ -56,12 +58,13 @@ def attack_strength_roc(config: ExperimentConfig | None = None):
     law0 = ResidualLaw.gaussian(THETA_Z0, SIGMA_Z0**2)
     alternatives = [ResidualLaw.gaussian(THETA_Z0 + gap, SIGMA_Z1_ATTACK_SWEEP**2)
                     for gap in gaps]
-    pfa, pds = pfa_pd_family(TestSpec(alpha=grid, law0=law0, law1=alternatives[0]),
-                             alternatives)
-    roc_rows, auroc_rows = [], []
+    spec = TestSpec(alpha=grid, law0=law0, law1=alternatives[0])
+    pfa, pds = pfa_pd_family(spec, alternatives)
+    roc_rows = []
     for gap, pd in zip(gaps, pds):
         roc_rows.extend([gap, a, p, d] for a, p, d in zip(grid, pfa, pd))
-        auroc_rows.append([gap, RocCurve.from_points(np.column_stack((pfa, pd))).auroc])
+    auroc_rows = [[gap, area]
+                  for gap, area in zip(gaps, auroc_family(spec, alternatives).tolist())]
     return (
         (["delta_theta", "alpha", "pfa", "pd"], roc_rows),
         (["delta_theta", "auroc"], auroc_rows),
@@ -75,9 +78,9 @@ def input_perturbation_auroc(config: ExperimentConfig | None = None):
     per-element budget eps/m inflates the effective noise variance by
     (1 + k), shrinking the residual noncentrality to nc / (1 + k); the
     chi-square analytics then give the AUROC exactly. Every curve shares
-    the central null law and the alpha grid, so one ``pfa_pd_family``
-    call evaluates them all. Reports both the per-element budget and the
-    noise-ratio k columns.
+    the central null law, so one ``auroc_family`` call gives every area;
+    no curve point is evaluated. Reports both the per-element budget and
+    the noise-ratio k columns.
     """
     fig = _figures_cfg(config)
     if config is not None and config.model is not None:
@@ -100,11 +103,9 @@ def input_perturbation_auroc(config: ExperimentConfig | None = None):
             _, k = input_perturbation_noise(m, 1.0, eps, INPUT_DELTA)
             rows.append([nc, eps, eps / m, k])
             alternatives.append(ResidualLaw.chi_square(dof, nc / (1.0 + k)))
-    spec = TestSpec(alpha=DEFAULT_ALPHA_GRID, law0=ResidualLaw.chi_square(dof, 0.0),
-                    law1=alternatives[0])
-    pfa, pds = pfa_pd_family(spec, alternatives)
-    for row, pd in zip(rows, pds):
-        row.append(RocCurve.from_points(np.column_stack((pfa, pd))).auroc)
+    spec = TestSpec(alpha=0.05, law0=ResidualLaw.chi_square(dof, 0.0), law1=alternatives[0])
+    for row, area in zip(rows, auroc_family(spec, alternatives).tolist()):
+        row.append(area)
     return ["delta_theta", "epsilon", "epsilon_per_element", "k_factor", "auroc"], rows
 
 
@@ -130,10 +131,10 @@ def output_noise_auroc(config: ExperimentConfig | None = None):
     """AUROC of the test as the release-noise scale grows.
 
     The noise differs per curve, and with it the laws' shared variance
-    inflation, so each curve is its own ``roc`` call rather than a row of
+    inflation, so each area is its own ``auroc`` call rather than a row of
     one family call.
     """
-    return ["nu_sigma", "auroc"], [[nu_sigma, roc(spec).auroc]
+    return ["nu_sigma", "auroc"], [[nu_sigma, auroc(spec)]
                                    for nu_sigma, spec in _noise_sweep(config)]
 
 

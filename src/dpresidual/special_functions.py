@@ -2,9 +2,10 @@
 
 Provides the inverse regularized gamma tail, the (generalized,
 real-order) Marcum Q-function, noncentral chi-square CDF and sampling,
-Gaussian tail functions, and modified Bessel functions of the first kind. These are the
-numerical bedrock for the residual laws, the privacy guarantee, and the
-detection analytics built on top.
+the exceedance probability Pr[X1 > X0] of two noncentral chi-square
+laws (an AUROC), Gaussian tail functions, and modified Bessel functions
+of the first kind. These are the numerical bedrock for the residual
+laws, the privacy guarantee, and the detection analytics built on top.
 
 The Marcum Q-function is evaluated by the Poisson-weighted series of
 regularized upper-gamma tails (Gil, Segura & Temme, "Computation of the
@@ -288,6 +289,74 @@ def marcum_q(order: float, a, b):
     # carries full mass by definition.
     out = np.where(x == 0.0, 1.0, np.minimum(total, 1.0))
     return float(out) if out.ndim == 0 else out
+
+
+def _poisson_terms(mu):
+    """Every Poisson term of each mean's window, as flat arrays (row, k, w).
+
+    Term k of mean ``mu[row]`` has weight w = w_k(mu[row]), for k_lo <= k <=
+    k_hi from ``_poisson_window(mu, ABS_TOL / 2)``, so each mean leaves out
+    at most ABS_TOL of its mass. As in ``_poisson_series``, each window is
+    walked in 32-blocks from the seed below k_lo: the weight at a multiple
+    of _RESTART is ``_poisson_term(k, mu)``, one call per distinct seed
+    over the means whose windows hold it, and w_k = w_(k-1) mu / k along the
+    block, one cumulative product. Means far apart cost the sum of their
+    windows, never the span between them. ``mu`` is 1-D, each below 2^53;
+    more than MAX_TERMS terms raise ConvergenceError.
+    """
+    if not (mu < 2.0**53).all():
+        raise ConvergenceError(f"Poisson mean {mu.max()} reaches 2^53")
+    k_lo, k_hi = _poisson_window(mu, 0.5 * ABS_TOL)
+    first = k_lo - k_lo % _RESTART
+    blocks = ((k_hi - first) // _RESTART + 1.0).astype(np.int64)
+    if blocks.sum() * _RESTART > MAX_TERMS:
+        raise ConvergenceError(f"Poisson windows cover more than MAX_TERMS={MAX_TERMS} "
+                               f"terms (means up to {mu.max()})")
+    row = np.repeat(np.arange(mu.size), blocks)
+    seed = np.repeat(first - _RESTART * (np.cumsum(blocks) - blocks), blocks) \
+        + _RESTART * np.arange(row.size)
+    k = seed[:, None] + np.arange(_RESTART, dtype=float)
+    w = np.empty(k.shape)
+    w[:, 1:] = mu[row, None] / k[:, 1:]
+    for s in np.unique(seed):
+        at = seed == s
+        w[at, 0] = _poisson_term(s, mu[row[at]])
+    w = np.cumprod(w, axis=1)
+    keep = (k >= k_lo[row, None]) & (k <= k_hi[row, None])
+    return np.broadcast_to(row[:, None], k.shape)[keep], k[keep], w[keep]
+
+
+def chisq_exceedance(dof: float, noncentrality0: float, noncentralities):
+    """Pr[X1 > X0] for independent X0 ~ chi2_dof(nc0) and X1 ~ chi2_dof(nc1).
+
+    One value per entry nc1 of the 1-D ``noncentralities``. Each law is the
+    Poisson(nc / 2) mixture of central chi2_(dof + 2K) laws, and for
+    independent A ~ chi2_(dof + 2k) and B ~ chi2_(dof + 2j) the ratio
+    B / (A + B) is Beta(dof/2 + j, dof/2 + k), so
+
+        Pr[X1 > X0] = sum_j sum_k w_j(nc0 / 2) w_k(nc1 / 2) I_(1/2)(dof/2 + j, dof/2 + k)
+
+    with I the regularized incomplete beta, from ``scipy.special.betainc``
+    over every (j, k) pair: one call for a central X0, whose window is the
+    one term j = 0, else one call per block of at most MAX_TERMS pairs.
+    Each law sums only the terms of its own window (``_poisson_terms``), so
+    each value is within ABS_TOL of the full series for a central X0 and
+    within 2 ABS_TOL otherwise. Each value depends only on its own law, so
+    it equals the call with that one entry bit for bit.
+    """
+    from scipy import special as sp
+
+    if not dof > 0:
+        raise ValueError(f"dof must be > 0, got {dof}")
+    mu1 = 0.5 * np.asarray(noncentralities, dtype=float)
+    rows, k, w = _poisson_terms(mu1)
+    _, j, v = _poisson_terms(np.array([0.5 * noncentrality0]))
+    tail = np.empty(k.size)
+    step = max(1, MAX_TERMS // j.size)
+    for at in range(0, k.size, step):
+        pairs = sp.betainc(0.5 * dof + j[:, None], 0.5 * dof + k[at:at + step], 0.5)
+        tail[at:at + step] = (v[:, None] * pairs).sum(axis=0)
+    return np.minimum(np.bincount(rows, weights=w * tail, minlength=mu1.size), 1.0)
 
 
 def noncentral_chisq_cdf(x, dof: float, noncentrality: float):

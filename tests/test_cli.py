@@ -13,17 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from scipy import stats
 
 from dpresidual import (
     Regime,
     ResidualLaw,
-    RocCurve,
     TestSpec,
+    auroc,
     delta_max_over_neighborhood,
     gaussian_mechanism_sigma,
     pfa_pd,
     released_law,
-    roc,
     wssr,
 )
 import dpresidual
@@ -37,6 +37,7 @@ from dpresidual.config import (
     load_config,
 )
 from dpresidual.csvio import read_csv
+from conftest import exact_auroc
 
 
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
@@ -411,11 +412,15 @@ class TestRocAndValidate:
         meta, columns, auroc_rows = read_csv(out / "auroc.csv")
         assert meta["schema"] == "dpresidual-auroc/1"
         assert columns == ["mechanism", "params", "auroc"]
-        (*row_labels, auroc), = auroc_rows
+        (*row_labels, area), = auroc_rows
         assert tuple(row_labels) == labels
-        points = np.array([[float(r[1]), float(r[2])] for r in rows])
-        assert float(auroc) == RocCurve.from_points(points).auroc
-        assert 0.0 <= float(auroc) <= 1.0
+        # The exact area of the released laws, not a trapezoid over the rows.
+        config = load_config(config_path)
+        _, model, x_true, attack = _build_instance(config, config.mc.seed)
+        law0, law1, params, _, _ = _laws_for_roc(config, model, x_true, attack)
+        assert float(area) == auroc(TestSpec(alpha=0.05, law0=law0, law1=law1, dp=params))
+        assert abs(float(area) - exact_auroc(law1.dof + params.r_prime,
+                                             law1.noncentrality)) <= 1e-12
 
     def test_validate_passes_consistent_config(self, tmp_path, config_path):
         out = tmp_path / "o"
@@ -542,7 +547,9 @@ class TestFigures:
                                                       figs.SIGMA_Z1_ATTACK_SWEEP**2))
             pfa, pd = pfa_pd(spec)
             want_roc.extend([gap, a, p, d] for a, p, d in zip(DEFAULT_ALPHA_GRID, pfa, pd))
-            want_auroc.append([gap, RocCurve.from_points(zip(pfa, pd)).auroc])
+            want_auroc.append([gap, auroc(spec)])
+            oracle = stats.norm.cdf(gap / math.hypot(figs.SIGMA_Z0, figs.SIGMA_Z1_ATTACK_SWEEP))
+            assert abs(want_auroc[-1][1] - oracle) <= 1e-12
         assert repr(roc_rows) == repr(want_roc) and repr(auroc_rows) == repr(want_auroc)
 
         _, rows = figs.input_perturbation_auroc(config)
@@ -552,8 +559,26 @@ class TestFigures:
                 k = gaussian_mechanism_sigma(1.0, eps / m, figs.INPUT_DELTA) ** 2
                 spec = TestSpec(alpha=0.05, law0=ResidualLaw.chi_square(dof, 0.0),
                                 law1=ResidualLaw.chi_square(dof, nc / (1.0 + k)))
-                want.append([nc, eps, eps / m, k, roc(spec).auroc])
+                want.append([nc, eps, eps / m, k, auroc(spec)])
+                assert abs(want[-1][4] - exact_auroc(dof, nc / (1.0 + k))) <= 1e-12
         assert repr(rows) == repr(want)
+
+    @pytest.mark.parametrize("values", [None, [0.1, 1.0e5]])
+    def test_input_budget_sweep_evaluates_no_curve(self, tmp_path, monkeypatch, values):
+        """fig4 writes areas only, so it calls no tail function: even a far
+        noncentrality beside a near one costs only its own Poisson window."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("fig4 evaluated a curve point")
+        monkeypatch.setattr(dpresidual.detection, "marcum_q", refuse)
+        out = tmp_path / "f4"
+        argv = ["figures", "--which", "fig4", "--out", str(out)]
+        if values:
+            doc = {"figures": {"delta_theta_values": values}}
+            argv += ["--config", str(write_config(tmp_path, doc))]
+        assert main(argv) == 0
+        _, _, rows = read_csv(out / "fig4_auroc.csv")
+        assert len(rows) == 16 * len(values or figs.DEFAULT_INPUT_NONCENTRALITY)
+        assert all(0.5 <= float(r[4]) <= 1.0 for r in rows)
 
     @pytest.mark.parametrize("which, figures_doc, key", [
         ("fig5", {"nu_sigma_values": [-1.0, 2.0]}, "figures.nu_sigma_values"),

@@ -21,6 +21,8 @@ from dpresidual import (
     SeedStream,
     TestSpec,
     ValidationFailure,
+    auroc,
+    auroc_family,
     monte_carlo_validate,
     RocCurve,
     pfa_pd,
@@ -40,7 +42,7 @@ from dpresidual.special_functions import (
 )
 from dpresidual.dp_mechanism import Mechanism
 from dpresidual.estimation import wssr
-from conftest import random_model
+from conftest import exact_auroc, random_model
 
 
 def chi_spec(dof, nc0=0.0, nc1=0.0, alpha=0.05, dp=None, recalibrate=False):
@@ -399,6 +401,110 @@ class TestRocCurveFromPoints:
         assert all(type(v) is float for pt in curve.points for v in pt)
         assert _bits(curve.auroc) == _bits(want_auroc)
         assert RocCurve.from_points(np.array(points, dtype=float).reshape(-1, 2)) == curve
+
+
+class TestAuroc:
+    """The exact AUROC, Pr[X1 > X0] of the two released laws."""
+
+    @pytest.mark.parametrize("dof", [1, 2, 16, 181])
+    @pytest.mark.parametrize("r_prime", [0, 1, 5])
+    def test_matches_quadrature(self, dof, r_prime):
+        dp = PrivacyParams.chi_square(r_prime=r_prime) if r_prime else None
+        ncs = [0.0, 1e-3, 2.848, 30.0, 120.0, 1e4]
+        spec = chi_spec(dof, dp=dp)
+        got = auroc_family(spec, [ResidualLaw.chi_square(dof, nc) for nc in ncs])
+        want = [exact_auroc(dof + r_prime, nc) for nc in ncs]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_noncentral_null_matches_quadrature(self):
+        for nc0, nc1 in ((5.0, 5.0), (5.0, 20.0), (30.0, 2.0), (100.0, 400.0)):
+            got = auroc(chi_spec(16.0, nc0=nc0, nc1=nc1))
+            assert abs(got - exact_auroc(16.0, nc1, nc0)) <= 2e-12
+
+    def test_wide_noncentral_null_in_blocks(self):
+        """A null window of about 670 terms against three alternatives holds
+        1.4e6 (j, k) pairs, more than MAX_TERMS: they are summed in blocks,
+        each row still equal to its one-law call."""
+        spec = chi_spec(16.0, nc0=4000.0, nc1=4000.0)
+        ncs = [4000.0, 4200.0, 4400.0]
+        areas = auroc_family(spec, [ResidualLaw.chi_square(16.0, nc) for nc in ncs])
+        for nc, area in zip(ncs, areas):
+            assert _bits(area) == _bits(auroc(chi_spec(16.0, nc0=4000.0, nc1=nc)))
+            assert abs(area - exact_auroc(16.0, nc, 4000.0)) <= 2e-12
+
+    def test_far_alternative_is_one(self):
+        """The window comes from the Poisson tail bounds, not a fixed width."""
+        assert abs(auroc(chi_spec(16.0, nc1=1e5)) - 1.0) <= 1e-12
+        assert auroc(chi_spec(16.0, nc1=0.0)) == pytest.approx(0.5, abs=1e-15)
+
+    def test_gaussian_matches_monte_carlo(self):
+        gen = np.random.default_rng(11)
+        dp = PrivacyParams.gaussian_output(nu_mean=0.5, nu_sigma=2.0)
+        spec = gaussian_spec(10.0, 1.0, 13.0, 16.0, dp=dp)
+        n = 10**6
+        x0 = gen.normal(10.5, math.sqrt(1.0 + 4.0), n)
+        x1 = gen.normal(13.5, math.sqrt(16.0 + 4.0), n)
+        hat = float(np.mean(x1 > x0))
+        got = auroc(spec)
+        assert got == pytest.approx(stats.norm.cdf(3.0 / math.sqrt(25.0)), abs=1e-15)
+        assert abs(hat - got) <= 4.0 * math.sqrt(got * (1.0 - got) / n)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(chi_families(), gaussian_families()))
+    def test_family_rows_equal_per_law_calls(self, case):
+        spec, alternatives = case
+        areas = auroc_family(spec, alternatives)
+        assert areas.shape == (len(alternatives),)
+        for law, area in zip(alternatives, areas):
+            law_spec = replace(spec, law1=law)
+            assert _bits(area) == _bits(auroc(law_spec))
+            # The area is the curve's, wherever its operating points sit.
+            assert auroc(replace(law_spec, alpha=0.3, recalibrate_threshold=False)) \
+                == auroc(law_spec)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dof=st.sampled_from([1.0, 4.0, 16.0, 181.0]),
+           nc0=st.sampled_from([0.0, 0.5, 9.0]), gap=st.floats(0.0, 200.0),
+           r_prime=st.sampled_from([0, 1, 5]),
+           grid=hnp.arrays(float, st.integers(1, 12), elements=st.floats(1e-4, 0.999),
+                           unique=True))
+    def test_trapezoid_below_and_converging(self, dof, nc0, gap, r_prime, grid):
+        """A monotone likelihood ratio makes the ROC concave: every trapezoid
+        over its points is at most the exact area, and refining a grid (adding
+        the midpoints) can only close the gap."""
+        dp = PrivacyParams.chi_square(r_prime=r_prime) if r_prime else None
+        spec = chi_spec(dof, nc0=nc0, nc1=nc0 + gap, dp=dp)
+        exact = auroc(spec)
+        grid = np.sort(grid)
+        gaps = []
+        for _ in range(3):
+            pfa, pd = pfa_pd(replace(spec, alpha=grid))
+            gaps.append(exact - RocCurve.from_points(np.column_stack((pfa, pd))).auroc)
+            grid = np.sort(np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]),
+                                           [0.5 * grid[0], 0.5 * (grid[-1] + 1.0)]]))
+        assert gaps[0] >= -2e-12
+        assert gaps[2] <= gaps[1] + 1e-12 and gaps[1] <= gaps[0] + 1e-12
+
+    def test_roc_carries_the_exact_area(self):
+        spec = chi_spec(16.0, nc1=2.848, dp=PrivacyParams.chi_square(r_prime=1))
+        curve = roc(spec)
+        assert curve.auroc == auroc(spec)
+        assert curve.auroc > RocCurve.from_points(curve.points).auroc
+
+    def test_no_alternatives_and_zero_dof(self):
+        assert auroc_family(chi_spec(6.0), []).shape == (0,)
+        with pytest.raises(NoResidualError):
+            auroc(chi_spec(0.0, dp=PrivacyParams.chi_square(r_prime=2)))
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            auroc_family(chi_spec(6.0), [ResidualLaw.chi_square(10.0, 1.0)])
+
+    def test_draws_no_curve_point(self, monkeypatch):
+        """auroc evaluates no tail and inverts no threshold."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+        monkeypatch.setattr(detection, "marcum_q", refuse)
+        monkeypatch.setattr(detection, "regularized_gamma_q_inverse", refuse)
+        assert 0.5 < auroc(chi_spec(16.0, nc1=2.848)) < 1.0
 
 
 class TestMonteCarloValidate:

@@ -821,6 +821,28 @@ class TestNeighborRoots:
                                    qr_roots(model, attack.a, rows, deltas),
                                    rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("bound", [1e6, 1e20, 1e100, 1e150])
+    def test_exact_at_any_shift(self, bound):
+        """No term of the closed form grows with the shift: on the demo the
+        roots are finite (RuntimeWarning is an error here) and within 1e-13
+        relative of a normal-equations solve at 2 log10(B) + 40 digits. The
+        float QR oracle's own error grows with the shift (4e-12 at 1e6)."""
+        mpmath = pytest.importorskip("mpmath")
+        model, attack = demo_instance()
+        rows, deltas = self.probes(np.random.default_rng(37), model, 8, bound)
+        got = neighbor_roots(model, attack.a, rows, deltas)
+        assert np.isfinite(got).all()
+        with mpmath.workdps(int(2 * math.log10(bound)) + 40):
+            want = []
+            for i, dh in zip(rows, deltas):
+                h = mpmath.matrix(model.H.tolist())
+                for j in range(model.n):
+                    h[int(i), j] += dh[j]
+                a = mpmath.matrix(attack.a.tolist())
+                r = a - h * mpmath.lu_solve(h.T * h, h.T * a)
+                want.append(float(mpmath.norm(r)) / model.sigma)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
     def test_large_bound_flags_no_false_singularity(self):
         """det K = (1 + gamma)^2 + beta (1 - lev) has no cancellation: at a
         bound of 1e20 no demo probe is flagged singular (k11 k22 - k12 k21
@@ -855,14 +877,13 @@ def qr_roots(model, a, rows, deltas):
     return np.linalg.norm(residual, axis=1) / model.sigma
 
 
-def row_dual_maximum(model, a, bound):
-    """Each row's S-lemma dual, maximized by scipy's bounded scalar search
-    over the multiplier t = mu B^2 in [0, s_min^2), then the smallest row.
-    Written out per row from the model's SVD, independently of the package."""
+def row_dual(model, a, bound):
+    """(dual, s_min^2): row i's S-lemma dual ``dual(t, i)`` at the multiplier
+    t = mu B^2 in [0, s_min^2). Written out per row from the model's SVD,
+    independently of the package."""
     u, s, _ = np.linalg.svd(model.H, full_matrices=False)
     c = u.T @ a
     pa = a - u @ c
-    top = s[-1] ** 2
 
     def dual(t, i):
         k = t / (s * s - t)
@@ -872,6 +893,13 @@ def row_dual_maximum(model, a, bound):
         b = pa[i] - np.sum(k * u[i] * c)
         return pa @ pa - np.sum(k * c * c) - b * b / curv
 
+    return dual, s[-1] ** 2
+
+
+def row_dual_maximum(model, a, bound):
+    """Each row's S-lemma dual, maximized by scipy's bounded scalar search
+    over the multiplier t = mu B^2 in [0, s_min^2), then the smallest row."""
+    dual, top = row_dual(model, a, bound)
     best = []
     for i in range(model.m):
         found = optimize.minimize_scalar(lambda t: -dual(t, i), bounds=(0.0, top * (1 - 1e-12)),
@@ -945,6 +973,27 @@ class TestNeighborRootInterval:
         assert 1.6643892 <= theta_lo <= 1.6643909
         assert theta == pytest.approx(1.687643613947003, rel=1e-15)
         assert 1.71125968 <= theta_hi <= 1.7114
+
+    @pytest.mark.parametrize("bound", [1e-9, 1e-12])
+    def test_small_bound_gap_is_the_dual_maximum(self, bound):
+        """At small B a row's best multiplier t is of order B, far below the
+        shared run's 1e-6 s_min^2 (where theta - theta_lo stalled at 1.2e-8).
+        The gap is within 1 % of the per-row scipy maximum of the same dual,
+        searched in log t."""
+        model, attack = demo_instance()
+        theta_lo, theta, _ = neighbor_root_interval(model, attack, bound)
+        dual, top = row_dual(model, attack.a, bound)
+        logs = np.linspace(math.log(1e-40 * top), math.log(top * (1 - 1e-12)), 400)
+        best = []
+        for i in range(model.m):
+            at = int(np.argmax([dual(math.exp(v), i) for v in logs]))
+            found = optimize.minimize_scalar(
+                lambda v: -dual(math.exp(v), i), method="bounded",
+                bounds=(logs[max(at - 1, 0)], logs[min(at + 1, logs.size - 1)]),
+                options={"xatol": 1e-12})
+            best.append(max(dual(0.0, i), -found.fun))
+        reference = math.sqrt(min(best)) / model.sigma
+        assert theta - theta_lo == pytest.approx(theta - reference, rel=0.01)
 
     def test_tiny_bound_collapses_without_warning(self):
         """At B = 1e-154 the multiplier's mu = t / B^2 overflows; that only
