@@ -258,7 +258,8 @@ def delta_for_epsilon(epsilon, r_tilde: float, theta, theta_prime):
         raise ValueError("noncentrality roots must be >= 0")
     lo, hi = np.minimum(theta, theta_prime), np.maximum(theta, theta_prime)
     gap = hi - lo
-    ratio = epsilon / np.where(gap > 0.0, gap, np.inf)   # gap 0 is masked below
+    with np.errstate(over="ignore"):  # an infinite ratio is a boundary at infinity, Q = 0
+        ratio = epsilon / np.where(gap > 0.0, gap, np.inf)   # gap 0 is masked below
     half = 0.5 * (hi + lo)
     out = np.where(gap == 0.0, 0.0, _two_tails(r_tilde, lo, ratio - half, ratio + half))
     return float(out) if out.ndim == 0 else out
@@ -306,7 +307,8 @@ def _delta_over_interval(epsilon: np.ndarray, r_tilde: float, theta_lo: float,
     p, q = edges[:-1], edges[1:]
     below = np.arange(2 * _CELLS) < _CELLS
     gap = np.where(below, theta - p, q - theta)              # the cell's widest gap
-    ratio = epsilon[:, None] / np.where(gap > 0.0, gap, np.inf)
+    with np.errstate(over="ignore"):  # an infinite ratio is a boundary at infinity, Q = 0
+        ratio = epsilon[:, None] / np.where(gap > 0.0, gap, np.inf)
     cells = _two_tails(r_tilde, np.where(below, q, theta), ratio - 0.5 * (q + theta),
                        ratio + 0.5 * (p + theta))
     return (delta, np.where(delta > 0.0, ends[best], theta),

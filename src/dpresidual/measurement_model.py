@@ -449,12 +449,17 @@ def neighbor_root_interval(model: MeasurementModel, attack,
     row's best t is about B |(P a)_i| / ||x_hat||, of order B, so at small
     B the lower run reaches below it. At the hard case (optimum at t =
     s_min^2) the bound is valid but looser.
-    O(m n) per multiplier; lam = 0. A non-finite end raises NumericError.
+    O(m n) per multiplier; lam = 0. An end whose square, a noncentrality, is
+    not a finite double raises NumericError.
     """
     if model.lam != 0:
         raise ValueError("the neighbour root interval requires lambda = 0")
     f = model.factor
+    # Every root is homogeneous of degree one in a, so the work runs on a
+    # scaled by a power of two to max |a| < 1, where no product overflows.
     a = _attack_dense(attack, model.m)
+    a_exp = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    a = np.ldexp(a, -a_exp)
     c = f.u.T @ a
     pa = a - f.u @ c
     # Scaling H and B by one power of two leaves every root unchanged, so the
@@ -508,12 +513,13 @@ def neighbor_root_interval(model: MeasurementModel, attack,
         g, slope, curv = duals(t)
         best = np.maximum(best, g)
     with np.errstate(over="ignore"):
-        ends = np.sqrt(np.array([min(max(float(best.min()), 0.0), pa2), pa2, hi2])
-                       / model.sigma**2)
-    if not np.isfinite(ends).all():
+        squares = np.ldexp([min(max(float(best.min()), 0.0), pa2), pa2, hi2], 2 * a_exp) \
+            / model.sigma**2
+    ends = np.sqrt(squares)
+    if not np.isfinite(squares).all():
         raise NumericError(f"the neighbour root interval [{ends[0]:.3g}, {ends[2]:.3g}] "
                            f"about theta={ends[1]:.3g} leaves the double range; reduce the "
-                           "row-perturbation bound")
+                           "row-perturbation bound or the attack")
     return tuple(float(v) for v in ends)
 
 

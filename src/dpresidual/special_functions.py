@@ -7,30 +7,28 @@ laws (an AUROC), Gaussian tail functions, and modified Bessel functions
 of the first kind. These are the numerical bedrock for the residual
 laws, the privacy guarantee, and the detection analytics built on top.
 
-The Marcum Q-function is evaluated by the Poisson-weighted series of
-regularized upper-gamma tails (Gil, Segura & Temme, "Computation of the
-Marcum Q-function", ACM TOMS 2014),
+The Marcum Q-function and the exceedance are Poisson mixtures of central
+terms (Gil, Segura & Temme, "Computation of the Marcum Q-function", ACM
+TOMS 2014), e.g.
 
     Q_s(a, b) = sum_k  Poisson(k; a^2/2) * Q(s + k, b^2/2),
 
-over a window of k fixed per element by closed-form Poisson tail bounds
-on its mean: the mass left out below the window and the mass left out
-above it are each at most ABS_TOL / 2. With all gamma tails in [0, 1],
-the left-out mass bounds the truncation error directly, so every value
-is within the fixed ABS_TOL = 1e-12 of the full series. ``a`` and ``b``
-broadcast; a call loops over the terms of the union of its elements'
-windows, never over the elements, and raises ``ConvergenceError`` past
-MAX_TERMS = 10^6 of them. Each run of terms starts at a multiple of 32,
-where the Poisson weight and the gamma tail are seeded: the weight and
-the tail's step x^s e^-x / Gamma(s + 1) from one Poisson term in Loader's
-saddle-point form, the tail from ``scipy.special.gammaincc``. Between
-seeds the weight steps by w_k = w_(k-1) mu / k and the tail by the upward
-recurrence Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1) (DLMF 8.8).
-Each tail is within 5e-14 of ``gammaincc``'s over orders 0.5 to 1e5 and
-each weight within a relative 1e-13 of the exact one up to mean 2e5, far
-inside ABS_TOL. A value depends only on its 32-block and its term, mean
-or boundary, so every element of an array call equals its scalar call
-bit for bit.
+and one walker, ``_poisson_blocks``, forms every Poisson weight of both.
+Each mean's window of k comes from closed-form Poisson tail bounds: the
+mass left out below it and above it is each at most ABS_TOL / 2, and with
+every summand in [0, 1] that bounds the truncation error, so each value is
+within ABS_TOL = 1e-12 of the full series. A call walks the 32-term blocks
+that the union of its distinct means' windows touches, never the span
+between far-apart windows, and raises ``ConvergenceError`` if that union
+holds more than MAX_TERMS = 10^6 terms or a mean reaches 2^53. At a
+block's seed, a multiple of 32, the weight and the gamma tail's step
+x^s e^-x / Gamma(s + 1) are Poisson terms in Loader's saddle-point form and
+the tail is ``scipy.special.gammaincc``; along the block w_k = w_(k-1) mu / k
+and Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1) (DLMF 8.8). Each tail
+is within 5e-14 of ``gammaincc``'s over orders 0.5 to 1e5 and each weight
+within a relative 1e-13 of the exact one up to mean 2e5. A value depends
+only on its blocks, its mean and its boundary, so every element of an
+array call equals its one-element call bit for bit.
 
 ``log_bessel_i`` is the log of scipy's scaled Bessel function below
 order 50, or its power series where that underflows, and the Debye
@@ -176,29 +174,64 @@ def _poisson_term(s: float, x):
     return np.where(finite, t, 0.0)
 
 
-def _poisson_series(order: float, k, mu, x):
-    """Yield (w_k(mu), Q(order + k, x)) over the ascending terms ``k``.
+def _poisson_blocks(mu, where: str):
+    """(terms, blocks): the Poisson weights of the 1-D means ``mu``, 32 terms at a time.
 
-    w_k(mu) = mu^k e^(-mu) / k! is the Poisson weight and Q the regularized
-    upper gamma tail. At every k that is a multiple of _RESTART the weight
-    is ``_poisson_term(k, mu)``, the tail is ``scipy.special.gammaincc`` and
-    its step is t = ``_poisson_term(order + k, x)``. Between those seeds
-    w <- w mu / k, and the tail takes the upward recurrence (DLMF 8.8)
-    Q(s + 1, x) = Q(s, x) + t_s with t_(s+1) = t_s x / (s + 1). Each run of
-    consecutive terms must start at a multiple of _RESTART, so each value
-    depends on its 32-block and (k, mu) or (order, k, x) alone, whichever
-    terms sit beside it.
+    ``terms`` counts the union of the windows ``_poisson_window(mu, ABS_TOL
+    / 2)``, each widened down to its seed, the multiple of _RESTART below
+    it. ``blocks`` yields (seed, w) for each block of _RESTART terms the
+    union touches, in ascending order, cut after the union's last term:
+    w[j, i] is the weight mu_i^k e^(-mu_i) / k! at k = seed + j inside mean
+    i's window and 0 outside it, ``_poisson_term(seed, mu)`` at the seed
+    and w_(k-1) mu / k after. A mean at or past 2^53, where consecutive
+    integers are no longer distinct floats, or a union past MAX_TERMS
+    raises ConvergenceError naming ``where`` before any weight is formed.
+    """
+    if not (mu < 2.0**53).all():
+        raise ConvergenceError(f"Poisson mean reaches 2^53 at {where}")
+    k_lo, k_hi = _poisson_window(mu, 0.5 * ABS_TOL)
+    first = k_lo - k_lo % _RESTART
+    # Taken by first term, each widened window adds the terms past the
+    # furthest end before it, and the blocks past that end's block.
+    by_first = np.argsort(first)
+    lo, hi = first[by_first], k_hi[by_first]
+    reach = np.maximum.accumulate(np.append(-1.0, hi))[:-1]
+    terms = np.maximum(hi - np.maximum(lo - 1.0, reach), 0.0).sum()
+    if terms > MAX_TERMS:
+        raise ConvergenceError(f"Poisson windows cover {terms:.0f} terms, more than "
+                               f"MAX_TERMS={MAX_TERMS}, at {where}")
+    start = np.maximum(lo, reach - reach % _RESTART + _RESTART)
+    count = np.maximum((hi - start) // _RESTART + 1.0, 0.0).astype(np.int64)
+    seeds = np.repeat(start - _RESTART * (np.cumsum(count) - count), count) \
+        + _RESTART * np.arange(count.sum())
+
+    def blocks():
+        for seed in seeds:
+            top = min(seed + _RESTART, k_hi[k_lo < seed + _RESTART].max() + 1.0)
+            k = np.arange(seed, top)[:, None]       # the block up to the union's last term
+            w = np.empty((k.size, mu.size))
+            w[0] = _poisson_term(seed, mu)
+            w[1:] = mu / k[1:]
+            yield seed, np.where((k_lo <= k) & (k <= k_hi), np.cumprod(w, axis=0), 0.0)
+
+    return terms, blocks()
+
+
+def _gamma_tails(order: float, seed: float, x):
+    """Yield the gamma tails Q(order + k, x) for k = seed, ..., seed + 31.
+
+    At the seed, ``scipy.special.gammaincc`` and its step t =
+    ``_poisson_term(order + seed, x)``; after, Q(s + 1, x) = Q(s, x) + t_s
+    with t_(s+1) = t_s x / (s + 1) (DLMF 8.8).
     """
     from scipy import special as sp
 
     x_step = np.where(x < np.inf, x, 0.0)  # t is 0 at x = inf and stays 0
-    for k_i in k:
-        if k_i % _RESTART == 0.0:
-            s = order + k_i
-            w, q, t = _poisson_term(k_i, mu), sp.gammaincc(s, x), _poisson_term(s, x)
-        else:
-            w, q, t = w * (mu / k_i), q + t, t * (x_step / (order + k_i))
-        yield w, q
+    q, t = sp.gammaincc(order + seed, x), _poisson_term(order + seed, x)
+    yield q
+    for k in seed + np.arange(1.0, _RESTART):
+        q, t = q + t, t * (x_step / (order + k))
+        yield q
 
 
 def marcum_q(order: float, a, b):
@@ -219,23 +252,13 @@ def marcum_q(order: float, a, b):
         Boundary, b >= 0; b = inf gives 0. ``a`` and ``b`` broadcast
         against each other; scalars in give a float out.
 
-    Every value is within ABS_TOL = 1e-12 of the full series. Each
-    element sums the Poisson terms k_lo <= k <= k_hi of its own mean
-    mu = a^2 / 2. With p = ABS_TOL / 2, both ends come in closed
-    form from the Poisson tail bounds of ``_poisson_window``: the terms
-    below k_lo weigh at most p together, and so do the terms above k_hi.
-    The call sums the union of the windows in ascending k, each window
-    widened down to a multiple of 32, skipping the gaps between them, each
-    element's terms outside its own window weighing exactly zero, so
-    elements with far apart means cost the sum of their windows, not the
-    span between them. Weights and tails come from ``_poisson_series``:
-    seeded at every k that is a multiple of 32, where every run starts,
-    and stepped by recurrence between seeds. A value so depends only on its
-    32-block and (k, mu) or (order, k, b), whatever the other elements'
-    windows, so every element of an array call equals the scalar call bit
-    for bit, and at a = 0 the value is ``gammaincc(order, b^2 / 2)``
-    itself. The term, element and seed counts (seeds times boundaries,
-    one ``gammaincc`` evaluation each) are logged at DEBUG.
+    Each element sums the terms of its own window of mu = a^2 / 2, in
+    ascending k over the blocks of ``_poisson_blocks``, with the tails of
+    ``_gamma_tails``: within ABS_TOL = 1e-12 of the full series, and equal
+    to its scalar call bit for bit. At a = 0 the value is
+    ``gammaincc(order, b^2 / 2)`` itself. The union's term count, the
+    element count and the seed count (blocks times boundaries, one
+    ``gammaincc`` evaluation each) are logged at DEBUG.
 
     Raises
     ------
@@ -259,71 +282,21 @@ def marcum_q(order: float, a, b):
         mu = 0.5 * a_arr * a_arr
         x = 0.5 * b_arr * b_arr
 
-    if not (mu < 2.0**53).all():
-        raise ConvergenceError(f"marcum_q Poisson mean a^2/2 reaches 2^53 at a = {a_arr.max()}")
-    k_lo, k_hi = _poisson_window(mu, 0.5 * ABS_TOL)
-    # The union of the windows, each starting at the seed below it: sort
-    # them by k_lo and merge each window into the run before it unless a
-    # gap separates them.
-    by_lo = np.argsort(k_lo, axis=None)
-    lo = np.ravel(k_lo)[by_lo]
-    lo -= lo % _RESTART
-    hi = np.maximum.accumulate(np.ravel(k_hi)[by_lo])
-    opens = np.append(True, lo[1:] > hi[:-1] + 1.0)
-    lo, hi = lo[opens], hi[np.append(opens[1:], True)]
-    counts = hi - lo + 1.0
-    if counts.sum() > MAX_TERMS:
-        raise ConvergenceError(
-            f"marcum_q windows cover {counts.sum():.0f} terms, more than "
-            f"MAX_TERMS={MAX_TERMS} (order={order}, a up to {a_arr.max()})"
-        )
-    counts = counts.astype(np.int64)
-    k = np.arange(counts.sum(), dtype=float) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    logger.debug("marcum_q: %d terms over %d elements, %d gamma-tail seeds",
-                 k.size, mu.size, np.count_nonzero(k % _RESTART == 0.0) * x.size)
+    means, inv = np.unique(mu, return_inverse=True)
+    terms, blocks = _poisson_blocks(means, f"a = {a_arr.max()} in marcum_q of order {order}")
+    inv = inv.reshape(mu.shape)
     total = np.zeros(shape)
-    for k_i, (w, q) in zip(k, _poisson_series(order, k, mu, x)):
-        total += np.where((k_lo <= k_i) & (k_i <= k_hi), w, 0.0) * q
+    seeds = 0
+    for seeds, (seed, w) in enumerate(blocks, 1):
+        for w_k, q in zip(w[:, inv], _gamma_tails(order, seed, x)):
+            total += w_k * q
+    logger.debug("marcum_q: %d terms over %d elements, %d gamma-tail seeds",
+                 terms, mu.size, seeds * x.size)
 
     # Truncated Poisson mass never reaches 1 exactly; the b = 0 boundary
     # carries full mass by definition.
     out = np.where(x == 0.0, 1.0, np.minimum(total, 1.0))
     return float(out) if out.ndim == 0 else out
-
-
-def _poisson_terms(mu):
-    """Every Poisson term of each mean's window, as flat arrays (row, k, w).
-
-    Term k of mean ``mu[row]`` has weight w = w_k(mu[row]), for k_lo <= k <=
-    k_hi from ``_poisson_window(mu, ABS_TOL / 2)``, so each mean leaves out
-    at most ABS_TOL of its mass. As in ``_poisson_series``, each window is
-    walked in 32-blocks from the seed below k_lo: the weight at a multiple
-    of _RESTART is ``_poisson_term(k, mu)``, one call per distinct seed
-    over the means whose windows hold it, and w_k = w_(k-1) mu / k along the
-    block, one cumulative product. Means far apart cost the sum of their
-    windows, never the span between them. ``mu`` is 1-D, each below 2^53;
-    more than MAX_TERMS terms raise ConvergenceError.
-    """
-    if not (mu < 2.0**53).all():
-        raise ConvergenceError(f"Poisson mean {mu.max()} reaches 2^53")
-    k_lo, k_hi = _poisson_window(mu, 0.5 * ABS_TOL)
-    first = k_lo - k_lo % _RESTART
-    blocks = ((k_hi - first) // _RESTART + 1.0).astype(np.int64)
-    if blocks.sum() * _RESTART > MAX_TERMS:
-        raise ConvergenceError(f"Poisson windows cover more than MAX_TERMS={MAX_TERMS} "
-                               f"terms (means up to {mu.max()})")
-    row = np.repeat(np.arange(mu.size), blocks)
-    seed = np.repeat(first - _RESTART * (np.cumsum(blocks) - blocks), blocks) \
-        + _RESTART * np.arange(row.size)
-    k = seed[:, None] + np.arange(_RESTART, dtype=float)
-    w = np.empty(k.shape)
-    w[:, 1:] = mu[row, None] / k[:, 1:]
-    for s in np.unique(seed):
-        at = seed == s
-        w[at, 0] = _poisson_term(s, mu[row[at]])
-    w = np.cumprod(w, axis=1)
-    keep = (k >= k_lo[row, None]) & (k <= k_hi[row, None])
-    return np.broadcast_to(row[:, None], k.shape)[keep], k[keep], w[keep]
 
 
 def chisq_exceedance(dof: float, noncentrality0: float, noncentralities):
@@ -334,29 +307,37 @@ def chisq_exceedance(dof: float, noncentrality0: float, noncentralities):
     independent A ~ chi2_(dof + 2k) and B ~ chi2_(dof + 2j) the ratio
     B / (A + B) is Beta(dof/2 + j, dof/2 + k), so
 
-        Pr[X1 > X0] = sum_j sum_k w_j(nc0 / 2) w_k(nc1 / 2) I_(1/2)(dof/2 + j, dof/2 + k)
+        Pr[X1 > X0] = sum_k w_k(nc1 / 2) sum_j w_j(nc0 / 2) I_(1/2)(dof/2 + j, dof/2 + k)
 
-    with I the regularized incomplete beta, from ``scipy.special.betainc``
-    over every (j, k) pair: one call for a central X0, whose window is the
-    one term j = 0, else one call per block of at most MAX_TERMS pairs.
-    Each law sums only the terms of its own window (``_poisson_terms``), so
-    each value is within ABS_TOL of the full series for a central X0 and
-    within 2 ABS_TOL otherwise. Each value depends only on its own law, so
-    it equals the call with that one entry bit for bit.
+    with I the regularized incomplete beta, ``scipy.special.betainc``. The
+    k-series walks the blocks of ``_poisson_blocks`` as ``marcum_q`` does,
+    evaluating I once per k that some window holds and per j of X0's
+    window (the one term j = 0 for a central X0). The j-series is summed
+    one block of X0's at a time, whatever the k-block. So each value is
+    within ABS_TOL of the full series for a central X0 and 2 ABS_TOL
+    otherwise, and equals the call with that one entry bit for bit.
     """
     from scipy import special as sp
 
     if not dof > 0:
         raise ValueError(f"dof must be > 0, got {dof}")
-    mu1 = 0.5 * np.asarray(noncentralities, dtype=float)
-    rows, k, w = _poisson_terms(mu1)
-    _, j, v = _poisson_terms(np.array([0.5 * noncentrality0]))
-    tail = np.empty(k.size)
-    step = max(1, MAX_TERMS // j.size)
-    for at in range(0, k.size, step):
-        pairs = sp.betainc(0.5 * dof + j[:, None], 0.5 * dof + k[at:at + step], 0.5)
-        tail[at:at + step] = (v[:, None] * pairs).sum(axis=0)
-    return np.minimum(np.bincount(rows, weights=w * tail, minlength=mu1.size), 1.0)
+    nc = np.asarray(noncentralities, dtype=float)
+    means, inv = np.unique(0.5 * nc, return_inverse=True)
+    half = 0.5 * dof
+    null = []
+    for seed, v in _poisson_blocks(np.array([0.5 * noncentrality0]),
+                                   f"noncentrality {noncentrality0}")[1]:
+        live = np.flatnonzero(v[:, 0])
+        null.append((half + (seed + live), v[live, 0]))
+    _, blocks = _poisson_blocks(means, f"noncentrality {nc.max(initial=0.0)}")
+    total = np.zeros(means.size)
+    for seed, w in blocks:
+        live = np.flatnonzero(w.any(axis=1))
+        b = half + (seed + live)[:, None]
+        tails = sum((v * sp.betainc(a, b, 0.5)).sum(axis=1) for a, v in null)
+        for w_k, tail in zip(w[live], tails):
+            total += w_k * tail
+    return np.minimum(total[inv], 1.0)
 
 
 def noncentral_chisq_cdf(x, dof: float, noncentrality: float):

@@ -370,6 +370,33 @@ class TestDeltaCurve:
         _, columns, rows = read_csv(out / "delta_curve.csv")
         assert [float(r[columns.index("delta")]) for r in rows] == [0.0] * 6
 
+    def test_extreme_epsilon_gives_zero(self, tmp_path, capsys):
+        """At epsilon 1e308 the boundary epsilon / gap overflows: a boundary at
+        infinity, where both tails are 0. It used to end in a RuntimeWarning
+        traceback (exit 1) under this suite's warning policy."""
+        doc = yaml.safe_load(DEMO.read_text())
+        doc["dp"]["epsilon_grid"] = [0.5, 1.0e308]
+        out = tmp_path / "o"
+        assert main(["delta-curve", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out), "--seed", "3"]) == 0
+        assert capsys.readouterr().err == ""
+        _, columns, rows = read_csv(out / "delta_curve.csv")
+        assert [float(r[columns.index("delta")]) for r in rows][1] == 0.0
+
+    @pytest.mark.parametrize("value", [1.0e150, 1.0e300, -sys.float_info.max])
+    def test_extreme_attack_is_a_numeric_failure(self, tmp_path, capsys, value):
+        """An attack whose root is a double but whose noncentrality is past
+        marcum_q's 2^53 (1e150), or whose noncentrality is not a double:
+        delta-curve and roc exit 3 naming the failure. delta-curve used to end
+        in an overflowing matmul traceback (exit 1)."""
+        doc = yaml.safe_load(DEMO.read_text())
+        doc["attack"]["values"] = [value, -1.5]
+        path = write_config(tmp_path, doc)
+        for command in ("delta-curve", "roc"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+            assert capsys.readouterr().err.startswith("numeric failure: ")
+        assert not (tmp_path / "o" / "delta_curve.csv").exists()
+
     def test_gaussian_output_scans_with_its_r_prime(self, tmp_path):
         """A gaussian_output config's r_prime drives the same delta curve as
         the chi_square mechanism's: the curves differ only in the header."""
@@ -1374,3 +1401,53 @@ class TestInputErrors:
         assert main(args + config + ["--out", str(out), "--seed", "-3"]) == 2
         assert "--seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
+
+
+SWEEP_KEYS = {"dp.epsilon_grid": [0.5], "attack.values": [2.0],
+              "figures.delta_theta_values": [0.1], "figures.epsilon_values": [1.0],
+              "dp.neighborhood.delta_h_bound": None, "model.sigma": None}
+SWEEP_VALUES = [0.0, 1e-300, -1e-300, 1e300, -1e300, sys.float_info.max]
+SWEEP_COMMANDS = (["roc"], ["delta-curve"], ["figures", "--which", "fig4"])
+
+
+def _finite_cells(path: Path) -> bool:
+    """Every number in a JSON or CSV artifact is finite."""
+    if path.suffix == ".json":
+        json.loads(path.read_text(), parse_constant=lambda name: 1 / 0)
+        return True
+    numbers = []
+    for cell in (c for row in read_csv(path)[2] for c in row):
+        try:
+            numbers.append(float(cell))
+        except ValueError:  # a label
+            pass
+    return all(map(math.isfinite, numbers))
+
+
+class TestFaultSweep:
+    """Extreme finite values of the demo's numeric keys, one at a time, through
+    roc, delta-curve and fig4 in process with RuntimeWarning as an error: a
+    schema error (2) or a numeric failure (3) is reported, never a traceback,
+    and whatever is written holds finite numbers only. A list key keeps its
+    first demo value beside the extreme one."""
+
+    @pytest.mark.parametrize("value", SWEEP_VALUES, ids=repr)
+    @pytest.mark.parametrize("key", SWEEP_KEYS)
+    def test_exit_code_and_finite_artifacts(self, tmp_path, capsys, key, value):
+        doc = yaml.safe_load(DEMO.read_text())
+        doc.setdefault("figures", {})
+        *sections, leaf = key.split(".")
+        section = doc
+        for name in sections:
+            section = section[name]
+        head = SWEEP_KEYS[key]
+        section[leaf] = value if head is None else [*head, value]
+        path = write_config(tmp_path, doc)
+        for i, args in enumerate(SWEEP_COMMANDS):
+            out = tmp_path / str(i)
+            code = main(args + ["--config", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (args, code, err)
+            assert code == 0 or err.startswith(("error: ", "numeric failure: ")), err
+            for artifact in out.glob("*") if out.exists() else ():
+                assert _finite_cells(artifact), (args, artifact.name)

@@ -6,6 +6,7 @@ quadrature oracle of the hockey-stick divergence.
 """
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,13 @@ class TestDeltaForEpsilon:
         deltas = [delta_for_epsilon(float(e), 4.0, 0.5, 1.5) for e in eps_grid]
         assert all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))
         assert deltas[-1] < 1e-6
+
+    def test_overflowing_boundary_gives_zero(self):
+        """epsilon / gap past the double range is a boundary at infinity."""
+        assert delta_for_epsilon(1e308, 4.0, 1.0, 1.5) == 0.0
+        np.testing.assert_array_equal(
+            delta_for_epsilon(np.array([[0.5], [1e308]]), 4.0, 1.0, np.array([0.9, 1.5]))[1],
+            [0.0, 0.0])
 
     def test_saturates_at_small_epsilon(self):
         assert delta_for_epsilon(1e-6, 4.0, 1.0, 3.0) == 1.0
@@ -1013,6 +1021,25 @@ class TestNeighborRootInterval:
         scaled = MeasurementModel(H=2.0**power * model.H, sigma=model.sigma)
         np.testing.assert_allclose(neighbor_root_interval(scaled, attack, 0.1 * 2.0**power),
                                    neighbor_root_interval(model, attack, 0.1), rtol=1e-12)
+
+    @pytest.mark.parametrize("power", [-400, 400, 497])
+    def test_homogeneous_in_the_attack(self, power):
+        """Scaling the attack by 2^power scales the interval by 2^power bit for
+        bit: the work runs on the attack scaled to max |a| < 1. At 2^497
+        (about 1e150) the parent overflowed a matmul."""
+        model, attack = demo_instance()
+        scaled = AttackVector.sparse(model.m, [3, 11], 2.0**power * attack.a[[3, 11]])
+        got = neighbor_root_interval(model, scaled, 0.1)
+        want = np.ldexp(neighbor_root_interval(model, attack, 0.1), power)
+        assert np.array(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("value", [1e160, 1e300, -sys.float_info.max])
+    def test_attack_past_the_double_range_raises(self, value):
+        """theta^2, a noncentrality, is not a double: NumericError, no warning."""
+        model, _ = demo_instance()
+        attack = AttackVector.sparse(model.m, [3, 11], [value, -1.5])
+        with pytest.raises(NumericError, match="neighbour root interval"):
+            neighbor_root_interval(model, attack, 0.1)
 
     def test_overflowing_end_raises(self):
         """B ||x_hat|| past 1.3e154 while B^2 is finite: theta_hi is not a

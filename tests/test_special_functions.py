@@ -28,7 +28,13 @@ from dpresidual import (
     regularized_gamma_q_inverse,
 )
 from dpresidual import special_functions
-from dpresidual.special_functions import _poisson_series, _poisson_term, _poisson_window
+from dpresidual.special_functions import (
+    _gamma_tails,
+    _poisson_blocks,
+    _poisson_term,
+    _poisson_window,
+    chisq_exceedance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +300,15 @@ class TestMarcumQ:
 
 
 class TestGammaTails:
-    """The gamma tails, Poisson weights and seeds of ``_poisson_series``."""
+    """The Poisson weights of ``_poisson_blocks`` and the gamma tails of
+    ``_gamma_tails``, their seeds, and the sums built on them."""
 
     @pytest.mark.parametrize("order", [0.5, 10.0, 90.5, 2400.5, 1e4, 1e5])
     def test_recurrence_against_scipy_gamma_tail(self, order):
-        """Runs of 64 terms from multiples of 32 below 3000, against gammaincc
-        at every k.
+        """Two consecutive blocks from multiples of 32 below 3000, against
+        gammaincc at every k, across the block boundary.
 
-        x sits within 3 sd of the run's middle s, where the tails move
+        x sits within 3 sd of the pair's middle s, where the tails move
         most, plus 0, 1e-300 and inf. The bound 5e-14 holds only with the
         seeds' saddle-point t: the direct exponent drifts past 1e-12.
         """
@@ -311,38 +318,95 @@ class TestGammaTails:
             s = order + k0 + 32.0
             x = np.concatenate([np.abs(s + 3.0 * math.sqrt(s) * rng.uniform(-1.0, 1.0, 40)),
                                 [0.0, 1e-300, np.inf]])
-            got = np.array([q for _, q in _poisson_series(order, k, 1.0, x)])
+            got = np.array([*_gamma_tails(order, k0, x), *_gamma_tails(order, k0 + 32.0, x)])
             ref = special.gammaincc(order + k[:, None], x)
             np.testing.assert_allclose(got, ref, rtol=0, atol=5e-14)
 
     def test_weights_against_mpmath(self):
-        """Each mean's whole window, run from the multiple of 32 below it,
-        against 30-digit mpmath Poisson weights to a relative 1e-13. The
-        direct exp(k log mu - mu - lgamma(k + 1)) drifts to 8.6e-10 at 2e5."""
+        """Every mean's whole window, walked in one call, against 30-digit
+        mpmath Poisson weights to a relative 1e-13, and exactly 0 outside
+        the window. The direct exp(k log mu - mu - lgamma(k + 1)) drifts to
+        8.6e-10 at 2e5."""
         mpmath = pytest.importorskip("mpmath")
         mu = np.array([0.0, 0.3, 7.0, 300.0, 4e3, 5e4, 2e5])
         k_lo, k_hi = _poisson_window(mu, 0.5 * special_functions.ABS_TOL)
+        _, blocks = _poisson_blocks(mu, "test")
+        blocks = list(blocks)
+        k = np.concatenate([seed + np.arange(float(len(w))) for seed, w in blocks])
+        w = np.concatenate([w for _, w in blocks])
+        inside = (k_lo <= k[:, None]) & (k[:, None] <= k_hi)
+        assert np.all(w[~inside] == 0.0)
         with mpmath.workdps(30):
-            for m, lo, hi in zip(mu, k_lo, k_hi):
-                k = np.arange(lo - lo % 32, hi + 1.0)
-                got = np.array([float(w) for w, _ in _poisson_series(1.5, k, m, 1.0)])
+            for i, m in enumerate(mu):
                 ref = np.array([float(mpmath.exp(int(k_i) * mpmath.log(m) - m
                                                  - mpmath.loggamma(int(k_i) + 1)))
-                                if m > 0 else float(k_i == 0) for k_i in k])
-                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+                                if m > 0 else float(k_i == 0) for k_i in k[inside[:, i]]])
+                np.testing.assert_allclose(w[inside[:, i], i], ref, rtol=1e-13, atol=0)
 
     def test_seeds_are_scipy_values(self):
-        """At multiples of 32 the tail is gammaincc itself, and a run that
-        starts at a later multiple repeats the values of the longer run."""
+        """At a block's seed the tail is gammaincc itself and the weight is
+        ``_poisson_term``, and a mean's weights do not depend on the other
+        means of the call (whose windows may run its blocks further)."""
         x = np.array([0.0, 0.3, 40.0, 70.0, np.inf])
-        mu = np.array([0.0, 0.3, 40.0])
-        got = list(_poisson_series(7.5, np.arange(96.0), mu, x))
-        for k_i in (0, 32, 64):
-            assert got[k_i][1].tobytes() == special.gammaincc(7.5 + k_i, x).tobytes()
-        assert got[0][0].tobytes() == np.exp(-mu).tobytes()
-        later = list(_poisson_series(7.5, np.arange(64.0, 96.0), mu, x))
-        for (w, q), (w_ref, q_ref) in zip(later, got[64:]):
-            assert w.tobytes() == w_ref.tobytes() and q.tobytes() == q_ref.tobytes()
+        for seed in (0.0, 32.0, 64.0):
+            assert next(_gamma_tails(7.5, seed, x)).tobytes() == \
+                special.gammaincc(7.5 + seed, x).tobytes()
+            assert next(_gamma_tails(7.5, seed, x)).tobytes() == \
+                next(_gamma_tails(7.5, seed, x[::-1]))[::-1].tobytes()
+        mu = np.array([0.0, 0.3, 40.0, 90.0])
+        k_lo, k_hi = _poisson_window(mu, 0.5 * special_functions.ABS_TOL)
+        terms, blocks = _poisson_blocks(mu, "test")
+        blocks = list(blocks)
+        assert [seed for seed, _ in blocks] == list(range(0, int(k_hi[-1]) + 1, 32))
+        assert terms == k_hi[-1] + 1.0
+        for seed, w in blocks:
+            inside = (k_lo <= seed) & (seed <= k_hi)
+            assert w[0, inside].tobytes() == _poisson_term(seed, mu[inside]).tobytes()
+        for i, m in enumerate(mu):
+            alone = dict(list(_poisson_blocks(np.array([m]), "test")[1]))
+            for seed, w in blocks:
+                own = alone.get(seed, np.zeros((0, 1)))[:, 0]
+                assert w[:own.size, i].tobytes() == own.tobytes()
+                assert np.all(w[own.size:, i] == 0.0)
+
+    def test_union_budget_counts_each_term_once(self, monkeypatch):
+        """The budget is the union of the windows, widened down to their
+        seeds: a thousand copies of one mean and windows that overlap cost
+        no more than their union, and a gap between windows costs nothing."""
+        k_lo, k_hi = _poisson_window(np.array([1e4, 1.5e4]), 0.5 * special_functions.ABS_TOL)
+        first = k_lo - k_lo % 32
+        union = (k_hi - first + 1.0).sum()
+        monkeypatch.setattr(special_functions, "MAX_TERMS", int(union))
+        means = np.repeat([1e4, 1.5e4, 1.5e4 - 1.0], 1000)
+        terms, _ = _poisson_blocks(np.unique(means), "test")
+        assert k_hi[0] < first[1] - 1.0 and terms >= union
+        assert terms <= union + 64.0
+        monkeypatch.setattr(special_functions, "MAX_TERMS", int(terms))
+        assert marcum_q(2.0, np.sqrt(2.0 * means), 100.0).shape == (3000,)
+        monkeypatch.setattr(special_functions, "MAX_TERMS", int(terms) - 1)
+        with pytest.raises(ConvergenceError, match="cover"):
+            marcum_q(2.0, np.sqrt(2.0 * means), 100.0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(order=st.sampled_from([0.5, 2.5, 8.0, 90.5]),
+           means=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(1e3, 4e3)),
+                          min_size=1, max_size=4),
+           copies=st.integers(1, 2),
+           b=hnp.arrays(float, st.integers(1, 3), elements=st.floats(0.0, 100.0)))
+    def test_every_element_equals_its_one_element_call(self, order, means, copies, b):
+        """Duplicated and far-apart means: each element of a broadcast
+        ``marcum_q`` call and each entry of ``chisq_exceedance`` equals the
+        call with that one element bit for bit."""
+        nc = np.repeat(2.0 * np.array(means), copies)
+        a = np.sqrt(nc)
+        out = marcum_q(order, a[:, None], b)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                assert out[i, j].tobytes() == np.float64(marcum_q(order, ai, bj)).tobytes()
+        for nc0 in (0.0, 9.0):
+            areas = chisq_exceedance(2.0 * order, nc0, nc)
+            for area, nc1 in zip(areas, nc):
+                assert area.tobytes() == chisq_exceedance(2.0 * order, nc0, [nc1]).tobytes()
 
     def test_poisson_term_edges(self):
         """e^-x at s = 0, and 0 where x is 0 or infinite above it."""
