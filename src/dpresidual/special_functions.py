@@ -23,9 +23,10 @@ between far-apart windows, and raises ``ConvergenceError`` if that union
 holds more than MAX_TERMS = 10^6 terms or a mean reaches 2^53. At a
 block's seed, a multiple of 32, the weight and the gamma tail's step
 x^s e^-x / Gamma(s + 1) are Poisson terms in Loader's saddle-point form and
-the tail is ``scipy.special.gammaincc``; along the block w_k = w_(k-1) mu / k
-and Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1) (DLMF 8.8). Each tail
-is within 5e-14 of ``gammaincc``'s over orders 0.5 to 1e5 and each weight
+the tail is ``_gamma_q``'s, a series below s + 1 and a continued fraction
+above; along the block w_k = w_(k-1) mu / k and Q(s + 1, x) = Q(s, x) +
+x^s e^-x / Gamma(s + 1) (DLMF 8.8). Each tail is within 5e-14 of
+``scipy.special.gammaincc``'s over orders 0.5 to 1e5 and each weight
 within a relative 1e-13 of the exact one up to mean 2e5. A value depends
 only on its blocks, its mean and its boundary, so every element of an
 array call equals its one-element call bit for bit.
@@ -36,8 +37,9 @@ uniform expansion (DLMF 10.41(ii)) from order 50 on, where the scaled
 function underflows at the orders of large models.
 
 Every function that calls ``scipy.special`` imports it on first use, not
-at module import, so a process that only simulates, estimates or releases
-(all plain numpy) starts without paying scipy's import time.
+at module import. ``marcum_q``, ``noncentral_chisq_cdf`` and the Poisson
+walker are plain numpy, so a process that simulates, estimates, releases or
+computes the privacy guarantee starts without paying scipy's import time.
 """
 
 from __future__ import annotations
@@ -94,23 +96,26 @@ def _poisson_window(mu, p: float):
         Pr[X >= mu (1 + u)] <= exp(-mu h(u)),       h(u) = (1 + u) log1p(u) - u.
 
     So k_lo = max(ceil(mu - t), 0) and k_hi = ceil(mu (1 + u)) - 1 with
-    mu h(u) = L leave at most p of Poisson mass out on each side. That u
-    is exp(1 + W0((L/mu - 1)/e)) - 1, then one Newton step: h is convex
-    and increasing, so a step from any u > 0 lands on or above the root,
-    whatever W's rounding. A mean mu <= p has k_hi = 0, as
-    Pr[X >= 1] <= mu. Means must lie below 2^53; ``marcum_q`` passes
-    p = ABS_TOL / 2, where both ends are finite for every such mean.
+    h(u) = c = L / mu leave at most p of Poisson mass out on each side.
+    Newton's method finds that u from u_0 = c/3 + sqrt(c^2/9 + 2c), the root
+    of Bernstein's bound h(u) >= u^2 / (2 + 2u/3) and so at or above h's
+    root. h is convex and increasing, so each step from above lands on or
+    above the root again, and every iterate keeps the guarantee. Four steps
+    reach the root to 2e-14, relative, for p from 5e-16 to 5e-7 and means up
+    to 1e4, where h's own rounding does not dominate; five are taken. A mean
+    mu <= p has k_hi = 0, as Pr[X >= 1] <= mu. Means must lie below 2^53;
+    ``marcum_q`` passes p = ABS_TOL / 2, where both ends are finite for
+    every such mean.
     """
-    from scipy import special as sp
-
     log_inv_p = -math.log(p)
     k_lo = np.maximum(np.ceil(mu - np.sqrt(2.0 * log_inv_p * mu)), 0.0)
     spread = mu > p
     m = np.where(spread, mu, 1.0)  # a stand-in where k_hi is 0 anyway
     c = log_inv_p / m
-    u = np.expm1(1.0 + sp.lambertw((c - 1.0) / math.e).real)
-    log1p_u = np.log1p(u)
-    u -= ((1.0 + u) * log1p_u - u - c) / log1p_u
+    u = c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c)
+    for _ in range(5):
+        log1p_u = np.log1p(u)
+        u = u - ((1.0 + u) * log1p_u - u - c) / log1p_u
     k_hi = np.where(spread, np.ceil(mu * (1.0 + u)) - 1.0, 0.0)
     return k_lo, k_hi
 
@@ -217,17 +222,102 @@ def _poisson_blocks(mu, where: str):
     return terms, blocks()
 
 
-def _gamma_tails(order: float, seed: float, x):
+_EPS = np.finfo(float).eps
+# _gamma_q takes its iterations this many at a time, as array operations.
+_CHUNK = 16
+
+
+def _gamma_q(s: float, x, t):
+    """(q, n): the gamma tails Q(s, x), from their Poisson terms t =
+    ``_poisson_term(s, x)``, and the most iterations an element took.
+
+    The classical split (Gautschi, ACM TOMS 1979): below s + 1 the series
+    Q = 1 - t sum_n x^n / ((s + 1) ... (s + n)) (DLMF 8.7.1), from s + 1 on
+    Q = s t / (x + 1 - s - 1 (1 - s) / (x + 3 - s - 2 (2 - s) / (x + 5 - s - ...)))
+    (DLMF 8.9.2) by Lentz's method: with a_n = -n (n - s) and b_n = x + 2n +
+    1 - s, C_n and E_n = 1 / D_n both follow r_n = b_n + a_n / r_(n-1), from
+    C_0 = inf and E_0 = b_0, and the value is 1 / b_0 times every C_n / E_n.
+    There b_n >= 2n + 2, so b_n b_(n-1) > 4n (n - s) and, by induction, C_n
+    and E_n stay above b_n / 2: the modified method's guard against a zero
+    denominator would never act.
+
+    Each element stops at its own convergence, at the first term within eps
+    of the sum or the first factor within eps of 1, so it equals its
+    one-element call bit for bit. The iterations run _CHUNK at a time as
+    array operations, and each element's value is read at its own stop.
+    Where t is 0 (x = 0, x = inf, or t underflows) q is 1 below s + 1 and 0
+    above, with no iteration. Both sides are slowest near x = s, at about
+    sqrt(2 s log(1 / eps)) iterations.
+    """
+    shape = np.shape(x)
+    x, t = np.ravel(x), np.ravel(t)
+    below = x < s + 1.0
+    q = np.where(below, 1.0, 0.0)
+    live = t > 0.0
+    most = 0
+    ahead = np.arange(1.0, _CHUNK + 1.0)[:, None]
+
+    idx = np.flatnonzero(live & below)
+    xs, ts = x[idx], t[idx]
+    term, total, n = np.ones(idx.size), np.ones(idx.size), 0
+    while idx.size:
+        ratios = xs / (s + (n + ahead))
+        ratios[0] *= term
+        terms = np.cumprod(ratios, axis=0)
+        sums = terms.copy()
+        sums[0] += total
+        sums = np.cumsum(sums, axis=0)
+        stop, cols, keep = _first_stops(terms <= _EPS * sums)
+        q[idx[cols]] = 1.0 - ts[cols] * sums[stop, cols]
+        most = max(most, n + 1 + stop.max(initial=-1))
+        idx, xs, ts = idx[keep], xs[keep], ts[keep]
+        term, total, n = terms[-1, keep], sums[-1, keep], n + _CHUNK
+
+    idx = np.flatnonzero(live & ~below)
+    xs, ts = x[idx], t[idx]
+    e = xs + (1.0 - s)
+    c, h, n = np.full(idx.size, np.inf), 1.0 / e, 0
+    while idx.size:
+        b = xs + (2.0 * (n + ahead) + 1.0 - s)
+        factors = np.empty((_CHUNK, idx.size))
+        for j in range(_CHUNK):
+            an = -(n + j + 1.0) * (n + j + 1.0 - s)
+            e = b[j] + an / e
+            c = b[j] + an / c
+            factors[j] = c / e
+        hs = factors.copy()
+        hs[0] *= h
+        hs = np.cumprod(hs, axis=0)
+        stop, cols, keep = _first_stops(np.abs(factors - 1.0) <= _EPS)
+        q[idx[cols]] = s * ts[cols] * hs[stop, cols]
+        most = max(most, n + 1 + stop.max(initial=-1))
+        idx, xs, ts, c, e = idx[keep], xs[keep], ts[keep], c[keep], e[keep]
+        h, n = hs[-1, keep], n + _CHUNK
+    return q.reshape(shape), int(most)
+
+
+def _first_stops(done):
+    """(stop, cols, keep) of a chunk's (iteration, element) convergence mask:
+    each converged column's first converged row, the converged columns, and
+    the mask of the columns still running."""
+    keep = ~done.any(axis=0)
+    cols = np.flatnonzero(~keep)
+    return done[:, cols].argmax(axis=0), cols, keep
+
+
+def _gamma_tails(order: float, seed: float, x, iterations: list | None = None):
     """Yield the gamma tails Q(order + k, x) for k = seed, ..., seed + 31.
 
-    At the seed, ``scipy.special.gammaincc`` and its step t =
-    ``_poisson_term(order + seed, x)``; after, Q(s + 1, x) = Q(s, x) + t_s
-    with t_(s+1) = t_s x / (s + 1) (DLMF 8.8).
+    At the seed, ``_gamma_q`` from its step t = ``_poisson_term(order +
+    seed, x)``, appending its iteration count to ``iterations`` when one
+    is given; after, Q(s + 1, x) = Q(s, x) + t_s with t_(s+1) = t_s x /
+    (s + 1) (DLMF 8.8).
     """
-    from scipy import special as sp
-
     x_step = np.where(x < np.inf, x, 0.0)  # t is 0 at x = inf and stays 0
-    q, t = sp.gammaincc(order + seed, x), _poisson_term(order + seed, x)
+    t = _poisson_term(order + seed, x)
+    q, n = _gamma_q(order + seed, x, t)
+    if iterations is not None:
+        iterations.append(n)
     yield q
     for k in seed + np.arange(1.0, _RESTART):
         q, t = q + t, t * (x_step / (order + k))
@@ -255,10 +345,11 @@ def marcum_q(order: float, a, b):
     Each element sums the terms of its own window of mu = a^2 / 2, in
     ascending k over the blocks of ``_poisson_blocks``, with the tails of
     ``_gamma_tails``: within ABS_TOL = 1e-12 of the full series, and equal
-    to its scalar call bit for bit. At a = 0 the value is
-    ``gammaincc(order, b^2 / 2)`` itself. The union's term count, the
-    element count and the seed count (blocks times boundaries, one
-    ``gammaincc`` evaluation each) are logged at DEBUG.
+    to its scalar call bit for bit. At a = 0 the value is the gamma tail
+    ``_gamma_q(order, b^2 / 2)`` itself. The union's term count, the
+    element count, the seed count (blocks times boundaries, one ``_gamma_q``
+    evaluation each) and the most iterations a seed's tail took are logged
+    at DEBUG; the last is largest for boundaries near b^2 / 2 = order + k.
 
     Raises
     ------
@@ -286,12 +377,13 @@ def marcum_q(order: float, a, b):
     terms, blocks = _poisson_blocks(means, f"a = {a_arr.max()} in marcum_q of order {order}")
     inv = inv.reshape(mu.shape)
     total = np.zeros(shape)
-    seeds = 0
+    seeds, iterations = 0, []
     for seeds, (seed, w) in enumerate(blocks, 1):
-        for w_k, q in zip(w[:, inv], _gamma_tails(order, seed, x)):
+        for w_k, q in zip(w[:, inv], _gamma_tails(order, seed, x, iterations)):
             total += w_k * q
-    logger.debug("marcum_q: %d terms over %d elements, %d gamma-tail seeds",
-                 terms, mu.size, seeds * x.size)
+    logger.debug("marcum_q: %d terms over %d elements, %d gamma-tail seeds "
+                 "of at most %d iterations", terms, mu.size, seeds * x.size,
+                 max(iterations, default=0))
 
     # Truncated Poisson mass never reaches 1 exactly; the b = 0 boundary
     # carries full mass by definition.

@@ -812,8 +812,8 @@ class TestLogLevel:
         assert main(["roc", "--config", str(config_path), "--out", str(tmp_path / "o"),
                      "--log-level", "debug"]) == 0
         lines = capsys.readouterr().err.splitlines()
-        assert any(re.fullmatch(r"marcum_q: \d+ terms over \d+ elements, \d+ gamma-tail seeds",
-                                 line)
+        assert any(re.fullmatch(r"marcum_q: \d+ terms over \d+ elements, \d+ gamma-tail seeds "
+                                 r"of at most \d+ iterations", line)
                    for line in lines)
         assert lines[-1].startswith("stage roc: ")
 

@@ -1,8 +1,9 @@
-"""Start-up: the package and the release path load no scipy.
+"""Start-up: the package, the release path and the privacy guarantee load no scipy.
 
-``special_functions`` imports ``scipy.special`` on first use, so importing
-the package, and running ``simulate``, ``estimate`` and ``privatize``,
-never pays scipy's import time. Each check runs in a fresh interpreter,
+``special_functions`` imports ``scipy.special`` on first use, and
+``marcum_q`` is plain numpy, so importing the package, and running
+``simulate``, ``estimate``, ``privatize`` and ``delta-curve``, never pays
+scipy's import time. Each check runs in a fresh interpreter,
 since the test process itself has long since loaded scipy.
 """
 
@@ -92,6 +93,14 @@ def test_release_commands_load_no_scipy(tmp_path, mechanism):
                                                  "privatize"]
     assert all(code == 0 and not scipy for _, code, scipy, _ in runs), runs
     assert (tmp_path / "o" / "release.json").exists()
+
+
+def test_delta_curve_loads_no_scipy(tmp_path):
+    """The guarantee's Marcum-Q tails, its root interval and its cells."""
+    out = tmp_path / "o"
+    runs = run_fresh([["delta-curve", "--config", str(DEMO), "--out", str(out)]])
+    assert runs == [["import", 0, False, False], ["delta-curve", 0, False, False]]
+    assert (out / "delta_curve.csv").exists()
 
 
 def test_roc_does_load_scipy_special(tmp_path):

@@ -29,6 +29,7 @@ from dpresidual import (
 )
 from dpresidual import special_functions
 from dpresidual.special_functions import (
+    _gamma_q,
     _gamma_tails,
     _poisson_blocks,
     _poisson_term,
@@ -51,6 +52,38 @@ def bracket_gamma_q_inverse(alpha, s):
     """Root bracketing of Q(s, x) = alpha via brentq on a wide interval."""
     return optimize.brentq(lambda x: special.gammaincc(s, x) - alpha, 1e-12, 1e4,
                            xtol=1e-13, rtol=1e-14)
+
+
+def plain_gamma_q(s, x):
+    """(Q(s, x), iterations) by the one-element loop that ``_gamma_q`` runs
+    in chunks: the series below s + 1, Lentz's continued fraction above,
+    each stopped at its first term within eps of the sum or its first
+    factor within eps of 1. Plain floats, so the same IEEE arithmetic."""
+    t = float(_poisson_term(s, np.array([x]))[0])
+    if t == 0.0:
+        return (1.0 if x < s + 1.0 else 0.0), 0
+    eps, n = float(np.finfo(float).eps), 0
+    if x < s + 1.0:
+        term = total = 1.0
+        while True:
+            n += 1
+            term = term * (x / (s + n))
+            total = total + term
+            if term <= eps * total:
+                return 1.0 - t * total, n
+    e = x + (1.0 - s)
+    c, h = math.inf, 1.0 / e
+    while True:
+        n += 1
+        an = -n * (n - s)
+        b = x + (2.0 * n + 1.0 - s)
+        e = b + an / e
+        c = b + an / c
+        factor = c / e
+        h = h * factor
+        if abs(factor - 1.0) <= eps:
+            return s * t * h, n
+
 
 def naive_marcum_series(order, a, b, tol=1e-12):
     """Plain forward Poisson-mixture summation with scipy chi2 tails."""
@@ -137,16 +170,21 @@ class TestMarcumQ:
 
     @pytest.mark.parametrize("order", [0.5, 1.0, 7.5, 90.5, 1e3, 1e4])
     def test_central_is_gamma_tail_bit_for_bit(self, order):
-        """At a = 0 the series sums its one k = 0 term of weight exactly 1."""
+        """At a = 0 the series sums its one k = 0 term of weight exactly 1:
+        the value is the package's gamma tail ``_gamma_q`` itself, in any
+        order of the boundaries and in any broadcast."""
         rng = np.random.default_rng(4)
         b = np.concatenate([[0.0, 1e-300, np.inf],
                             np.sqrt(2.0 * order * rng.uniform(0.5, 1.5, 200)),
                             rng.exponential(3.0, 50)])
         x = 0.5 * b * b
-        expected = np.where(x == 0.0, 1.0, np.minimum(special.gammaincc(order, x), 1.0))
+        tail, _ = _gamma_q(order, x, _poisson_term(order, x))
+        expected = np.where(x == 0.0, 1.0, np.minimum(tail, 1.0))
         assert marcum_q(order, 0.0, b).tobytes() == expected.tobytes()
+        assert marcum_q(order, 0.0, b[::-1]).tobytes() == expected[::-1].tobytes()
         assert marcum_q(order, np.zeros((3, 1)), b).tobytes() == \
             np.broadcast_to(expected, (3, b.size)).tobytes()
+        np.testing.assert_allclose(expected, special.gammaincc(order, x), rtol=0, atol=5e-14)
 
     @pytest.mark.parametrize("order,a", [(1.0, 0.0), (2.5, 1.3), (0.5, 4.0)])
     def test_full_mass_above_zero(self, order, a):
@@ -278,15 +316,18 @@ class TestMarcumQ:
 
     def test_debug_log_reports_window(self, caplog):
         """Term, element and gamma-tail seed counts go to the DEBUG log: one
-        seed per multiple of 32 in the run, and one at its start."""
+        seed per multiple of 32 in the run, and one at its start; and the
+        most iterations a seed's tail took."""
         a = np.array([0.5, 3.0, 9.0])
         with caplog.at_level(logging.DEBUG, logger="dpresidual.special_functions"):
             marcum_q(2.0, a, 4.0)
         k_lo, k_hi = _poisson_window(0.5 * a * a, 0.5 * special_functions.ABS_TOL)
         lo, hi = int(k_lo.min()), int(k_hi.max())
-        seeds = len(range(lo - lo % 32, hi + 1, 32))
+        seeds = range(lo - lo % 32, hi + 1, 32)
+        iterations = max(plain_gamma_q(2.0 + seed, 8.0)[1] for seed in seeds)
         assert [r.getMessage() for r in caplog.records] == [
-            f"marcum_q: {hi - lo + 1} terms over 3 elements, {seeds} gamma-tail seeds"]
+            f"marcum_q: {hi - lo + 1} terms over 3 elements, {len(seeds)} gamma-tail seeds "
+            f"of at most {iterations} iterations"]
 
     @pytest.mark.parametrize("order,a,b", [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
                                            (1.0, -0.5, 1.0), (1.0, 1.0, -2.0),
@@ -343,16 +384,18 @@ class TestGammaTails:
                                 if m > 0 else float(k_i == 0) for k_i in k[inside[:, i]]])
                 np.testing.assert_allclose(w[inside[:, i], i], ref, rtol=1e-13, atol=0)
 
-    def test_seeds_are_scipy_values(self):
-        """At a block's seed the tail is gammaincc itself and the weight is
-        ``_poisson_term``, and a mean's weights do not depend on the other
-        means of the call (whose windows may run its blocks further)."""
+    def test_seeds_are_gamma_q_values(self):
+        """At a block's seed the tail is ``_gamma_q`` itself, within 5e-14 of
+        gammaincc, and the weight is ``_poisson_term``, and a mean's weights
+        do not depend on the other means of the call (whose windows may run
+        its blocks further)."""
         x = np.array([0.0, 0.3, 40.0, 70.0, np.inf])
         for seed in (0.0, 32.0, 64.0):
-            assert next(_gamma_tails(7.5, seed, x)).tobytes() == \
-                special.gammaincc(7.5 + seed, x).tobytes()
-            assert next(_gamma_tails(7.5, seed, x)).tobytes() == \
-                next(_gamma_tails(7.5, seed, x[::-1]))[::-1].tobytes()
+            s = 7.5 + seed
+            q = next(_gamma_tails(7.5, seed, x))
+            assert q.tobytes() == _gamma_q(s, x, _poisson_term(s, x))[0].tobytes()
+            assert q.tobytes() == next(_gamma_tails(7.5, seed, x[::-1]))[::-1].tobytes()
+            np.testing.assert_allclose(q, special.gammaincc(s, x), rtol=0, atol=5e-14)
         mu = np.array([0.0, 0.3, 40.0, 90.0])
         k_lo, k_hi = _poisson_window(mu, 0.5 * special_functions.ABS_TOL)
         terms, blocks = _poisson_blocks(mu, "test")
@@ -408,6 +451,39 @@ class TestGammaTails:
             for area, nc1 in zip(areas, nc):
                 assert area.tobytes() == chisq_exceedance(2.0 * order, nc0, [nc1]).tobytes()
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 7.5, 90.5, 1000.5, 1e4, 1e5])
+    def test_gamma_q_against_mpmath_and_scipy(self, s):
+        """The numpy tail against 40-digit mpmath and against gammaincc, to
+        5e-14: at 0 and 1e-300, about s +- sqrt(s), on both sides of the
+        switch at s + 1, in both far tails, at 4e10 and at inf."""
+        mpmath = pytest.importorskip("mpmath")
+        r = math.sqrt(s)
+        x = np.array([0.0, 1e-300, 1e-8, 0.01 * s, abs(s - r), s, np.nextafter(s + 1.0, 0.0),
+                      s + 1.0, s + r, max(s - 12.0 * r, 0.001), s + 12.0 * r + 20.0,
+                      10.0 * s + 50.0, 4e10, np.inf])
+        q, _ = _gamma_q(s, x, _poisson_term(s, x))
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.gammainc(s, mpmath.mpf(v), mpmath.inf, regularized=True))
+                            if 0.0 < v < np.inf else float(v == 0.0) for v in x])
+        np.testing.assert_allclose(q, ref, rtol=0, atol=5e-14)
+        np.testing.assert_allclose(q, special.gammaincc(s, x), rtol=0, atol=5e-14)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0, 7.5, 90.5, 1000.5])
+    def test_gamma_q_chunks_equal_the_plain_loop(self, s):
+        """Run _CHUNK iterations at a time, each element still stops at its
+        own first converged iteration: every value equals the plain
+        one-element loop bit for bit, and the count is its largest."""
+        rng = np.random.default_rng(23)
+        r = math.sqrt(s)
+        x = np.concatenate([[0.0, 1e-300, s + 1.0, np.nextafter(s + 1.0, 0.0), 1e6 * s, np.inf],
+                            np.abs(s + 4.0 * r * rng.standard_normal(40)),
+                            rng.uniform(0.0, 3.0 * s + 10.0, 20)])
+        q, most = _gamma_q(s, x, _poisson_term(s, x))
+        plain = [plain_gamma_q(s, float(v)) for v in x]
+        assert q.tobytes() == np.array([v for v, _ in plain]).tobytes()
+        assert most == max(n for _, n in plain)
+        assert most > special_functions._CHUNK  # more than one chunk
+
     def test_poisson_term_edges(self):
         """e^-x at s = 0, and 0 where x is 0 or infinite above it."""
         x = np.array([0.0, 2.5, np.inf])
@@ -451,6 +527,19 @@ class TestPoissonWindow:
         exact = np.isfinite(o_lo) & np.isfinite(o_hi)
         assert exact[mu < 1e7].all()
         assert np.all((k_hi - k_lo + 1.0)[exact] <= 1.2 * (o_hi - o_lo + 1.0)[exact] + 2.0)
+
+    def test_newton_start_matches_lambert_w_window(self):
+        """On 20,006 log-spaced means in [1e-14, 1e7] the Newton iteration from
+        Bernstein's root gives the k_hi of the Lambert-W start, exp(1 +
+        W0((c - 1) / e)) - 1, plus one Newton step."""
+        p = 0.5 * special_functions.ABS_TOL
+        mu = np.logspace(-14.0, 7.0, 20006)
+        c = -math.log(p) / np.where(mu > p, mu, 1.0)
+        u = np.expm1(1.0 + special.lambertw((c - 1.0) / math.e).real)
+        log1p_u = np.log1p(u)
+        u -= ((1.0 + u) * log1p_u - u - c) / log1p_u
+        k_hi = np.where(mu > p, np.ceil(mu * (1.0 + u)) - 1.0, 0.0)
+        assert _poisson_window(mu, p)[1].tobytes() == k_hi.tobytes()
 
     def test_fixed_tolerance_ends_finite(self):
         """At marcum_q's p = ABS_TOL / 2 every mean below 2^53 has a finite
