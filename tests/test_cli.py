@@ -1451,3 +1451,17 @@ class TestFaultSweep:
             assert code == 0 or err.startswith(("error: ", "numeric failure: ")), err
             for artifact in out.glob("*") if out.exists() else ():
                 assert _finite_cells(artifact), (args, artifact.name)
+
+
+def test_roc_at_extreme_alphas(tmp_path):
+    """Targets from 1e-300 to the largest double below 1, with RuntimeWarning
+    an error: roc exits 0, and pfa keeps the values that scipy's gamma
+    inverse gave, to 1e-13 relative."""
+    doc = yaml.safe_load(DEMO.read_text())
+    doc["test"]["alpha_grid"] = [1e-300, 1e-30, 0.5, 0.9999999999999999]
+    out = tmp_path / "o"
+    assert main(["roc", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    _, columns, rows = read_csv(out / "roc.csv")
+    pfa = np.array([float(row[columns.index("pfa")]) for row in rows])
+    np.testing.assert_allclose(pfa, [1.001135653654424e-299, 3.561279915413513e-30,
+                                     0.5734853697968878, 1.0], rtol=1e-13, atol=0)

@@ -1,10 +1,13 @@
-"""Start-up: the package, the release path and the privacy guarantee load no scipy.
+"""Start-up: the package, the release path, the privacy guarantee and the
+chi-square detection analytics load no scipy.
 
 ``special_functions`` imports ``scipy.special`` on first use, and
-``marcum_q`` is plain numpy, so importing the package, and running
-``simulate``, ``estimate``, ``privatize`` and ``delta-curve``, never pays
-scipy's import time. Each check runs in a fresh interpreter,
-since the test process itself has long since loaded scipy.
+``marcum_q``, the gamma-tail inverse and the exceedance are plain numpy,
+so importing the package, and running ``simulate``, ``estimate``,
+``privatize``, ``delta-curve``, and ``roc`` and ``figures --which fig4``
+on chi-square laws, never pays scipy's import time. Each check runs in a
+fresh interpreter, since the test process itself has long since loaded
+scipy.
 """
 
 import json
@@ -103,9 +106,21 @@ def test_delta_curve_loads_no_scipy(tmp_path):
     assert (out / "delta_curve.csv").exists()
 
 
+def test_chi_square_detection_loads_no_scipy(tmp_path):
+    """The threshold's gamma-tail inverse, the Marcum-Q tails and the exact
+    AUROC, in ``roc`` and in fig4."""
+    out = tmp_path / "o"
+    runs = run_fresh([["roc", "--config", str(DEMO), "--out", str(out)],
+                      ["figures", "--which", "fig4", "--config", str(DEMO), "--out", str(out)]])
+    assert runs == [["import", 0, False, False], ["roc", 0, False, False],
+                    ["figures", 0, False, False]]
+    assert all((out / name).exists() for name in ("roc.csv", "auroc.csv", "fig4_auroc.csv"))
+
+
 def test_roc_does_load_scipy_special(tmp_path):
-    """The check above is not vacuous: the detection analytics need scipy."""
-    config, out = str(demo_variant(tmp_path, "chi_square")), str(tmp_path / "o")
+    """The checks above are not vacuous: the Gaussian detection analytics
+    still take ``erfc`` from scipy."""
+    config, out = str(demo_variant(tmp_path, "gaussian_output")), str(tmp_path / "o")
     runs = run_fresh([["roc", "--config", config, "--out", out]])
     assert runs == [["import", 0, False, False], ["roc", 0, True, True]]
 

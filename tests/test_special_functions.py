@@ -28,12 +28,16 @@ from dpresidual import (
     regularized_gamma_q_inverse,
 )
 from dpresidual import special_functions
+from dpresidual.detection import DEFAULT_ALPHA_GRID
 from dpresidual.special_functions import (
+    _gamma_pq,
     _gamma_q,
     _gamma_tails,
+    _half_beta,
     _poisson_blocks,
     _poisson_term,
     _poisson_window,
+    _stirlerr,
     chisq_exceedance,
 )
 
@@ -157,6 +161,132 @@ class TestGammaQInverse:
     def test_domain_errors(self, alpha):
         with pytest.raises(ValueError):
             regularized_gamma_q_inverse(alpha, 1.0)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan])
+    def test_order_domain_errors(self, s):
+        with pytest.raises(ValueError):
+            regularized_gamma_q_inverse(0.5, s)
+
+    ORDERS = (0.5, 1.0, 2.5, 7.5, 90.0, 90.5, 1000.5, 1e4, 1e5)
+    # Log-spaced on the side of 1/2 each alpha is solved on: Q = alpha below,
+    # P = 1 - alpha above.
+    ALPHAS = np.concatenate([np.logspace(-300.0, math.log10(0.5), 25),
+                             1.0 - np.logspace(math.log10(0.49), -12.0, 12)])
+
+    @staticmethod
+    def solved_tail(s, x):
+        """(V, v, V / (s t)) at x for each of ALPHAS: the tail the inverse
+        solves, its target, and the relative change of x per relative
+        change of V."""
+        alpha = TestGammaQInverse.ALPHAS
+        t = _poisson_term(s, x)
+        p, q, _ = _gamma_pq(s, x, t)
+        upper = alpha <= 0.5
+        val = np.where(upper, q, p)
+        return val, np.where(upper, alpha, 1.0 - alpha), val / (s * t)
+
+    @pytest.mark.parametrize("s", ORDERS)
+    def test_against_scipy_and_mpmath(self, s):
+        """From 1e-300 to 1 - 1e-12, within 1e-13 relative of gammainccinv
+        and of the root by 40-digit mpmath. On the side it solves, every
+        root here is well-conditioned: V / (s t) is at most 3, so a relative
+        error in V moves x by at most three times as much. mpmath's residual
+        V(x) - v over x times the density is x's relative error to first
+        order."""
+        mpmath = pytest.importorskip("mpmath")
+        alpha = self.ALPHAS
+        x = regularized_gamma_q_inverse(alpha, s)
+        assert np.all(self.solved_tail(s, x)[2] <= 3.0)
+        np.testing.assert_allclose(x, special.gammainccinv(s, alpha), rtol=1e-13, atol=0)
+        with mpmath.workdps(40):
+            sm = mpmath.mpf(s)
+            for a, xv in zip(alpha, x):
+                xm = mpmath.mpf(xv)
+                density = mpmath.exp((sm - 1) * mpmath.log(xm) - xm - mpmath.loggamma(sm))
+                if a <= 0.5:
+                    residual = mpmath.gammainc(sm, xm, mpmath.inf, regularized=True) - a
+                else:
+                    residual = (1 - mpmath.mpf(a)) - mpmath.gammainc(sm, 0, xm, regularized=True)
+                assert abs(residual) / (xm * density) <= 1e-13, (s, a)
+
+    @pytest.mark.parametrize("s", ORDERS)
+    def test_round_trip_through_gamma_q(self, s):
+        """The package's own tail at the returned x gives alpha back: Q on
+        the Q side and P = 1 - Q from ``_gamma_q``'s series on the P side,
+        within 1e-14 relative times the conditioning of V in x, (s t / V)."""
+        x = regularized_gamma_q_inverse(self.ALPHAS, s)
+        val, v, cond = self.solved_tail(s, x)
+        assert np.all(np.abs(val / v - 1.0) <= 1e-14 * np.maximum(1.0, 1.0 / cond))
+        q, _ = _gamma_q(s, x, _poisson_term(s, x))
+        upper = self.ALPHAS <= 0.5
+        assert np.array_equal(q[upper], val[upper])
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(s=st.sampled_from([0.5, 1.0, 2.5, 7.5, 90.0, 90.5, 1000.5]),
+           alpha=st.lists(st.one_of(st.floats(-300.0, -0.31).map(lambda e: 10.0**e),
+                                    st.floats(-12.0, -0.31).map(lambda e: 1.0 - 10.0**e),
+                                    st.floats(0.001, 0.999)),
+                          min_size=1, max_size=12))
+    def test_elements_equal_one_element_calls_and_fall(self, s, alpha):
+        """Each element equals its one-element call bit for bit, and x falls
+        as alpha rises wherever the alphas differ by more than 1e-9 of the
+        smaller tail: then the roots differ by far more than their error."""
+        alpha = np.array(alpha)
+        x = regularized_gamma_q_inverse(alpha, s)
+        for a, xi in zip(alpha, x):
+            assert xi.tobytes() == np.float64(regularized_gamma_q_inverse(a, s)).tobytes()
+        order = np.argsort(alpha)
+        a, xs = alpha[order], x[order]
+        apart = (a[1:] - a[:-1]) > 1e-9 * np.minimum(a[1:], 1.0 - a[:-1])
+        assert np.all(xs[1:][apart] < xs[:-1][apart])
+
+    def test_one_gamma_q_evaluation_per_alpha_on_the_roc_grid(self, caplog):
+        """At s = 90 over the ROC's 512-point grid, Wilson-Hilferty starts
+        within 3.3e-4, each alpha takes one ``_gamma_q`` evaluation, and its
+        second Halley step, on that evaluation's local series, is below
+        1e-8 x. A Halley denominator with P's sign in it, used on Q, takes a
+        third step."""
+        with caplog.at_level(logging.DEBUG, logger="dpresidual.special_functions"):
+            x = regularized_gamma_q_inverse(DEFAULT_ALPHA_GRID, 90.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "regularized_gamma_q_inverse: 512 alphas at s = 90, 512 _gamma_q evaluations, "
+            "at most 2 steps per alpha"]
+        np.testing.assert_allclose(x, special.gammainccinv(90.0, DEFAULT_ALPHA_GRID),
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_small_order_near_1e_minus_11(self, s):
+        """Far tails of small orders, where Wilson-Hilferty's start is off by
+        more than 2%: a solver that stops short from it returns 29.03 at
+        s = 2.5 where the root of Q = 1.78e-11 is 29.60. Against 40-digit
+        mpmath roots."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            alphas = [1e-11, float(mpmath.gammainc(s, 29.6, mpmath.inf, regularized=True))]
+            roots = [float(mpmath.findroot(
+                lambda v: mpmath.gammainc(s, v, mpmath.inf, regularized=True) - a,
+                mpmath.mpf(special.gammainccinv(s, a)))) for a in alphas]
+        x = regularized_gamma_q_inverse(np.array(alphas), s)
+        np.testing.assert_allclose(x, roots, rtol=1e-13, atol=0)
+        assert x[1] == pytest.approx(29.6, rel=1e-13)
+
+    def test_subnormal_and_underflowing_ends(self):
+        """Where alpha, the tail or its Poisson term is subnormal, x is still
+        the 40-digit mpmath root to 1e-14, as log V - log v is summed from
+        factors that do not underflow; a root below the smallest normal
+        double is the power-law start, at or below it. No warning."""
+        mpmath = pytest.importorskip("mpmath")
+        alpha = np.array([5e-324, 1e-320, 1e-310, 0.5, 1.0 - 2.0**-53])
+        for s in (1e-3, 0.5, 3.0, 1e5):
+            x = regularized_gamma_q_inverse(alpha, s)
+            assert np.all(x[1:] <= x[:-1])
+            with mpmath.workdps(40):
+                for a, xi in zip(alpha[:3], x):
+                    root = mpmath.findroot(
+                        lambda v: mpmath.log(mpmath.gammainc(s, v, mpmath.inf, regularized=True))
+                        - mpmath.log(mpmath.mpf(a)), mpmath.mpf(xi))
+                    assert abs(xi / root - 1) <= 1e-14, (s, a)
+        assert regularized_gamma_q_inverse(1.0 - 2.0**-53, 1e-3) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +621,80 @@ class TestGammaTails:
         np.testing.assert_array_equal(_poisson_term(3.5, x)[[0, 2]], [0.0, 0.0])
         assert _poisson_term(3.5, x)[1] == pytest.approx(
             math.exp(3.5 * math.log(2.5) - 2.5 - math.lgamma(4.5)), rel=1e-14)
+
+
+def quadrature_half_beta(a, b):
+    """I_(1/2)(a, b) by 40-digit mpmath quadrature of the beta density,
+    split about its peak: mpmath's betainc, a hypergeometric series, does
+    not converge at parameters near 1e5."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+        peak = (a - 1) / (a + b - 2) if a > 1 and b > 1 else mpmath.mpf(0.25)
+        sd = mpmath.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        points = sorted({mpmath.mpf(0), mpmath.mpf(0.5)}
+                        | {peak + c * sd for c in (-40, -10, -3, 0, 3, 10, 40)
+                           if 0 < peak + c * sd < 0.5})
+        return float(mpmath.quad(lambda u: mpmath.exp((a - 1) * mpmath.log(u)
+                                                      + (b - 1) * mpmath.log1p(-u)
+                                                      - log_beta), points))
+
+
+class TestHalfBeta:
+    """``_half_beta``'s I_(1/2)(half + j, half + k) and the exceedance built on it."""
+
+    @pytest.mark.parametrize("dof", [1.0, 2.0, 15.0, 180.0, 181.0, 2e5])
+    def test_central_tie_is_one_half(self, dof):
+        assert chisq_exceedance(dof, 0.0, [0.0])[0] == 0.5
+
+    @pytest.mark.parametrize("half", [0.5, 1.0, 7.5, 90.0, 90.5, 1000.0, 5e4 + 0.5, 1e5])
+    def test_against_betainc_and_mpmath(self, half):
+        """Half-integer and integer a and b up to 1e5 + 2000, on both sides of
+        a = b and past the walk's cut, within ABS_TOL of betainc; against
+        mpmath's betainc up to 1e3 and its quadrature above."""
+        mpmath = pytest.importorskip("mpmath")
+        j = np.array([0.0, 1.0, 5.0, 40.0, 300.0])
+        k = np.array([0.0, 1.0, 3.0, 40.0, 41.0, 299.0, 300.0, 2000.0])
+        got = _half_beta(half, j, k)
+        assert got.shape == (k.size, j.size)
+        ref = special.betainc(half + j, half + k[:, None], 0.5)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=special_functions.ABS_TOL)
+        for jj, kk in ((0, 0), (0, 3), (3, 0), (2, 4), (1, 7), (4, 6), (4, 7)):
+            a, b = half + j[jj], half + k[kk]
+            if max(a, b) <= 1e3:
+                with mpmath.workdps(30):
+                    want = float(mpmath.betainc(a, b, 0, 0.5, regularized=True))
+            else:
+                want = quadrature_half_beta(a, b)
+            assert abs(got[kk, jj] - want) <= special_functions.ABS_TOL, (a, b)
+
+    @pytest.mark.parametrize("half", [0.5, 7.5, 90.0, 2400.5])
+    def test_walk_equals_the_plain_loop_past_its_cut(self, half):
+        """Every value is the plain sequential walk's, bit for bit: from
+        1/2 and t(a, a) by Stirling's series, adding t(a, a + i) and
+        stepping it by (2a + i) / (2 (a + i + 1)); far past the cut, where
+        the walk stops, the plain loop no longer changes."""
+        d = np.array([0, 1, 2, 17, 64, 500, 5000])
+        got = _half_beta(half, [0.0], d.astype(float))[:, 0]
+        total, t = 0.5, 0.5 * math.exp(_stirlerr(2.0 * half) - 2.0 * _stirlerr(half)) \
+            / math.sqrt(math.pi * half)
+        plain = [total]
+        for i in range(int(d.max())):
+            total += t
+            t *= (2.0 * half + i) / (2.0 * (half + i + 1.0))
+            plain.append(total)
+        assert got.tobytes() == np.array(plain)[d].tobytes()
+        # The reflection I_(1/2)(a, b) = 1 - I_(1/2)(b, a) where k < j.
+        assert _half_beta(half, [3.0], [0.0])[0, 0] == 1.0 - plain[3]
+
+    def test_walk_budget(self, monkeypatch):
+        """A call whose walks hold more than MAX_TERMS steps raises."""
+        monkeypatch.setattr(special_functions, "MAX_TERMS", 100)
+        assert _half_beta(7.5, [0.0], [99.0]).shape == (1, 1)
+        with pytest.raises(ConvergenceError, match="incomplete-beta walks"):
+            _half_beta(7.5, [0.0], [101.0])
 
 
 def pdtrik_window(mu, p):
